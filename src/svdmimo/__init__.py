@@ -11,14 +11,14 @@ from .bulk_support import (BulkInterval, RegimeError, ScaleFactors, SupportEstim
                            unilateral_separable, unilateral_supports)
 from .montecarlo import (BerPoint, ExperimentConfig, SpectrumResult, ber_vs_IP, ber_vs_R,
                          spectrum_experiment, write_ber_csv, write_spectrum_csv)
-from .numerics import NonConvergenceError, Polynomial, bisect, damped_fixed_point, poly_roots
+from .numerics import Polynomial, bisect, poly_roots
 from .rmt_spectrum import (FixedPointParams, SpectralDensity, StieltjesSolverError,
                            StieltjesValue, density_from_stieltjes, empirical_spectrum,
                            mp_density, noise_bulk_max_power, snr_lower_bound, stieltjes_solve)
 from .subspace_receiver import (BeamformerVector, ProjectedChannel, SubspaceBasis,
                                 conventional_receiver, count_bit_errors, detect_subspace,
                                 estimate_projected_channel, matched_filter_principal,
-                                project, qpsk_symbols, signal_subspace, slice_qpsk)
+                                project, signal_subspace, slice_qpsk)
 from .system_model import (LIGHT_SPEED, ChannelRealization, DerivedParams,
                            InterferenceProfile, PilotConfig, RadioParams, SystemParams,
                            assemble_received, coherence_symbols, derive_params,

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -18,8 +19,9 @@ from . import bulk_support
 from .rmt_spectrum import FixedPointParams, SpectralDensity, density_from_stieltjes, empirical_spectrum
 from .subspace_receiver import (conventional_receiver, count_bit_errors, detect_subspace,
                                 estimate_projected_channel, project, signal_subspace)
-from .system_model import (PilotConfig, SystemParams, assemble_received, derive_params,
-                           make_pilots, sample_realization)
+from .system_model import (InterferenceProfile, PilotConfig, SystemParams, assemble_received,
+                           derive_params, interference_profile, make_pilots,
+                           sample_realization)
 
 RECEIVERS = ("svd", "conventional")
 
@@ -55,26 +57,34 @@ class BerPoint:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Configuration of one BER sweep."""
+    """Configuration of one BER sweep.
+
+    Every block carries QPSK data and is decoded by both receivers, the
+    subspace one keeping T_sel = T directions.
+    """
 
     system: SystemParams
     sweep: str                      # "R" or "I_over_P"
     values: tuple
     taus: tuple = (1,)
     deltas: tuple | None = None     # modulo-profile deltas (R sweep)
-    receivers: tuple = RECEIVERS
     min_symbols: int = 100_000
-    min_reps: int = 1
-    data_law: str = "qpsk"
     seed: int = 0
     threads: int = 1
-    t_sel: int | None = None
 
     def __post_init__(self):
         if self.sweep not in ("R", "I_over_P"):
             raise ValueError("sweep must be 'R' or 'I_over_P'")
-        if len(self.values) < 1 or self.min_reps < 1:
-            raise ValueError("need at least one sweep value and one repetition")
+        if len(self.values) < 1:
+            raise ValueError("need at least one sweep value")
+        if self.sweep == "R":
+            if any(R != int(R) for R in self.values):
+                raise ValueError("R sweep values must be integer antenna counts")
+            if len(self.taus) != 1:
+                # per-seed BERs are keyed by (R, delta, receiver), without tau
+                raise ValueError("the R sweep takes exactly one tau")
+        elif self.deltas is not None:
+            raise ValueError("deltas apply only to the R sweep")
 
     def to_dict(self):
         d = {
@@ -82,57 +92,54 @@ class ExperimentConfig:
                        "L": self.system.L, "P": self.system.P, "W": self.system.W,
                        "interference_powers": list(self.system.interference_powers)},
             "sweep": self.sweep, "values": list(self.values), "taus": list(self.taus),
-            "receivers": list(self.receivers), "min_symbols": self.min_symbols,
-            "min_reps": self.min_reps, "data_law": self.data_law, "seed": self.seed,
-            "paired_realizations": True,
+            "receivers": list(RECEIVERS), "min_symbols": self.min_symbols,
+            "data_law": "qpsk", "seed": self.seed, "paired_realizations": True,
         }
         if self.deltas is not None:
             d["deltas"] = list(self.deltas)
         return d
 
 
-def _run_realization(sys, pilots, rng_key, receivers, data_law, t_sel):
-    rz = sample_realization(sys, pilots, rng_key, data_law=data_law)
+def _run_realization(sys, pilots, rng_key):
+    """Bit errors of the svd and conventional receivers on one block, and its bits."""
+    rz = sample_realization(sys, pilots, rng_key, data_law="qpsk")
     Y = assemble_received(rz)
     tx = rz.data_symbols
-    out = {}
-    for rec in receivers:
-        if rec == "svd":
-            basis = signal_subspace(Y, t_sel)
-            Yt = project(basis, Y)
-            channel = estimate_projected_channel(Yt, pilots)
-            dec = detect_subspace(Yt[:, pilots.tau_blocks * sys.T:], channel,
-                                  noise_power=sys.W, symbol_power=sys.P)
-        elif rec == "conventional":
-            dec = conventional_receiver(Y, pilots)
-        else:
-            raise ValueError(f"unknown receiver {rec!r}")
-        out[rec] = count_bit_errors(dec, tx)
-    return out, 2 * tx.size
+    Yt = project(signal_subspace(Y, sys.T), Y)
+    channel = estimate_projected_channel(Yt, pilots)
+    svd = detect_subspace(Yt[:, pilots.tau_blocks * sys.T:], channel,
+                          noise_power=sys.W, symbol_power=sys.P)
+    svd_errors = count_bit_errors(svd, tx)
+    conventional_errors = count_bit_errors(conventional_receiver(Y, pilots), tx)
+    return svd_errors, conventional_errors, 2 * tx.size
 
 
-def _run_point(sys, tau, point_index, cfg):
-    """Aggregate both receivers over enough repetitions for min_symbols."""
-    pilots = make_pilots(sys.T, sys.P, tau, rng=[cfg.seed, point_index])
-    sym_per_rep = sys.T * (sys.C - tau * sys.T)
-    if sym_per_rep <= 0:
-        raise ValueError("no data columns left after pilots")
-    reps = max(cfg.min_reps, -(-cfg.min_symbols // sym_per_rep))
-    t_sel = cfg.t_sel if cfg.t_sel is not None else sys.T
+def _sweep(cfg, points):
+    """Run both receivers on every point of a sweep, in order.
 
-    def work(rep):
-        return _run_realization(sys, pilots, [cfg.seed, point_index, rep],
-                                cfg.receivers, cfg.data_law, t_sel)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(work, range(reps)))
-    else:
-        results = [work(rep) for rep in range(reps)]
-    errors = {rec: sum(res[0][rec] for res in results) for rec in cfg.receivers}
-    bits = sum(res[1] for res in results)
-    per_seed = {rec: [res[0][rec] / res[1] for res in results] for rec in cfg.receivers}
-    return errors, bits, per_seed
+    Each point is (sweep_value, delta, tau, system, per_seed_key). Point `index`
+    runs enough blocks for cfg.min_symbols data symbols, block `rep` drawing
+    from the RNG stream [seed, index, rep], so results do not depend on threads.
+    Returns (BerPoints, {per_seed_key + (receiver,): per-block BERs}).
+    """
+    ber_points, per_seed_map = [], {}
+    with ThreadPoolExecutor(max_workers=max(cfg.threads, 1)) as pool:
+        run = pool.map if cfg.threads > 1 else map
+        for index, (value, delta, tau, sys, key) in enumerate(points):
+            pilots = make_pilots(sys.T, sys.P, tau, rng=[cfg.seed, index])
+            sym_per_rep = sys.T * (sys.C - tau * sys.T)
+            if sym_per_rep <= 0:
+                raise ValueError("no data columns left after pilots")
+            reps = max(1, -(-cfg.min_symbols // sym_per_rep))
+            blocks = list(run(partial(_run_realization, sys, pilots),
+                              ([cfg.seed, index, rep] for rep in range(reps))))
+            bits = sum(block[-1] for block in blocks)
+            for i, rec in enumerate(RECEIVERS):
+                ber_points.append(BerPoint(sweep_value=float(value), receiver=rec, tau=tau,
+                                           errors=sum(block[i] for block in blocks),
+                                           bits=bits, symbols=bits // 2, delta=delta))
+                per_seed_map[key + (rec,)] = [block[i] / block[-1] for block in blocks]
+    return ber_points, per_seed_map
 
 
 def ber_vs_R(cfg: ExperimentConfig):
@@ -141,46 +148,27 @@ def ber_vs_R(cfg: ExperimentConfig):
     Returns (points, per_seed_bers) where per_seed_bers[(R, delta, receiver)]
     is the list of per-realization BERs (for median-trend checks).
     """
-    deltas = cfg.deltas if cfg.deltas is not None else (None,)
-    points, per_seed_map = [], {}
-    index = 0
     base = cfg.system
-    for delta in deltas:
-        if delta is None:
-            powers = base.interference_powers
-        else:
-            powers = tuple(base.P * (k % base.T) / (delta * base.T)
-                           for k in range(1, base.L * base.T + 1))
+    (tau,) = cfg.taus
+    points = []
+    for delta in cfg.deltas if cfg.deltas is not None else (None,):
+        powers = base.interference_powers if delta is None else interference_profile(
+            InterferenceProfile(kind="modulo", delta=delta), base.T, base.L, base.P)
         for R in cfg.values:
-            sys = SystemParams(R=int(R), T=base.T, C=base.C, L=base.L, P=base.P, W=base.W,
-                               interference_powers=powers)
-            for tau in cfg.taus:
-                errors, bits, per_seed = _run_point(sys, tau, index, cfg)
-                index += 1
-                for rec in cfg.receivers:
-                    points.append(BerPoint(sweep_value=float(R), receiver=rec, tau=tau,
-                                           errors=errors[rec], bits=bits, symbols=bits // 2,
-                                           delta=delta))
-                    per_seed_map[(int(R), delta, rec)] = per_seed[rec]
-    return points, per_seed_map
+            sys = replace(base, R=int(R), interference_powers=powers)
+            points.append((R, delta, tau, sys, (int(R), delta)))
+    return _sweep(cfg, points)
 
 
 def ber_vs_IP(cfg: ExperimentConfig):
     """BER versus relative interference strength I/P (flat profile)."""
-    points, per_seed_map = [], {}
-    index = 0
+    base = cfg.system
+    points = []
     for tau in cfg.taus:
         for ip in cfg.values:
-            base = cfg.system
-            sys = SystemParams(R=base.R, T=base.T, C=base.C, L=base.L, P=base.P, W=base.W,
-                               interference_powers=tuple([ip * base.P] * (base.L * base.T)))
-            errors, bits, per_seed = _run_point(sys, tau, index, cfg)
-            index += 1
-            for rec in cfg.receivers:
-                points.append(BerPoint(sweep_value=float(ip), receiver=rec, tau=tau,
-                                       errors=errors[rec], bits=bits, symbols=bits // 2))
-                per_seed_map[(float(ip), tau, rec)] = per_seed[rec]
-    return points, per_seed_map
+            sys = replace(base, interference_powers=(ip * base.P,) * (base.L * base.T))
+            points.append((ip, None, tau, sys, (float(ip), tau)))
+    return _sweep(cfg, points)
 
 
 @dataclass(frozen=True)

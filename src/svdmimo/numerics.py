@@ -1,18 +1,10 @@
-"""Shared numerical kernels: polynomial roots, damped fixed-point iteration, bisection."""
+"""Shared numerical kernels: polynomial roots and bisection."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class NonConvergenceError(RuntimeError):
-    """Fixed-point iteration ran out of iterations; carries the last residual."""
-
-    def __init__(self, message, residual):
-        super().__init__(f"{message} (residual={residual:.3e})")
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -62,25 +54,6 @@ def poly_roots(p):
     better = np.abs(p(polished)) < np.abs(vals)
     roots[better] = polished[better]
     return roots
-
-
-def damped_fixed_point(func, init, damping=0.5, tol=1e-10, max_iter=10000):
-    """Solve x = func(x) by damped iteration x <- (1-d) x + d func(x).
-
-    Returns the first iterate whose update step |func(x) - x| drops below tol.
-    Works for real or complex scalars.
-    """
-    if not 0 < damping <= 1:
-        raise ValueError("damping must be in (0, 1]")
-    x = init
-    residual = np.inf
-    for _ in range(max_iter):
-        fx = func(x)
-        residual = abs(fx - x)
-        x = (1 - damping) * x + damping * fx
-        if residual <= tol:
-            return x
-    raise NonConvergenceError("damped_fixed_point did not converge", residual)
 
 
 def bisect(f, lo, hi, tol=1e-12, max_iter=200):

@@ -64,6 +64,9 @@ def project(basis: SubspaceBasis, Y):
 def estimate_projected_channel(Y_tilde, pilots: PilotConfig) -> ProjectedChannel:
     """Least-squares estimate of the projected channel from the pilot columns.
 
+    Applied to the unprojected block Y it gives the full R x T channel estimate
+    of the conventional receiver.
+
     H_tilde = Y_tilde[:, :tau*T] X_p^+ where X_p^+ is the pseudo-inverse of the
     pilot matrix. With orthogonal pilot blocks X_p X_p^H = tau*T*P*I this is the
     zero-forcing estimate Y_p X_p^H / (tau*T*P).
@@ -101,17 +104,10 @@ def detect_subspace(Y_tilde_data, channel: ProjectedChannel, noise_power,
 def conventional_receiver(Y, pilots: PilotConfig) -> np.ndarray:
     """Linear baseline: LS (zero-forcing) estimate of the full channel from the
     pilot columns of Y, then maximum-ratio combining and QPSK slicing."""
-    if pilots.tau_blocks < 1:
-        raise ValueError("pilot columns required for channel estimation")
-    Xp = pilots.pilot_matrix
-    T = Xp.shape[0]
-    if np.linalg.matrix_rank(Xp) < T:
-        raise ValueError("rank-deficient pilot block")
     Y = np.asarray(Y)
-    n_pilot = pilots.tau_blocks * T
-    Yp, Yd = Y[:, :n_pilot], Y[:, n_pilot:]
-    H_hat = np.linalg.lstsq(Xp.conj().T, Yp.conj().T, rcond=None)[0].conj().T
-    return slice_qpsk(H_hat.conj().T @ Yd, pilots.symbol_power)
+    H_hat = estimate_projected_channel(Y, pilots).H_tilde
+    return slice_qpsk(H_hat.conj().T @ Y[:, pilots.tau_blocks * pilots.T:],
+                      pilots.symbol_power)
 
 
 def matched_filter_principal(Y) -> BeamformerVector:
@@ -126,12 +122,6 @@ def matched_filter_principal(Y) -> BeamformerVector:
 
 
 # QPSK helpers (Gray mapping: bits are the signs of real and imaginary parts)
-
-def qpsk_symbols(rng, shape, power):
-    re = 1 - 2 * rng.integers(0, 2, size=shape)
-    im = 1 - 2 * rng.integers(0, 2, size=shape)
-    return np.sqrt(power / 2.0) * (re + 1j * im)
-
 
 def slice_qpsk(values, power):
     """Nearest QPSK constellation point of the given power, per entry."""

@@ -250,7 +250,7 @@ def sample_realization(sys: SystemParams, pilots: PilotConfig, seed,
     draw = _qpsk if data_law == "qpsk" else _complex_gaussian
 
     def data(shape):
-        return draw(rng, shape, sys.P) if data_law == "qpsk" else _complex_gaussian(rng, shape, sys.P)
+        return draw(rng, shape, sys.P)
 
     H = _complex_gaussian(rng, (sys.R, sys.T))
     n_data = sys.C - tau * sys.T

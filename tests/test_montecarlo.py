@@ -38,6 +38,22 @@ class TestConfig:
         cfg = ExperimentConfig(system=small_system(), sweep="I_over_P", values=(0.1,))
         assert cfg.to_dict()["paired_realizations"] is True
 
+    def test_non_integer_R_rejected(self):
+        # would simulate R = 60 but report sweep_value 60.7
+        with pytest.raises(ValueError, match="integer"):
+            ExperimentConfig(system=small_system(), sweep="R", values=(40, 60.7))
+
+    def test_several_taus_on_R_sweep_rejected(self):
+        # per-seed BERs are keyed by (R, delta, receiver): a second tau would overwrite them
+        with pytest.raises(ValueError, match="tau"):
+            ExperimentConfig(system=small_system(), sweep="R", values=(40,), taus=(1, 2))
+
+    def test_deltas_on_IP_sweep_rejected(self):
+        # the I/P sweep uses a flat profile, so deltas would be ignored
+        with pytest.raises(ValueError, match="deltas"):
+            ExperimentConfig(system=small_system(), sweep="I_over_P", values=(0.1,),
+                             deltas=(2,))
+
 
 class TestBerSweeps:
     def test_clean_channel_zero_errors_svd(self):
@@ -95,6 +111,49 @@ class TestBerSweeps:
         by_tau = {p.tau: p for p in points if p.receiver == "conventional"}
         # more pilot blocks cannot hurt the conventional estimate on average
         assert by_tau[5].ber <= by_tau[1].ber + 0.05
+
+
+class TestFrozenOutputs:
+    """Exact bit-error counts of two small sweeps. A change that shifts an RNG
+    stream, reorders the points or alters a receiver's decisions fails here."""
+
+    @staticmethod
+    def assert_frozen(result, frozen, point_fields):
+        # frozen[per_seed_key] = (bits per block, svd block errors, conventional block errors)
+        expected_points, expected_per_seed = [], {}
+        for key, (block_bits, *block_errors) in frozen.items():
+            sweep_value, delta, tau = point_fields(key)
+            for rec, errors in zip(("svd", "conventional"), block_errors):
+                bits = block_bits * len(errors)
+                expected_points.append(BerPoint(sweep_value=sweep_value, receiver=rec, tau=tau,
+                                                errors=sum(errors), bits=bits,
+                                                symbols=bits // 2, delta=delta))
+                expected_per_seed[key + (rec,)] = [e / block_bits for e in errors]
+        points, per_seed = result
+        assert points == expected_points
+        assert per_seed == expected_per_seed
+
+    def test_ber_vs_R(self):
+        cfg = ExperimentConfig(system=small_system(C=30, T=2, L=1), sweep="R", values=(40, 80),
+                               deltas=(2, 3.5), min_symbols=200, seed=21)
+        frozen = {
+            (40, 2): (112, [7, 33, 20, 11], [23, 36, 32, 34]),
+            (80, 2): (112, [4, 3, 2, 4], [9, 18, 16, 13]),
+            (40, 3.5): (112, [9, 14, 38, 14], [28, 25, 31, 23]),
+            (80, 3.5): (112, [2, 6, 7, 3], [14, 14, 18, 21]),
+        }
+        self.assert_frozen(ber_vs_R(cfg), frozen, lambda key: (float(key[0]), key[1], 1))
+
+    def test_ber_vs_IP_threads(self):
+        cfg = ExperimentConfig(system=small_system(C=60), sweep="I_over_P", values=(0.3, 0.6),
+                               taus=(1, 5), min_symbols=400, seed=22, threads=3)
+        frozen = {
+            (0.3, 1): (342, [46, 28, 32], [61, 57, 67]),
+            (0.6, 1): (342, [142, 63, 91], [83, 77, 76]),
+            (0.3, 5): (270, [17, 14, 21], [19, 20, 24]),
+            (0.6, 5): (270, [44, 66, 41], [19, 36, 32]),
+        }
+        self.assert_frozen(ber_vs_IP(cfg), frozen, lambda key: (key[0], None, key[1]))
 
 
 class TestSpectrumExperiment:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svdmimo.numerics import NonConvergenceError, Polynomial, bisect, damped_fixed_point, poly_roots
+from svdmimo.numerics import Polynomial, bisect, poly_roots
 
 
 def test_polynomial_trims_leading_zeros():
@@ -46,47 +46,6 @@ def test_poly_roots_scale_invariance():
 def test_poly_roots_degree_zero_rejected():
     with pytest.raises(ValueError):
         poly_roots((3.0,))
-
-
-def test_damped_fixed_point_linear():
-    assert abs(damped_fixed_point(lambda x: x / 2, 1.0, tol=1e-12)) < 1e-11
-
-
-def test_damped_fixed_point_cosine():
-    # classical Dottie number, cross-checked by plain iteration
-    x = 0.5
-    for _ in range(200):
-        x = np.cos(x)
-    got = damped_fixed_point(np.cos, 1.0, damping=1.0, tol=1e-12)
-    assert abs(got - x) < 1e-9
-    assert abs(got - 0.739085) < 1e-6
-
-
-def test_damping_one_equals_undamped():
-    steps = []
-
-    def f(x):
-        steps.append(x)
-        return 0.5 * x + 1.0
-
-    got = damped_fixed_point(f, 0.0, damping=1.0, tol=1e-13)
-    # undamped reference
-    x = 0.0
-    for _ in range(len(steps)):
-        x = 0.5 * x + 1.0
-    assert got == x
-
-
-def test_damped_fixed_point_residual_contract():
-    f = lambda x: 0.9 * x + 0.1
-    x = damped_fixed_point(f, 0.0, damping=0.5, tol=1e-10)
-    assert abs(f(x) - x) <= 1e-10
-
-
-def test_damped_fixed_point_nonconvergence():
-    with pytest.raises(NonConvergenceError) as err:
-        damped_fixed_point(lambda x: x + 1.0, 0.0, max_iter=50)
-    assert err.value.residual > 0
 
 
 def test_bisect_simple():

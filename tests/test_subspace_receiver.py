@@ -3,7 +3,7 @@ import pytest
 
 from svdmimo.subspace_receiver import (conventional_receiver, count_bit_errors, detect_subspace,
                                        estimate_projected_channel, matched_filter_principal,
-                                       project, qpsk_symbols, signal_subspace, slice_qpsk)
+                                       project, signal_subspace, slice_qpsk)
 from svdmimo.system_model import (InterferenceProfile, PilotConfig, SystemParams,
                                   assemble_received, make_pilots, sample_realization)
 
@@ -153,7 +153,7 @@ class TestDetection:
     def test_identity_channel_no_noise(self):
         from svdmimo.subspace_receiver import ProjectedChannel
         rng = np.random.default_rng(12)
-        tx = qpsk_symbols(rng, (4, 20), 0.1)
+        tx = slice_qpsk(cgauss(rng, (4, 20)), 0.1)
         dec = detect_subspace(tx, ProjectedChannel(H_tilde=np.eye(4, dtype=complex)),
                               noise_power=0.0, symbol_power=0.1)
         assert count_bit_errors(dec, tx) == 0
@@ -276,7 +276,7 @@ class TestMatchedFilter:
 class TestQpskHelpers:
     def test_slice_idempotent_on_constellation(self):
         rng = np.random.default_rng(18)
-        tx = qpsk_symbols(rng, (5, 100), 0.3)
+        tx = slice_qpsk(cgauss(rng, (5, 100)), 0.3)
         assert np.allclose(slice_qpsk(tx, 0.3), tx)
 
     def test_count_bit_errors_known(self):
