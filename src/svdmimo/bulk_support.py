@@ -7,8 +7,12 @@ Three families, all in the (r, t, zeta) parameterization of DerivedParams:
 * bilateral high-SNR (W = 0): perturbation of the inverse Stieltjes transform
   for small load, via a rational first-order approximation (quartic extremes)
   and second-order enclosures.
-* bilateral general-SNR: the same second-order machinery with the noise term
-  zeta = W*C retained.
+* bilateral general-SNR: the second-order enclosures with the noise term
+  zeta = W*C retained; the high-SNR enclosures are its zeta = 0 case.
+
+Conditions under which an estimate is less trustworthy (the unilateral
+regime checks, merged bulks) are returned as strings in SupportEstimate.flags,
+not raised as Python warnings.
 
 All SupportEstimate intervals are reported on the eig(Y Y^H)/(T*R) axis, where
 the signal bulk centers near kappa*P/alpha. G-domain helpers (s1_inverse,
@@ -100,22 +104,23 @@ class SupportEstimate:
 # unilateral approximation
 # ---------------------------------------------------------------------------
 
+def _unilateral_endpoints(dp, P, I, L):
+    """Signal and interference (lower, upper) before clamping at zero."""
+    a, k = dp.alpha, dp.kappa
+    root = math.sqrt((k ** 2 + k) / a)
+    return ((k * P / a - 2 * P * root, k * P / a + 2 * P * root),
+            (k * I / a - 2 * I * math.sqrt(L) * root, k * I / a + 2 * I * math.sqrt(L) * root))
+
+
 def unilateral_intervals(dp: DerivedParams, P, I, L):
     """Unscaled single-bulk supports on the T*R axis.
 
     Signal: kappa*P/alpha -+ 2P*sqrt((kappa^2+kappa)/alpha); interference the
     same with I and an extra factor L under the root. Negative lower endpoints
-    are clamped to zero (flagged by a warning). Valid for small load; warns
-    when alpha > 0.1.
+    are clamped to zero. Valid for small load; unilateral_supports flags a
+    clamped endpoint and alpha > 0.1.
     """
-    a, k = dp.alpha, dp.kappa
-    if a > 0.1:
-        warnings.warn(f"unilateral approximation assumes small load (alpha={a:.3f} > 0.1)")
-    root = math.sqrt((k ** 2 + k) / a)
-    p_lo, p_hi = k * P / a - 2 * P * root, k * P / a + 2 * P * root
-    i_lo, i_hi = k * I / a - 2 * I * math.sqrt(L) * root, k * I / a + 2 * I * math.sqrt(L) * root
-    if p_lo < 0 or i_lo < 0:
-        warnings.warn("unilateral interval lower endpoint clamped at 0")
+    (p_lo, p_hi), (i_lo, i_hi) = _unilateral_endpoints(dp, P, I, L)
     return (BulkInterval(max(p_lo, 0.0), p_hi), BulkInterval(max(i_lo, 0.0), max(i_hi, 0.0)))
 
 
@@ -130,12 +135,10 @@ def noise_scale_factors(P, I, W, R, C):
 
 def interference_scale_factors(P, I, alpha, kappa, L):
     """Mutual bulk repulsion: i_P = (1 + (L a/k)/(P/I - 1))(1 + L a/(P/I - 1)),
-    i_I with the power roles swapped. Only accurate for P >> I; flagged below
-    P/I = 2. Singular at P = I."""
+    i_I with the power roles swapped. Only accurate for P >> I;
+    unilateral_supports flags P/I < 2. Singular at P = I."""
     if P == I:
         raise ValueError("interference scale factors are singular at P = I")
-    if 0 < I and P / I < 2:
-        warnings.warn("interference scale factors are only accurate for P >> I (P/I < 2)")
     i_P = (1 + (L * alpha / kappa) / (P / I - 1)) * (1 + L * alpha / (P / I - 1))
     i_I = (1 + (alpha / kappa) / (I / P - 1)) * (1 + alpha / (I / P - 1))
     return i_P, i_I
@@ -145,9 +148,7 @@ def _unilateral_rhs(x, dp, P, W, L, edge_ratio):
     """Right-hand side of the separability inequality at trial ratio x = I/P."""
     I = x * P
     n_P, n_I = noise_scale_factors(P, I, W, dp.R, dp.C)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        i_P, i_I = interference_scale_factors(P, I, dp.alpha, dp.kappa, L)
+    i_P, i_I = interference_scale_factors(P, I, dp.alpha, dp.kappa, L)
     return (n_I * i_I) / (n_P * i_P) * edge_ratio
 
 
@@ -194,20 +195,29 @@ def unilateral_separable(dp: DerivedParams, P, W, L):
 def unilateral_supports(dp: DerivedParams, P, W, L) -> SupportEstimate:
     """Unilateral SupportEstimate: single-bulk intervals rescaled by the
     repulsion factors. Disjointness of the scaled intervals is exactly the
-    closed-form threshold inequality."""
+    closed-form threshold inequality.
+
+    Flags, in this order: load alpha > 0.1 (the approximation assumes small
+    load), a negative lower endpoint clamped at 0, and P/I < 2 (the repulsion
+    factors assume P >> I).
+    """
     I = dp.beta_ratio * P
     flags = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        p_int, i_int = unilateral_intervals(dp, P, I, L)
-        if I > 0:
-            n_P, n_I = noise_scale_factors(P, I, W, dp.R, dp.C)
-            i_P, i_I = interference_scale_factors(P, I, dp.alpha, dp.kappa, L)
-            sf = ScaleFactors(n_P=n_P, n_I=n_I, i_P=i_P, i_I=i_I)
-            p_int = p_int.scaled(sf.signal)
-            lo, hi = sorted((i_int.lower * sf.interference, i_int.upper * sf.interference))
-            i_int = BulkInterval(lo, hi)
-    flags.extend(str(w.message) for w in caught)
+    if dp.alpha > 0.1:
+        flags.append(f"unilateral approximation assumes small load (alpha={dp.alpha:.3f} > 0.1)")
+    (p_lo, _), (i_lo, _) = _unilateral_endpoints(dp, P, I, L)
+    if p_lo < 0 or i_lo < 0:
+        flags.append("unilateral interval lower endpoint clamped at 0")
+    p_int, i_int = unilateral_intervals(dp, P, I, L)
+    if I > 0:
+        n_P, n_I = noise_scale_factors(P, I, W, dp.R, dp.C)
+        i_P, i_I = interference_scale_factors(P, I, dp.alpha, dp.kappa, L)
+        if P / I < 2:
+            flags.append("interference scale factors are only accurate for P >> I (P/I < 2)")
+        sf = ScaleFactors(n_P=n_P, n_I=n_I, i_P=i_P, i_I=i_I)
+        p_int = p_int.scaled(sf.signal)
+        lo, hi = sorted((i_int.lower * sf.interference, i_int.upper * sf.interference))
+        i_int = BulkInterval(lo, hi)
     separable = i_int.disjoint_below(p_int)
     return SupportEstimate(signal=p_int, interference=i_int, method="unilateral",
                            separable=separable, flags=tuple(flags))
@@ -344,65 +354,10 @@ def rho0_zero_supports(dp: DerivedParams, L):
     return (BulkInterval(*sorted(vals[2:4])), BulkInterval(*sorted(vals[0:2])))
 
 
-def _sP2_highsnr(x, dp, L):
-    a, k, r, t = dp.alpha, dp.kappa, dp.r, dp.t
-    den1 = 2 * ((1 + L) * a - k) * x + 2 * k * (t - 2 * r)
-    t1 = (2 * a * k * (L + 1) - 2 * a * (L + 1) + 2 * k * (1 - k)) / den1
-    t2 = ((k * (k * (t - 5 * r) + a * (t + L * r) + 4 * r - 2 * t) * x + k ** 2 * r * (t - 3 * r))
-          / (2 * x ** 2 * (((1 + L) * a - k) * x + k * (t - 2 * r))))
-    return t1 + t2
-
-
-def _sI2_highsnr(x, dp, L):
-    a, k, r, t = dp.alpha, dp.kappa, dp.r, dp.t
-    den1 = 2 * ((a * (L + 1) - k) * x - k * (2 * t - r))
-    t1 = (2 * a * k * (L + 1) - 2 * k * (k - 1) - 2 * a * (L + 1)) / den1
-    t2 = ((k * ((4 - 5 * k) * t + (k - 2) * r + a * (t + L * r)) * x + k ** 2 * t * (r - 3 * t))
-          / (2 * x ** 2 * ((a * (L + 1) - k) * x - k * (2 * t - r))))
-    return t1 + t2
-
-
-def _gP2_highsnr(dp, L):
-    a, k, r, t = dp.alpha, dp.kappa, dp.r, dp.t
-    rad2 = a * k * (t - r) ** 2 - a ** 2 * r * (t + (L - 1) * r)
-    if rad2 < 0:
-        return None
-    rad = math.sqrt(rad2)
-    den = (a * t + a * L * r - k * t + k * r) ** 2 + 4 * a * k * L * r * (t - r)
-    g_l = -k * r * (t - r) * (k * (t - r) + a * (t + (L - 2) * r) + 2 * rad) / den
-    g_u = -k * r * (t - r) * (k * (t - r) + a * (t + (L - 2) * r) - 2 * rad) / den
-    return g_l, g_u
-
-
-def _gI2_highsnr(dp, L):
-    a, k, r, t = dp.alpha, dp.kappa, dp.r, dp.t
-    rad2 = a * k * L * (t - r) ** 2 + a ** 2 * L * t * ((L - 1) * t - L * r)
-    if rad2 < 0:
-        return None
-    rad = math.sqrt(rad2)
-    den = (a * t + a * L * r - k * t + k * r) ** 2 + 4 * a * k * L * r * (t - r)
-    g_l = -k * t * (t - r) * (k * (t - r) + a * ((2 * L - 1) * t - L * r) + 2 * rad) / den
-    g_u = -k * t * (t - r) * (k * (t - r) + a * ((2 * L - 1) * t - L * r) - 2 * rad) / den
-    return g_l, g_u
-
-
 def bilateral_supports_highsnr(dp: DerivedParams, L) -> SupportEstimate:
-    """Second-order high-SNR enclosures of the noiseless bulks on the T*R axis.
-
-    Endpoints are the rational parts of the per-bulk expansions evaluated at
-    the zeros of the respective discriminants. Negative radicands mean the
-    bulks cannot be resolved (merged)."""
-    TR = dp.T * dp.R
-    gp, gi = _gP2_highsnr(dp, L), _gI2_highsnr(dp, L)
-    if gp is None or gi is None:
-        return _merged_estimate("bilateral_highSNR_2", ("negative radicand",))
-    sig = BulkInterval(*sorted(_sP2_highsnr(g, dp, L) / TR for g in gp))
-    intf = BulkInterval(*sorted(_sI2_highsnr(g, dp, L) / TR for g in gi))
-    flags = ()
-    if (gi[1] < gp[0]) != intf.disjoint_below(sig):
-        flags = ("gamma ordering and interval disjointness disagree",)
-    return SupportEstimate(signal=sig, interference=intf, method="bilateral_highSNR_2",
-                           separable=intf.disjoint_below(sig), flags=flags)
+    """Second-order high-SNR enclosures of the noiseless bulks on the T*R axis:
+    the zeta = 0 case of bilateral_supports_general."""
+    return _bilateral(dp, L, 0.0, "bilateral_highSNR_2")
 
 
 def separability_boundary(beta, L):
@@ -490,24 +445,31 @@ def _gamma_I(dp, L, zeta):
             -k * t * (t - r) * (bracket - 2 * rad) / den)
 
 
-def bilateral_supports_general(dp: DerivedParams, L, zeta) -> SupportEstimate:
-    """General-SNR enclosures of the noisy bulks on the T*R axis.
-
-    At zeta = 0 these reduce exactly to the high-SNR enclosures. The printed
-    interference expansion in the source carries a typo in its zeta term; this
-    implements the expansion re-derived from the stated recipe (second-order
-    Taylor expansion of the cleared fixed point around the per-bulk zeros)."""
+def _bilateral(dp, L, zeta, method):
+    """Per-bulk second-order enclosures: the rational parts of the expansions
+    evaluated at the zeros Gamma of the respective discriminants. Negative
+    radicands mean the bulks cannot be resolved (merged)."""
     TR = dp.T * dp.R
     gp, gi = _gamma_P(dp, L, zeta), _gamma_I(dp, L, zeta)
     if gp is None or gi is None:
-        return _merged_estimate("bilateral_general", ("negative radicand",))
+        return _merged_estimate(method, ("negative radicand",))
     sig = BulkInterval(*sorted(_varsigma_P(g, dp, L, zeta) / TR for g in gp))
     intf = BulkInterval(*sorted(_varsigma_I(g, dp, L, zeta) / TR for g in gi))
     flags = ()
     if (gi[1] < gp[0]) != intf.disjoint_below(sig):
         flags = ("gamma ordering and interval disjointness disagree",)
-    return SupportEstimate(signal=sig, interference=intf, method="bilateral_general",
+    return SupportEstimate(signal=sig, interference=intf, method=method,
                            separable=intf.disjoint_below(sig), flags=flags)
+
+
+def bilateral_supports_general(dp: DerivedParams, L, zeta) -> SupportEstimate:
+    """General-SNR enclosures of the noisy bulks on the T*R axis.
+
+    At zeta = 0 these are the high-SNR enclosures. The printed interference
+    expansion in the source carries a typo in its zeta term; this implements
+    the expansion re-derived from the stated recipe (second-order Taylor
+    expansion of the cleared fixed point around the per-bulk zeros)."""
+    return _bilateral(dp, L, zeta, "bilateral_general")
 
 
 def gamma_ordering_separable(dp: DerivedParams, L, zeta):
@@ -545,9 +507,7 @@ def appendixB_scale_verification(dp: DerivedParams, L):
     s0G4 = _s0_explicit(G4, beta, k, t)
     ratio = s0G4 * r
     closed_form = (1 + (beta / k) / (t / r - 1)) * (1 + beta / (t / r - 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        i_P, _ = interference_scale_factors(1.0, r / t, dp.alpha, k, L)
+    i_P, _ = interference_scale_factors(1.0, r / t, dp.alpha, k, L)
     return {
         "beta": beta,
         "G4": G4,

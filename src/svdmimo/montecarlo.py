@@ -77,6 +77,10 @@ class ExperimentConfig:
             raise ValueError("sweep must be 'R' or 'I_over_P'")
         if len(self.values) < 1:
             raise ValueError("need at least one sweep value")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
+        if self.min_symbols < 1:
+            raise ValueError("min_symbols must be >= 1")
         if self.sweep == "R":
             if any(R != int(R) for R in self.values):
                 raise ValueError("R sweep values must be integer antenna counts")
@@ -123,14 +127,14 @@ def _sweep(cfg, points):
     Returns (BerPoints, {per_seed_key + (receiver,): per-block BERs}).
     """
     ber_points, per_seed_map = [], {}
-    with ThreadPoolExecutor(max_workers=max(cfg.threads, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         run = pool.map if cfg.threads > 1 else map
         for index, (value, delta, tau, sys, key) in enumerate(points):
             pilots = make_pilots(sys.T, sys.P, tau, rng=[cfg.seed, index])
             sym_per_rep = sys.T * (sys.C - tau * sys.T)
             if sym_per_rep <= 0:
                 raise ValueError("no data columns left after pilots")
-            reps = max(1, -(-cfg.min_symbols // sym_per_rep))
+            reps = -(-cfg.min_symbols // sym_per_rep)
             blocks = list(run(partial(_run_realization, sys, pilots),
                               ([cfg.seed, index, rep] for rep in range(reps))))
             bits = sum(block[-1] for block in blocks)

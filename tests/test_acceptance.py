@@ -12,6 +12,8 @@ import pytest
 
 import svdmimo as sm
 
+from highsnr_oracle import highsnr_supports
+
 
 @contextlib.contextmanager
 def criterion(label):
@@ -91,11 +93,12 @@ def test_criterion_5_support_containment():
         dp0 = sm.derive_params(fig2_system(W=0.0))
         high = sm.bilateral_supports_highsnr(dp0, 2)
         general0 = sm.bilateral_supports_general(dp0, 2, zeta=0.0)
-        # zeta = 0 general formulas equal the high-SNR formulas to 1e-10
-        for a, b in ((general0.signal, high.signal),
-                     (general0.interference, high.interference)):
-            assert abs(a.lower - b.lower) <= 1e-10 * abs(b.lower)
-            assert abs(a.upper - b.upper) <= 1e-10 * abs(b.upper)
+        # zeta = 0 general formulas equal the printed high-SNR formulas to 1e-10
+        printed = highsnr_supports(dp0, 2)
+        for est in (high, general0):
+            for a, b in ((est.signal, printed.signal), (est.interference, printed.interference)):
+                assert abs(a.lower - b.lower) <= 1e-10 * abs(b.lower)
+                assert abs(a.upper - b.upper) <= 1e-10 * abs(b.upper)
 
         sig0, intf0 = _pooled_bulk_eigenvalues(fig2_system(W=0.0), n_seeds=20, seed=77)
         for est in (high, general0):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svdmimo.bulk_support import (RegimeError, appendixB_scale_verification,
                                   bilateral_supports_general, bilateral_supports_highsnr,
@@ -14,6 +16,8 @@ from svdmimo.bulk_support import (RegimeError, appendixB_scale_verification,
 from svdmimo.rmt_spectrum import empirical_spectrum
 from svdmimo.system_model import (DerivedParams, InterferenceProfile, PilotConfig, SystemParams,
                                   assemble_received, derive_params, sample_realization)
+
+from highsnr_oracle import highsnr_supports
 
 
 def fig2_system(W=0.0, I_over_P=0.25):
@@ -29,6 +33,16 @@ def dp_from_ratios(alpha, kappa, r, t, zeta=0.0, R=300):
     return DerivedParams(kappa=kappa, alpha=alpha, r=r, t=t, zeta=zeta,
                          beta_ratio=r / t, R=R, T=max(int(round(alpha * R)), 1),
                          C=int(round(kappa * R)))
+
+
+def flat_dp(R, T, C, L, I_over_P):
+    return derive_params(SystemParams.from_profile(
+        R, T, C, L, 0.1, 1.0, InterferenceProfile(kind="flat", I=I_over_P * 0.1)))
+
+
+SMALL_LOAD = "unilateral approximation assumes small load (alpha={:.3f} > 0.1)"
+CLAMPED = "unilateral interval lower endpoint clamped at 0"
+CLOSE_POWERS = "interference scale factors are only accurate for P >> I (P/I < 2)"
 
 
 class TestUnilateralIntervals:
@@ -54,13 +68,13 @@ class TestUnilateralIntervals:
         p_int, i_int = unilateral_intervals(dp, 0.1, 0.1, 1)
         assert np.isclose(p_int.lower, i_int.lower) and np.isclose(p_int.upper, i_int.upper)
 
-    def test_negative_lower_clamped_with_warning(self):
+    def test_negative_lower_clamped_flagged(self):
         sys = SystemParams.from_profile(300, 30, 100, 2, 0.1, 1.0,
                                         InterferenceProfile(kind="flat", I=0.025))
         dp = derive_params(sys)
-        with pytest.warns(UserWarning):
-            p_int, i_int = unilateral_intervals(dp, 0.1, 0.025, 2)
-        assert p_int.lower >= 0 and i_int.lower >= 0
+        p_int, i_int = unilateral_intervals(dp, 0.1, 0.025, 2)
+        assert p_int.lower == 0 and i_int.lower == 0
+        assert CLAMPED in unilateral_supports(dp, 0.1, 1.0, 2).flags
 
 
 class TestScaleFactors:
@@ -95,8 +109,9 @@ class TestScaleFactors:
             interference_scale_factors(0.1, 0.1, 0.01, 1.0, 2)
 
     def test_close_powers_flagged(self):
-        with pytest.warns(UserWarning):
-            interference_scale_factors(0.1, 0.06, 0.01, 1.0, 2)
+        below, above = (unilateral_supports(fig2_dp(W=1.0, I_over_P=ip), 0.1, 1.0, 2)
+                        for ip in (0.501, 0.499))
+        assert CLOSE_POWERS in below.flags and CLOSE_POWERS not in above.flags
 
 
 class TestUnilateralThreshold:
@@ -136,6 +151,30 @@ class TestUnilateralThreshold:
         for ip, expect in ((0.3, True), (0.8, False)):
             est = unilateral_supports(fig2_dp(W=1.0, I_over_P=ip), 0.1, 1.0, 2)
             assert est.separable is expect
+
+
+class TestRegimeFlags:
+    """The unilateral regime conditions are returned as flags, never warned."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("R, T, C, L, I_over_P, flags", [
+        (100, 15, 1000, 1, 0.25, (SMALL_LOAD.format(0.15),)),
+        (300, 30, 100, 2, 0.25, (CLAMPED,)),
+        (300, 3, 1000, 2, 0.6, (CLOSE_POWERS,)),
+        (100, 30, 100, 2, 0.6, (SMALL_LOAD.format(0.3), CLAMPED, CLOSE_POWERS)),
+        (300, 3, 1000, 2, 0.25, ()),
+    ], ids=["small_load", "clamped", "close_powers", "all_in_order", "none"])
+    def test_unilateral_flags(self, R, T, C, L, I_over_P, flags):
+        assert unilateral_supports(flat_dp(R, T, C, L, I_over_P), 0.1, 1.0, L).flags == flags
+
+    @pytest.mark.filterwarnings("error")
+    def test_formulas_do_not_warn(self):
+        # each call meets a condition that unilateral_supports flags
+        unilateral_intervals(flat_dp(100, 30, 100, 2, 0.6), 0.1, 0.06, 2)
+        interference_scale_factors(0.1, 0.06, 0.01, 1.0, 2)
+        unilateral_separable(fig2_dp(W=1.0), 0.1, 1.0, 2)
+        appendixB_scale_verification(dp_from_ratios(alpha=0.01, kappa=10 / 3, r=2.5e-5,
+                                                    t=4e-5), 2)
 
 
 class TestS1:
@@ -212,8 +251,8 @@ class TestS2HighSnr:
 
     def test_nan_in_complex_region(self):
         dp = fig2_dp()
-        from svdmimo.bulk_support import _gI2_highsnr
-        gl, gu = _gI2_highsnr(dp, 2)
+        from svdmimo.bulk_support import _gamma_I
+        gl, gu = _gamma_I(dp, 2, 0.0)
         assert math.isnan(s2_inverse_highsnr(0.5 * (gl + gu), dp, 2))
 
 
@@ -311,10 +350,32 @@ class TestBilateralValidity:
 
 class TestBilateralGeneral:
     def test_zeta_zero_equals_highsnr(self):
+        # the library's high-SNR enclosures against the printed high-SNR expansions
         dp = fig2_dp()
-        est0 = bilateral_supports_general(dp, 2, 0.0)
-        hi = bilateral_supports_highsnr(dp, 2)
-        for a, b in ((est0.signal, hi.signal), (est0.interference, hi.interference)):
+        oracle = highsnr_supports(dp, 2)
+        for est in (bilateral_supports_general(dp, 2, 0.0), bilateral_supports_highsnr(dp, 2)):
+            for a, b in ((est.signal, oracle.signal), (est.interference, oracle.interference)):
+                assert abs(a.lower - b.lower) <= 1e-10 * abs(b.lower)
+                assert abs(a.upper - b.upper) <= 1e-10 * abs(b.upper)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(L=st.integers(1, 7),
+           t_over_r=st.floats(1.01, 100.0),
+           kappa=st.floats(0.1, 10.0),
+           inside=st.booleans(),
+           fraction=st.floats(0.01, 0.99),
+           t=st.floats(1e-6, 1e-3))
+    def test_zeta_zero_matches_printed_highsnr(self, L, t_over_r, kappa, inside, fraction, t):
+        # alpha/kappa inside the separability boundary, or up to 3x beyond it;
+        # t/r and the fraction stay away from 1 and 0, where alpha/kappa and
+        # t - r vanish and both derivations underflow to a division by zero
+        r = t / t_over_r
+        boundary = separability_boundary(r / t, L)
+        ratio = fraction * boundary if inside else (1 + 2 * fraction) * boundary
+        dp = dp_from_ratios(alpha=ratio * kappa, kappa=kappa, r=r, t=t)
+        got, oracle = bilateral_supports_general(dp, L, 0.0), highsnr_supports(dp, L)
+        assert (got.separable, got.flags) == (oracle.separable, oracle.flags)
+        for a, b in ((got.signal, oracle.signal), (got.interference, oracle.interference)):
             assert abs(a.lower - b.lower) <= 1e-10 * abs(b.lower)
             assert abs(a.upper - b.upper) <= 1e-10 * abs(b.upper)
 

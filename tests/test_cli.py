@@ -113,10 +113,13 @@ class TestErrors:
         assert "error" in err and "message" in err
 
     def test_bad_values_exit_nonzero(self, tmp_path, capsys):
-        for bad in ({"R": 0, "sweep": "I_over_P", "values": [0.2]},
-                    {"R": 50, "sweep": "R", "values": [40, 60.7]}):
+        ok = {"R": 50, "sweep": "I_over_P", "values": [0.2]}
+        for bad, args in (({"R": 0, "sweep": "I_over_P", "values": [0.2]}, []),
+                          ({"R": 50, "sweep": "R", "values": [40, 60.7]}, []),
+                          (ok, ["--threads", "0"]),
+                          (dict(ok, min_symbols=-5), [])):
             cfg = write_cfg(tmp_path, "bad.json",
                             dict({"T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
                                   "profile": "flat"}, **bad))
-            assert main(["ber", "--config", cfg, "--out", str(tmp_path)]) == 1
+            assert main(["ber", "--config", cfg, "--out", str(tmp_path)] + args) == 1
             assert json.loads(capsys.readouterr().err)["error"] == "ValueError"

@@ -48,6 +48,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="tau"):
             ExperimentConfig(system=small_system(), sweep="R", values=(40,), taus=(1, 2))
 
+    @pytest.mark.parametrize("field, value", [("threads", 0), ("threads", -3),
+                                              ("min_symbols", 0), ("min_symbols", -5)])
+    def test_non_positive_threads_and_min_symbols_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(system=small_system(), sweep="I_over_P", values=(0.1,),
+                             **{field: value})
+
     def test_deltas_on_IP_sweep_rejected(self):
         # the I/P sweep uses a flat profile, so deltas would be ignored
         with pytest.raises(ValueError, match="deltas"):
