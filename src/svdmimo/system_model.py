@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -178,6 +179,20 @@ class PilotConfig:
             return 0.0
         T = self.T
         return float(np.linalg.norm(self.pilot_matrix[0]) ** 2 / (self.tau_blocks * T))
+
+    @cached_property
+    def pilot_pinv(self):
+        """Read-only pseudo-inverse X_p^+ of the pilot matrix, (tau*T) x T.
+
+        Computed on first use and kept, since every block of a sweep point
+        shares its pilots. Raises ValueError for a rank-deficient pilot block.
+        """
+        Xp = self.pilot_matrix
+        if np.linalg.matrix_rank(Xp) < Xp.shape[0]:
+            raise ValueError("rank-deficient pilot block")
+        pinv = np.linalg.pinv(Xp)
+        pinv.flags.writeable = False
+        return pinv
 
 
 def _haar_unitary(n, rng):

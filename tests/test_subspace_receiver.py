@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import svds
 
+from svdmimo import subspace_receiver
 from svdmimo.subspace_receiver import (conventional_receiver, count_bit_errors, detect_subspace,
                                        estimate_projected_channel, matched_filter_principal,
                                        project, signal_subspace, slice_qpsk)
@@ -53,6 +57,53 @@ class TestSignalSubspace:
         sv_full = np.linalg.svd(Y, compute_uv=False)[:3]
         basis = signal_subspace(Y, 3)
         assert np.allclose(basis.singular_values, sv_full, rtol=1e-10)
+
+    def test_arpack_partial_matches_full(self):
+        # Fig.-5-sized block, above the Gram-side crossover
+        rng = np.random.default_rng(19)
+        Y = cgauss(rng, (300, 1000))
+        sv_full = np.linalg.svd(Y, compute_uv=False)[:3]
+        basis = signal_subspace(Y, 3)
+        assert np.allclose(basis.singular_values, sv_full, rtol=1e-10)
+        assert np.allclose(basis.S.conj().T @ basis.S, np.eye(3), atol=1e-10)
+
+    def test_paths_agree_at_crossover(self, monkeypatch):
+        n = subspace_receiver._GRAM_MAX_DIM
+        rng = np.random.default_rng(20)
+        Y = cgauss(rng, (n + 1, 3)) @ cgauss(rng, (3, 2 * n)) + 0.1 * cgauss(rng, (n + 1, 2 * n))
+        calls = []
+
+        def counting_svds(A, **kwargs):
+            calls.append(A.shape)
+            return svds(A, **kwargs)
+
+        monkeypatch.setattr(subspace_receiver, "svds", counting_svds)
+        gram = signal_subspace(Y[:n], 3)
+        signal_subspace(Y, 3)
+        assert calls == [(n + 1, 2 * n)]          # one row more crosses over to ARPACK
+        monkeypatch.setattr(subspace_receiver, "_GRAM_MAX_DIM", n - 1)
+        arpack = signal_subspace(Y[:n], 3)
+        assert calls[1:] == [(n, 2 * n)]
+        assert np.allclose(arpack.singular_values, gram.singular_values, rtol=1e-10)
+        assert np.linalg.norm(arpack.S @ arpack.S.conj().T - gram.S @ gram.S.conj().T, 2) < 1e-10
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(R=st.integers(2, 260), C=st.integers(2, 260), data=st.data())
+    def test_matches_full_svd(self, R, C, data):
+        # both Gram sides (R <= C and R > C) and both sides of the crossover,
+        # full-rank blocks and products A B of inner rank below T_sel
+        mn = min(R, C)
+        T_sel = data.draw(st.integers(1, mn), label="T_sel")
+        rank = data.draw(st.integers(0, T_sel - 1), label="rank (0: full)")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        Y = cgauss(rng, (R, rank)) @ cgauss(rng, (rank, C)) if rank else cgauss(rng, (R, C))
+        basis = signal_subspace(Y, T_sel)
+        U, s, _ = np.linalg.svd(Y, full_matrices=False)
+        assert np.abs(basis.S.conj().T @ basis.S - np.eye(T_sel)).max() <= 1e-10
+        assert np.abs(basis.singular_values - s[:T_sel]).max() <= 1e-10 * s[0]
+        if s[T_sel - 1] - (s[T_sel] if T_sel < mn else 0.0) > 1e-6 * s[0]:
+            P_full = U[:, :T_sel] @ U[:, :T_sel].conj().T
+            assert np.linalg.norm(basis.S @ basis.S.conj().T - P_full, 2) <= 1e-8
 
     def test_range_check(self):
         with pytest.raises(ValueError):

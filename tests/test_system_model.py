@@ -108,6 +108,16 @@ class TestPilots:
         with pytest.raises(ValueError):
             PilotConfig(tau_blocks=1, pilot_matrix=np.ones((3, 3)))
 
+    def test_pilot_pinv_cached_right_inverse(self):
+        p = make_pilots(T=4, P=0.2, tau_blocks=3, rng=7)
+        pinv = p.pilot_pinv
+        assert pinv.shape == (12, 4)
+        assert np.allclose(p.pilot_matrix @ pinv, np.eye(4), atol=1e-12)
+        # orthogonal blocks: X_p^+ = X_p^H / (tau*T*P)
+        assert np.allclose(pinv, p.pilot_matrix.conj().T / (3 * 4 * 0.2), atol=1e-12)
+        assert p.pilot_pinv is pinv
+        assert not pinv.flags.writeable
+
 
 class TestRealization:
     def test_h_variance(self):
