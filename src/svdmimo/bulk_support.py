@@ -175,7 +175,8 @@ def unilateral_separable(dp: DerivedParams, P, W, L):
 
     # keep the i-factor denominators away from the I = P singularity
     x_max = min(0.999, 1 - 2 * a, 1 - 2 * a / k)
-    xs = np.linspace(1e-3, x_max, 600)
+    # Python floats: the same IEEE arithmetic as numpy scalars, without their overhead
+    xs = np.linspace(1e-3, x_max, 600).tolist()
     vals = [margin(x) for x in xs]
     threshold = 0.0
     seen_separable = vals[0] > 0
@@ -194,8 +195,15 @@ def unilateral_separable(dp: DerivedParams, P, W, L):
 
 def unilateral_supports(dp: DerivedParams, P, W, L) -> SupportEstimate:
     """Unilateral SupportEstimate: single-bulk intervals rescaled by the
-    repulsion factors. Disjointness of the scaled intervals is exactly the
-    closed-form threshold inequality.
+    repulsion factors; `separable` says whether the scaled intervals are
+    disjoint.
+
+    That verdict is not the threshold rule of unilateral_separable. The two
+    agree at small I/P, but near equal powers the interference factor i_I
+    shrinks the interference interval towards 0, so the scaled intervals come
+    apart again: on the Fig.-2 system (R=300, T=3, C=1000, L=2, P=0.1, W=1)
+    `separable` is True at I/P = 0.95 and 0.99, above the unilateral
+    threshold of 0.612.
 
     Flags, in this order: load alpha > 0.1 (the approximation assumes small
     load), a negative lower endpoint clamped at 0, and P/I < 2 (the repulsion

@@ -9,6 +9,7 @@ configuration and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sys
 from pathlib import Path
@@ -149,7 +150,9 @@ def _cmd_ber(args):
     return [out]
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every `main` call."""
     parser = argparse.ArgumentParser(prog="svdmimo",
                                      description="massive MIMO subspace receiver experiments")
     sub = parser.add_subparsers(dest="command", required=True)

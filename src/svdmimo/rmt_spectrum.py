@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,8 +50,14 @@ class FixedPointParams:
     scale: float = 1.0
 
     def __post_init__(self):
+        for name in ("kappa", "alpha", "noise_a2", "scale"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not self.kappa > 0:
+            raise ValueError("kappa must be > 0")
         for name in ("rhos", "a2s", "weights"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if np.any(self.weights < 0):
             raise ValueError("term weights must be non-negative")
         if not (len(self.rhos) == len(self.a2s) == len(self.weights)):
@@ -73,6 +80,15 @@ class FixedPointParams:
             wgts.extend(list(counts.astype(float)))
         return cls(kappa=kappa, alpha=alpha, rhos=np.array(rhos), a2s=np.array(a2s),
                    weights=np.array(wgts), noise_a2=sys.W * sys.C, scale=float(scale))
+
+    @cached_property
+    def terms(self):
+        """The (rho, a2, weight) of each term as Python floats, built on first use.
+
+        The solver kernel loops over these: on a handful of terms, scalar
+        arithmetic costs a fraction of numpy's per-call overhead.
+        """
+        return tuple(zip(self.rhos.tolist(), self.a2s.tolist(), self.weights.tolist()))
 
     def mean_eigenvalue(self):
         """First moment of the distribution on the chosen axis (trace identity)."""
@@ -138,22 +154,43 @@ class SpectralDensity:
 # fixed-point solver internals (raw, unnormalized axis)
 # ---------------------------------------------------------------------------
 
+def _zero_division(a):
+    # what numpy gives for a / 0j: +-inf or nan per component, where Python raises
+    a = complex(a)
+    return complex(a.real * math.inf, a.imag * math.inf)
+
+
 def _self_energy(G, s, fp: FixedPointParams):
-    # T(G) = G * Sigma(G); each term a2*rho*(q/kappa) / (rho - a2*(G/kappa^2)*q)
-    q = s * G + 1.0 - fp.kappa
-    total = fp.noise_a2 * q / fp.kappa
-    if len(fp.rhos):
-        num = fp.a2s * fp.rhos * q / fp.kappa
-        den = fp.rhos - fp.a2s * q * G / fp.kappa ** 2
-        total = total + np.sum(fp.weights * num / den)
+    # T(G) = G * Sigma(G); each term a2*rho*(q/kappa) / (rho - a2*(G/kappa^2)*q).
+    # Plain complex scalars, in the order of the elementwise formula.
+    kappa = fp.kappa
+    q = s * G + 1.0 - kappa
+    total = fp.noise_a2 * q / kappa
+    if fp.terms:
+        kappa2 = kappa ** 2
+        acc = 0j
+        for rho, a2, w in fp.terms:
+            num = a2 * rho * q / kappa
+            den = rho - a2 * q * G / kappa2
+            acc += w * num / den if den else _zero_division(w * num)
+        total = total + acc
     return total
 
 
+def _map_step(G, s, fp):
+    """One step of the map G -> -1/(s + Sigma(G)) and its residual |Gn - G|."""
+    d = s + _self_energy(G, s, fp)
+    Gn = -1.0 / d if d else _zero_division(-1.0)
+    try:
+        return Gn, abs(Gn - G)
+    except OverflowError:  # finite parts whose modulus exceeds the float range
+        return Gn, math.inf
+
+
 def _iterate(s, fp, G, damping, tol, max_iter):
-    residual = np.inf
+    residual = math.inf
     for it in range(max_iter):
-        Gn = -1.0 / (s + _self_energy(G, s, fp))
-        residual = abs(Gn - G)
+        Gn, residual = _map_step(G, s, fp)
         G = (1 - damping) * G + damping * Gn
         if residual <= tol:
             return G, it + 1, residual
@@ -162,34 +199,38 @@ def _iterate(s, fp, G, damping, tol, max_iter):
 
 def _cleared_and_deriv(G, s, fp: FixedPointParams):
     """F(G) = G (s + Sigma(G)) + 1 and its analytic derivative."""
-    q = s * G + 1.0 - fp.kappa
-    sigma = fp.noise_a2 * q / fp.kappa
-    dsigma = fp.noise_a2 * s / fp.kappa
-    if len(fp.rhos):
-        den = fp.rhos - fp.a2s * q * G / fp.kappa ** 2
-        num = fp.a2s * fp.rhos * q / fp.kappa
-        dden = -(fp.a2s / fp.kappa ** 2) * (s * G + q)
-        dnum = fp.a2s * fp.rhos * s / fp.kappa
-        sigma = sigma + np.sum(fp.weights * num / den)
-        dsigma = dsigma + np.sum(fp.weights * (dnum * den - num * dden) / den ** 2)
+    kappa = fp.kappa
+    q = s * G + 1.0 - kappa
+    sigma = fp.noise_a2 * q / kappa
+    dsigma = fp.noise_a2 * s / kappa
+    if fp.terms:
+        kappa2 = kappa ** 2
+        acc = dacc = 0j
+        for rho, a2, w in fp.terms:
+            den = rho - a2 * q * G / kappa2
+            num = a2 * rho * q / kappa
+            dden = -(a2 / kappa2) * (s * G + q)
+            dnum = a2 * rho * s / kappa
+            acc += w * num / den if den else _zero_division(w * num)
+            dterm = w * (dnum * den - num * dden)
+            den2 = den * den
+            dacc += dterm / den2 if den2 else _zero_division(dterm)
+        sigma = sigma + acc
+        dsigma = dsigma + dacc
     F = G * (s + sigma) + 1.0
     dF = s + sigma + G * dsigma
     return F, dF
 
 
-def _map_residual(G, s, fp):
-    return abs(-1.0 / (s + _self_energy(G, s, fp)) - G)
-
-
 def _newton_polish(s, fp, G, steps=6):
     """Sharpen a near-solution to machine precision on the cleared equation."""
-    best, best_res = G, _map_residual(G, s, fp)
+    best, best_res = G, _map_step(G, s, fp)[1]
     for _ in range(steps):
         F, dF = _cleared_and_deriv(G, s, fp)
         if dF == 0:
             break
         G = G - F / dF
-        res = _map_residual(G, s, fp)
+        res = _map_step(G, s, fp)[1]
         if G.imag > 0 and res < best_res:
             best, best_res = G, res
         if res > 10 * best_res:
@@ -241,8 +282,11 @@ def _solve_raw(s, fp, init=None, y_start=None, damping=0.5, tol=1e-10, max_iter=
     cleared polynomial. Every accepted value is Newton-polished on the cleared
     equation.
     """
+    s = complex(s)
     if s.imag <= 0:
         raise ValueError("stieltjes_solve requires Im(s) > 0")
+    if init is not None:
+        init = complex(init)
     if y_start is None:
         y_start = 10.0 * max(abs(s.real), abs(s.imag), fp.scale)
 
@@ -260,7 +304,7 @@ def _solve_raw(s, fp, init=None, y_start=None, damping=0.5, tol=1e-10, max_iter=
     out = accept(G, it)
     if out:
         return out
-    G2, it2, res2 = _iterate(s, fp, np.conj(G), damping, tol, max_iter)
+    G2, it2, res2 = _iterate(s, fp, G.conjugate(), damping, tol, max_iter)
     it += it2
     worst = min(worst, res2)
     out = accept(G2, it)
@@ -275,7 +319,7 @@ def _solve_raw(s, fp, init=None, y_start=None, damping=0.5, tol=1e-10, max_iter=
     if len(fp.rhos) <= 16:
         for G4 in sorted(_poly_candidates(s, fp),
                          key=lambda g: abs(g - (init if init is not None else -1.0 / s))):
-            out = accept(G4, it)
+            out = accept(complex(G4), it)
             if out:
                 return out
     raise StieltjesSolverError(f"no Herglotz solution found at s={s}", worst)

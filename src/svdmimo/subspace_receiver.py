@@ -90,7 +90,7 @@ def signal_subspace(Y, T_sel) -> SubspaceBasis:
     if mn > _GRAM_MAX_DIM and T_sel < mn - 1:
         rng = np.random.default_rng(0)
         v0 = rng.standard_normal(mn) + 1j * rng.standard_normal(mn)
-        U, sv, _ = svds(Y.astype(complex), k=T_sel, v0=v0, tol=0)
+        U, sv, _ = svds(Y.astype(complex, copy=False), k=T_sel, v0=v0, tol=0)
         order = np.argsort(sv)[::-1]
         return SubspaceBasis(S=U[:, order], singular_values=sv[order])
     YH = Y.conj().T

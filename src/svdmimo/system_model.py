@@ -234,9 +234,15 @@ class ChannelRealization:
 
 
 def _complex_gaussian(rng, shape, var=1.0):
+    # real parts, then imaginary parts: the stream of two consecutive draws
     if var == 0:
         return np.zeros(shape, dtype=complex)
-    return np.sqrt(var / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    parts = rng.standard_normal((2,) + shape)
+    scale = np.sqrt(var / 2.0)
+    out = np.empty(shape, dtype=complex)
+    np.multiply(parts[0], scale, out=out.real)
+    np.multiply(parts[1], scale, out=out.imag)
+    return out
 
 
 def _qpsk(rng, shape, power):
@@ -278,7 +284,7 @@ def sample_realization(sys: SystemParams, pilots: PilotConfig, seed,
     H_I = _complex_gaussian(rng, (sys.R, LT))
     if LT:
         col_var = np.asarray(sys.interference_powers) / sys.P
-        H_I = H_I * np.sqrt(col_var)
+        H_I *= np.sqrt(col_var)
         if tau == 1:
             XIp = np.concatenate([pilots.pilot_matrix] * sys.L, axis=0)
             X_I = np.concatenate([XIp, data((LT, n_data))], axis=1)
@@ -300,8 +306,10 @@ def sample_realization(sys: SystemParams, pilots: PilotConfig, seed,
 
 
 def assemble_received(rz: ChannelRealization) -> np.ndarray:
-    """Received block Y = H X + H_I X_I + noise."""
-    Y = rz.H @ rz.X + rz.noise
+    """Received block Y = H X + noise + H_I X_I, accumulated in place in that order."""
+    # complex from the start, so the in-place sums never need an upcast
+    Y = np.matmul(rz.H, rz.X, dtype=complex)
+    Y += rz.noise
     if rz.H_I.shape[1]:
-        Y = Y + rz.H_I @ rz.X_I
+        Y += rz.H_I @ rz.X_I
     return Y

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from svdmimo.rmt_spectrum import (FixedPointParams, density_from_stieltjes, empirical_spectrum,
+import fixed_point_oracle as oracle
+from svdmimo.rmt_spectrum import (FixedPointParams, _cleared_and_deriv, _self_energy,
+                                  density_from_stieltjes, empirical_spectrum,
                                   mp_density, noise_bulk_max_power, snr_lower_bound,
                                   stieltjes_solve)
 from svdmimo.system_model import (InterferenceProfile, PilotConfig, SystemParams,
@@ -60,6 +64,105 @@ class TestStieltjesSolve:
         v = stieltjes_solve(2.0 + 0.1j, noise_only(1.0))
         assert v.residual <= 1e-10
         assert v.iterations >= 1
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+def _signed(mag):
+    return st.tuples(st.sampled_from((-1.0, 1.0)), mag).map(lambda p: p[0] * p[1])
+
+
+@st.composite
+def kernel_inputs(draw):
+    """FixedPointParams with 0 to 4 terms (0 with noise is Marchenko-Pastur),
+    s with Im s > 0 and a random G."""
+    n = draw(st.integers(0, 4))
+    fp = FixedPointParams(
+        kappa=draw(_log_uniform(-1, 1)), alpha=0.1,
+        rhos=[draw(_log_uniform(-3, 1)) for _ in range(n)],
+        a2s=[draw(_log_uniform(-2, 4)) for _ in range(n)],
+        weights=[draw(st.sampled_from((1.0, 2.0, 3.0))) for _ in range(n)],
+        noise_a2=draw(st.one_of(st.just(0.0), _log_uniform(-2, 4))) if n else
+        draw(_log_uniform(-2, 4)))
+    s = complex(draw(_signed(_log_uniform(-4, 4))), draw(_log_uniform(-4, 4)))
+    G = complex(draw(st.one_of(st.just(0.0), _signed(_log_uniform(-6, 2)))),
+                draw(st.one_of(st.just(0.0), _signed(_log_uniform(-6, 2)))))
+    return fp, s, G
+
+
+def _magnitudes(G, s, fp):
+    """Scales of Sigma, F and dF for comparing two roundings of them.
+
+    Each is the sum of the moduli of its summands, with every term weighted by
+    the condition number of its denominator rho - a2 q G / kappa^2. Relative to
+    |value| alone, two correct evaluations can differ arbitrarily where the
+    summands cancel (F = G (s + Sigma) + 1 near a solution, for one).
+    """
+    q = s * G + 1.0 - fp.kappa
+    shift = fp.a2s * q * G / fp.kappa ** 2
+    den = fp.rhos - shift
+    cond = (np.abs(fp.rhos) + np.abs(shift)) / np.abs(den)
+    num = fp.a2s * fp.rhos * q / fp.kappa
+    dden = -(fp.a2s / fp.kappa ** 2) * (s * G + q)
+    dnum = fp.a2s * fp.rhos * s / fp.kappa
+    sigma = abs(fp.noise_a2 * q / fp.kappa) + np.sum(fp.weights * np.abs(num / den) * cond)
+    dsigma = abs(fp.noise_a2 * s / fp.kappa) + np.sum(
+        fp.weights * (np.abs(dnum * den) + np.abs(num * dden)) / np.abs(den) ** 2 * cond)
+    return sigma, abs(G) * (abs(s) + sigma) + 1.0, abs(s) + sigma + abs(G) * dsigma
+
+
+def _assert_same_value(got, want, scale, rtol=1e-13):
+    assert type(got) is complex
+    if np.isfinite(got) and np.isfinite(want):
+        assert abs(got - want) <= rtol * scale, (got, want, scale)
+    else:
+        assert not np.isfinite(got) and not np.isfinite(want), (got, want)
+
+
+class TestScalarKernel:
+    """The scalar solver kernel against the elementwise numpy formula."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(kernel_inputs())
+    def test_matches_array_oracle(self, case):
+        fp, s, G = case
+        with np.errstate(all="ignore"):
+            want_T = oracle.self_energy(np.complex128(G), np.complex128(s), fp)
+            want_F, want_dF = oracle.cleared_and_deriv(np.complex128(G), np.complex128(s), fp)
+            scales = _magnitudes(np.complex128(G), np.complex128(s), fp)
+        got_F, got_dF = _cleared_and_deriv(G, s, fp)
+        for got, want, scale in zip((_self_energy(G, s, fp), got_F, got_dF),
+                                    (want_T, want_F, want_dF), scales):
+            _assert_same_value(got, want, scale)
+
+    def test_zero_denominator(self):
+        # kappa = 1/2, s = -2 + j/2, G = j: q = -2j and a2 q G / kappa^2 = 8 = rho exactly
+        fp = FixedPointParams(kappa=0.5, alpha=0.1, rhos=[8.0], a2s=[1.0], weights=[1.0],
+                              noise_a2=1.0)
+        s, G = -2 + 0.5j, 1j
+        assert fp.rhos[0] - fp.a2s[0] * (s * G + 1.0 - fp.kappa) * G / fp.kappa ** 2 == 0
+        with np.errstate(all="ignore"):
+            want_T = oracle.self_energy(np.complex128(G), np.complex128(s), fp)
+            want_F, want_dF = oracle.cleared_and_deriv(np.complex128(G), np.complex128(s), fp)
+        got_F, got_dF = _cleared_and_deriv(G, s, fp)
+        for got, want in ((_self_energy(G, s, fp), want_T), (got_F, want_F), (got_dF, want_dF)):
+            assert not np.isfinite(want)
+            _assert_same_value(got, want, np.inf)
+        # a solve started there goes non-finite, and the repair chain still finds the branch
+        v = stieltjes_solve(s, fp, init=G)
+        assert v.G.imag > 0 and v.residual <= 1e-10
+
+    def test_terms_cached_and_params_checked(self):
+        fp = FixedPointParams.from_system(fig1_system(), scale=3000.0)
+        assert fp.terms is fp.terms
+        assert fp.terms == tuple(zip(fp.rhos.tolist(), fp.a2s.tolist(), fp.weights.tolist()))
+        assert all(type(x) is float for term in fp.terms for x in term)
+        assert not fp.rhos.flags.writeable and not fp.a2s.flags.writeable
+        assert type(fp.noise_a2) is float and type(fp.kappa) is float
+        with pytest.raises(ValueError):
+            FixedPointParams(kappa=0.0, alpha=0.1, rhos=[], a2s=[], weights=[], noise_a2=1.0)
 
 
 class TestDensity:

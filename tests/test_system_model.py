@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,13 @@ class TestAssembleReceived:
         Y = assemble_received(rz2)
         assert Y[1, 2] == 2.0 + 1j and np.count_nonzero(Y) == 1
 
+    def test_real_channel_complex_noise(self):
+        sys = SystemParams(R=6, T=2, C=5, L=0, P=0.1, W=1.0)
+        rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=2)
+        real = type(rz)(H=rz.H.real.copy(), X=rz.X.real.copy(), H_I=rz.H_I, X_I=rz.X_I,
+                        noise=rz.noise, pilot_config=rz.pilot_config)
+        assert np.array_equal(assemble_received(real), real.H @ real.X + rz.noise)
+
     def test_frobenius_power_bookkeeping(self):
         sys = flat_system(R=200, T=10, C=100, L=2, P=0.1, W=0.5, I=0.025)
         expected = sys.R * sys.C * (sys.T * sys.P + sum(sys.interference_powers) + sys.W)
@@ -214,6 +223,97 @@ class TestAssembleReceived:
         doubled = type(rz)(H=2 * rz.H, X=rz.X, H_I=rz.H_I, X_I=rz.X_I,
                            noise=rz.noise, pilot_config=rz.pilot_config)
         assert np.allclose(assemble_received(doubled) - assemble_received(rz), rz.H @ rz.X)
+
+
+class TestFrozenStream:
+    """Block synthesis keeps its random stream: sha256 digests (first 32 hex
+    digits) of every drawn array. They were taken when each complex array came
+    from two separate draws, real parts then imaginary parts, and pin the
+    stream to that order.
+
+    Pilot columns are left out: for tau = 2 they come from a LAPACK QR whose
+    last bits may depend on the CPU. The interferer data that follows them in
+    the stream is digested, so the stream position is still checked.
+    """
+
+    # (tau, data law, P, W, L, profile kind); P = 0 draws no data at all
+    CASES = {
+        "tau0_gaussian": (0, "gaussian", 0.1, 1.0, 2, "flat"),
+        "tau0_P0_L0": (0, "gaussian", 0.0, 1.0, 0, "flat"),
+        "tau1_qpsk": (1, "qpsk", 0.1, 1.0, 2, "flat"),
+        "tau1_gaussian_W0": (1, "gaussian", 0.1, 0.0, 2, "modulo"),
+        "tau2_gaussian": (2, "gaussian", 0.1, 0.5, 2, "modulo"),
+        "tau2_qpsk": (2, "qpsk", 0.1, 1.0, 1, "flat"),
+    }
+    DIGESTS = {
+        "tau0_gaussian": {
+            "H": "d5a96c1a2a025bcf62c957f8741f53b9",
+            "X_data": "c0ca7cf122fc81dc94a29d4af895023d",
+            "H_I": "849972e884cbeddb77bffbba5f3aae2f",
+            "X_I_data": "bd6cffcbfbaa0fca1cc997774d1cedf3",
+            "noise": "347baa780c70be8ee293b2dba4d32f33",
+        },
+        "tau0_P0_L0": {
+            "H": "d5a96c1a2a025bcf62c957f8741f53b9",
+            "X_data": "155e437b946ac82ae591ff382b8d19ef",
+            "H_I": "e3b0c44298fc1c149afbf4c8996fb924",
+            "X_I_data": "e3b0c44298fc1c149afbf4c8996fb924",
+            "noise": "6b52c6832f656c90da9cc10bf7f86e94",
+        },
+        "tau1_qpsk": {
+            "H": "2ffd21187fbaf6349945bcfa3a741bb5",
+            "X_data": "c202dced822110684afee75b8e4bfb44",
+            "H_I": "613bb42dfbe167c81f94d443ce6043c3",
+            "X_I_data": "fdf2a83b0c7038afe3595bb6cc97e092",
+            "noise": "0acebba8c47280d2af2f7772e5078298",
+        },
+        "tau1_gaussian_W0": {
+            "H": "2ffd21187fbaf6349945bcfa3a741bb5",
+            "X_data": "124727ad2cfcbc5d8217820b8465a88f",
+            "H_I": "df935effe760dc8413d12ceda4bc84b7",
+            "X_I_data": "48995fe86e9555f833f266943874ccd5",
+            "noise": "0299f757a85a1aad6cbe1ad2b0eda925",
+        },
+        "tau2_gaussian": {
+            "H": "8e0f519096f4eda369f62a4ee1a926f6",
+            "X_data": "a3e07beea639911fe70d8baa0b020507",
+            "H_I": "a0504bfb6117581b7f509525d52171dd",
+            "X_I_data": "600dca148252edcc369371900466e5f0",
+            "noise": "7a06e6cfa5c149530915623eb1237449",
+        },
+        "tau2_qpsk": {
+            "H": "8e0f519096f4eda369f62a4ee1a926f6",
+            "X_data": "9b1a92defc4575e1603d53269e661a79",
+            "H_I": "10e7a2a22c440fa6622ded65013e4e3b",
+            "X_I_data": "cf528e69f5bd33ef19e4b4d31e53dd31",
+            "noise": "a060f2156b9077bbeba21e3b3feb4471",
+        },
+    }
+
+    @staticmethod
+    def realization(tau, law, P, W, L, kind):
+        profile = (InterferenceProfile(kind="flat", I=0.3 * P) if kind == "flat"
+                   else InterferenceProfile(kind="modulo", delta=2))
+        sys = SystemParams.from_profile(R=24, T=3, C=40, L=L, P=P, W=W, profile=profile)
+        return sample_realization(sys, make_pilots(3, 0.1, tau, rng=8), seed=[13, tau],
+                                  data_law=law)
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_digests(self, name):
+        rz = self.realization(*self.CASES[name])
+        off = rz.pilot_config.tau_blocks * rz.X.shape[0]
+        parts = {"H": rz.H, "X_data": rz.X[:, off:], "H_I": rz.H_I,
+                 "X_I_data": rz.X_I[:, off:], "noise": rz.noise}
+        got = {k: hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest()[:32]
+               for k, v in parts.items()}
+        assert all(v.dtype == complex for v in parts.values())
+        assert got == self.DIGESTS[name]
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_assemble_bitwise(self, name):
+        rz = self.realization(*self.CASES[name])
+        Y = assemble_received(rz)
+        assert np.array_equal(Y, (rz.H @ rz.X + rz.noise) + rz.H_I @ rz.X_I)
 
 
 def test_interference_above_p_warns():
