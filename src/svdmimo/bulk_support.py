@@ -16,7 +16,7 @@ not raised as Python warnings.
 
 All SupportEstimate intervals are reported on the eig(Y Y^H)/(T*R) axis, where
 the signal bulk centers near kappa*P/alpha. G-domain helpers (s1_inverse,
-quartic_extremes, s2_inverse_highsnr) work on the raw eig(Y Y^H) axis.
+quartic_extremes) work on the raw eig(Y Y^H) axis.
 """
 
 from __future__ import annotations
@@ -252,14 +252,6 @@ def s1_inverse(G, dp: DerivedParams, L):
     return num / den
 
 
-def _quartic_real_roots(coeffs, rel_imag_tol=1e-9):
-    roots = poly_roots(coeffs[::-1])  # poly_roots wants ascending
-    real = np.abs(roots.imag) <= rel_imag_tol * np.maximum(np.abs(roots), 1e-300)
-    if not np.all(real):
-        return None
-    return np.sort(roots.real)
-
-
 def quartic_extremes(dp: DerivedParams, L):
     """Real solutions G1 <= G2 <= G3 <= G4 of the quartic locating the extremes
     of s1_inverse, or None when complex pairs appear (no first-order
@@ -272,7 +264,10 @@ def quartic_extremes(dp: DerivedParams, L):
           - 6 * (L + 1) * r * t * k * a - ((t + r) ** 2 + 2 * r * t) * k ** 2)
     c1 = -2 * r * t * k * ((L * r + t) * a + (t + r) * k)
     c0 = -(k ** 2) * r ** 2 * t ** 2
-    return _quartic_real_roots(np.array([c4, c3, c2, c1, c0]))
+    roots = poly_roots([c0, c1, c2, c3, c4])
+    if np.any(np.abs(roots.imag) > 1e-9 * np.maximum(np.abs(roots), 1e-300)):
+        return None
+    return np.sort(roots.real)
 
 
 def s1_supports(dp: DerivedParams, L) -> SupportEstimate:
@@ -298,68 +293,6 @@ def _merged_estimate(method, flags):
     empty = BulkInterval(0.0, 0.0)
     return SupportEstimate(signal=empty, interference=empty, method=method,
                            separable=False, flags=("merged",) + tuple(flags))
-
-
-def _phi0(G, dp, L):
-    a, k, r, t = dp.alpha, dp.kappa, dp.r, dp.t
-    num = ((2 * a * (L + 1) * (k - 1) + k * (k - 4)) * G ** 2
-           + k * (a * (t + L * r) + (k - 2) * (t + r)) * G + k ** 2 * r * t)
-    den = 2 * G ** 2 * ((2 * k + (L + 1) * a) * G + k * (t + r))
-    return num / den
-
-
-def _rho0_radicand_coeffs(dp, L):
-    a, k, r, t = dp.alpha, dp.kappa, dp.r, dp.t
-    return np.array([
-        k * (k - 4 * a * (L + 1)),
-        2 * k * (k * (t + r) - 3 * a * (L * r + t)),
-        (t ** 2 + 4 * r * t + r ** 2) * k ** 2 - 2 * a * k * (L * r - t) * (r - t)
-        + a ** 2 * (t + L * r) ** 2,
-        2 * k * r * t * (k * (t + r) + a * (t + L * r)),
-        k ** 2 * t ** 2 * r ** 2,
-    ])
-
-
-def _gplusminus_inf(dp, L):
-    """Poles G_-inf <= G_+inf of the first-order rational approximation."""
-    a, k, r, t = dp.alpha, dp.kappa, dp.r, dp.t
-    den = -2 * k - 4 * a - 4 * L * a
-    rad = math.sqrt(k ** 2 * (r - t) ** 2
-                    + 2 * a * k * (L * r ** 2 + t ** 2 - 3 * r * t - 3 * L * t * r)
-                    + a ** 2 * (t + L * r) ** 2)
-    g1 = (k * (r + t) + a * (t + L * r) - rad) / den
-    g2 = (k * (r + t) + a * (t + L * r) + rad) / den
-    return min(g1, g2), max(g1, g2)
-
-
-def s2_inverse_highsnr(G, dp: DerivedParams, L):
-    """Second-order approximation of the inverse transform (raw axis):
-    phi0 + rho0 inside [G_-inf, G_+inf], phi0 - rho0 elsewhere. Returns NaN
-    where the radicand under rho0 is negative (the complex region whose
-    boundary locates the bulk extremes)."""
-    a, k, r, t = dp.alpha, dp.kappa, dp.r, dp.t
-    rad = float(np.polynomial.polynomial.polyval(G, _rho0_radicand_coeffs(dp, L)[::-1]))
-    if rad < 0:
-        return float("nan")
-    rho = k * math.sqrt(rad) / (2 * G ** 2 * ((2 * k + (L + 1) * a) * G + k * (t + r)))
-    lo, hi = _gplusminus_inf(dp, L)
-    if lo <= G <= hi:
-        return _phi0(G, dp, L) + rho
-    return _phi0(G, dp, L) - rho
-
-
-def rho0_zero_supports(dp: DerivedParams, L):
-    """Second-order bulk intervals from the zeros of rho0: phi0 at the sorted
-    zeros gives [phi0(G1), phi0(G2)] and [phi0(G3), phi0(G4)] on the T*R axis.
-    None when zeros are complex or the interval ordering fails."""
-    TR = dp.T * dp.R
-    Gs = _quartic_real_roots(_rho0_radicand_coeffs(dp, L))
-    if Gs is None:
-        return None
-    vals = [_phi0(g, dp, L) / TR for g in Gs]
-    if not vals[1] < vals[2]:
-        return None
-    return (BulkInterval(*sorted(vals[2:4])), BulkInterval(*sorted(vals[0:2])))
 
 
 def bilateral_supports_highsnr(dp: DerivedParams, L) -> SupportEstimate:
@@ -456,18 +389,24 @@ def _gamma_I(dp, L, zeta):
 def _bilateral(dp, L, zeta, method):
     """Per-bulk second-order enclosures: the rational parts of the expansions
     evaluated at the zeros Gamma of the respective discriminants. Negative
-    radicands mean the bulks cannot be resolved (merged)."""
+    radicands mean the bulks cannot be resolved (merged).
+
+    Flags, in this order: the G-domain ordering Gamma_Iu < Gamma_Pl disagrees
+    with the disjointness of the intervals, and a lower endpoint below 0
+    (eigenvalues of Y Y^H are not negative; the endpoints are not clamped)."""
     TR = dp.T * dp.R
     gp, gi = _gamma_P(dp, L, zeta), _gamma_I(dp, L, zeta)
     if gp is None or gi is None:
         return _merged_estimate(method, ("negative radicand",))
     sig = BulkInterval(*sorted(_varsigma_P(g, dp, L, zeta) / TR for g in gp))
     intf = BulkInterval(*sorted(_varsigma_I(g, dp, L, zeta) / TR for g in gi))
-    flags = ()
+    flags = []
     if (gi[1] < gp[0]) != intf.disjoint_below(sig):
-        flags = ("gamma ordering and interval disjointness disagree",)
+        flags.append("gamma ordering and interval disjointness disagree")
+    if sig.lower < 0 or intf.lower < 0:
+        flags.append("negative lower endpoint")
     return SupportEstimate(signal=sig, interference=intf, method=method,
-                           separable=intf.disjoint_below(sig), flags=flags)
+                           separable=intf.disjoint_below(sig), flags=tuple(flags))
 
 
 def bilateral_supports_general(dp: DerivedParams, L, zeta) -> SupportEstimate:
@@ -478,50 +417,3 @@ def bilateral_supports_general(dp: DerivedParams, L, zeta) -> SupportEstimate:
     the expansion re-derived from the stated recipe (second-order Taylor
     expansion of the cleared fixed point around the per-bulk zeros)."""
     return _bilateral(dp, L, zeta, "bilateral_general")
-
-
-def gamma_ordering_separable(dp: DerivedParams, L, zeta):
-    """Separability verdict from the G-domain ordering Gamma_Iu < Gamma_Pl."""
-    gp, gi = _gamma_P(dp, L, zeta), _gamma_I(dp, L, zeta)
-    if gp is None or gi is None:
-        return False
-    return gi[1] < gp[0]
-
-
-# ---------------------------------------------------------------------------
-# appendix verification: single-eigenvalue repulsion scale
-# ---------------------------------------------------------------------------
-
-def _s0_explicit(G, beta, kappa, t):
-    """Explicit zero-load inverse transform with interference dimension ratio beta."""
-    num = G * kappa - 2 * G + G * beta + t * kappa
-    rad = math.sqrt(beta ** 2 * G ** 2 + 2 * beta * G * t * kappa
-                    - 2 * beta * G ** 2 * kappa + kappa ** 2 * (G + t) ** 2)
-    return num / (2 * G ** 2) - rad / (2 * G ** 2)
-
-
-def appendixB_scale_verification(dp: DerivedParams, L):
-    """Cross-check of the interference repulsion factor against the explicit
-    zero-load spike position.
-
-    With interference dimension ratio beta = L*alpha, the spike of the signal
-    of interest sits at s0(G4) with G4 = r k (t - r)/(k (r - t) - beta r); its
-    ratio to the unrepelled position 1/r must match the closed-form factor
-    (1 + (beta/kappa)/(t/r - 1))(1 + beta/(t/r - 1)), which is i_P.
-    """
-    beta = L * dp.alpha
-    k, r, t = dp.kappa, dp.r, dp.t
-    G4 = r * k * (t - r) / (k * (r - t) - beta * r)
-    s0G4 = _s0_explicit(G4, beta, k, t)
-    ratio = s0G4 * r
-    closed_form = (1 + (beta / k) / (t / r - 1)) * (1 + beta / (t / r - 1))
-    i_P, _ = interference_scale_factors(1.0, r / t, dp.alpha, k, L)
-    return {
-        "beta": beta,
-        "G4": G4,
-        "s0_G4": s0G4,
-        "scale_ratio": ratio,
-        "closed_form_ratio": closed_form,
-        "i_P": i_P,
-        "max_rel_diff": max(abs(ratio - closed_form), abs(ratio - i_P)) / closed_form,
-    }

@@ -2,56 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Real or complex polynomial, coefficients in ascending degree order."""
-
-    coefficients: tuple
-
-    def __post_init__(self):
-        coeffs = tuple(self.coefficients)
-        # trim trailing zero coefficients so the leading one is nonzero
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
-    def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, np.asarray(self.coefficients))
-
-    def derivative(self):
-        c = np.polynomial.polynomial.polyder(np.asarray(self.coefficients))
-        return Polynomial(tuple(c))
+_PP = np.polynomial.polynomial
 
 
-def poly_roots(p):
-    """All complex roots of a polynomial (Polynomial or ascending coefficient sequence).
+def poly_roots(coeffs):
+    """All complex roots of a polynomial given by ascending coefficients.
 
-    Uses the balanced companion-matrix eigenvalue method (via numpy), followed by
-    one Newton polish per root to tighten residuals.
+    Trailing zero coefficients are trimmed so the leading one is nonzero.
+    Uses the balanced companion-matrix eigenvalue method (via numpy), followed
+    by one Newton polish per root to tighten residuals.
     """
-    if not isinstance(p, Polynomial):
-        p = Polynomial(tuple(p))
-    if p.degree < 1:
+    c = np.trim_zeros(np.asarray(coeffs), "b")
+    if len(c) < 2:
         raise ValueError("polynomial must have degree >= 1")
-    coeffs = np.asarray(p.coefficients)
-    roots = np.roots(coeffs[::-1])
-    dp = p.derivative()
-    vals = p(roots)
-    dvals = dp(roots)
+    roots = np.roots(c[::-1])
+    vals = _PP.polyval(roots, c)
+    dvals = _PP.polyval(roots, _PP.polyder(c))
     ok = np.abs(dvals) > 0
     polished = roots.copy()
     polished[ok] = roots[ok] - vals[ok] / dvals[ok]
     # keep the polish only where it actually reduced the residual
-    better = np.abs(p(polished)) < np.abs(vals)
+    better = np.abs(_PP.polyval(polished, c)) < np.abs(vals)
     roots[better] = polished[better]
     return roots
 

@@ -12,6 +12,7 @@ signal bulk near kappa*P/alpha, `scale` = R matches empirical_spectrum.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -126,15 +127,6 @@ class SpectralDensity:
         dx = np.diff(self.grid)
         return np.concatenate([[0.0], np.cumsum(0.5 * (self.values[1:] + self.values[:-1]) * dx)])
 
-    def to_csv(self, path):
-        """Write columns x, density with header metadata lines."""
-        lines = [f"# kappa={self.kappa!r}", f"# atom={self.atom_at_zero!r}",
-                 f"# scale={self.scale!r}", f"# y_offset={self.y_offset!r}", "x,density"]
-        for x, v in zip(self.grid, self.values):
-            lines.append(f"{float(x):.17g},{float(v):.17g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
     def bulk_intervals(self, threshold_ratio=1e-3):
         """Contiguous grid regions where the density exceeds a fraction of its peak."""
         above = self.values > threshold_ratio * self.values.max()
@@ -188,11 +180,14 @@ def _map_step(G, s, fp):
 
 
 def _iterate(s, fp, G, damping, tol, max_iter):
+    """Damped map iteration until the residual meets tol. Stops early at the
+    first non-finite iterate, which no later step can bring back, and leaves
+    it to the caller's repair chain."""
     residual = math.inf
     for it in range(max_iter):
         Gn, residual = _map_step(G, s, fp)
         G = (1 - damping) * G + damping * Gn
-        if residual <= tol:
+        if residual <= tol or not cmath.isfinite(G):
             return G, it + 1, residual
     return G, max_iter, residual
 
@@ -412,21 +407,3 @@ def mp_density(kappa, scale=1.0):
         return out if out.ndim else float(out)
 
     return pdf, (lo, hi)
-
-
-def noise_bulk_max_power(T, C, W, kappa):
-    """Upper bound on the white-noise power landing in the projected block:
-    T*C*W*(1 + 1/sqrt(kappa))^2."""
-    if T <= 0 or C <= 0 or W < 0 or kappa <= 0:
-        raise ValueError("inputs must be positive (W >= 0)")
-    return T * C * W * (1 + 1 / math.sqrt(kappa)) ** 2
-
-
-def snr_lower_bound(P, W, R, C, kappa):
-    """Post-projection SNR lower bounds:
-    (P/W) * R/(1 + 1/sqrt(kappa))^2 and (P/W) * min(R, C)/4."""
-    if P < 0 or W <= 0 or R <= 0 or C <= 0 or kappa <= 0:
-        raise ValueError("inputs must be positive")
-    bound1 = (P / W) * R / (1 + 1 / math.sqrt(kappa)) ** 2
-    bound2 = (P / W) * min(R, C) / 4.0
-    return bound1, bound2

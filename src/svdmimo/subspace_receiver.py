@@ -36,11 +36,6 @@ class ProjectedChannel:
     H_tilde: np.ndarray           # T_sel x T
 
 
-@dataclass(frozen=True)
-class BeamformerVector:
-    m: np.ndarray                 # unit-norm R vector
-
-
 def signal_subspace(Y, T_sel) -> SubspaceBasis:
     """Basis of the T_sel leading left-singular directions of Y.
 
@@ -152,17 +147,6 @@ def conventional_receiver(Y, pilots: PilotConfig) -> np.ndarray:
     H_hat = estimate_projected_channel(Y, pilots).H_tilde
     return slice_qpsk(H_hat.conj().T @ Y[:, pilots.tau_blocks * pilots.T:],
                       pilots.symbol_power)
-
-
-def matched_filter_principal(Y) -> BeamformerVector:
-    """Beamformer maximizing the empirical Rayleigh quotient m^H Y Y^H m / m^H m:
-    the leading left-singular vector of Y, unit norm."""
-    Y = np.asarray(Y)
-    if not np.any(Y):
-        raise ValueError("zero matrix has no principal direction")
-    basis = signal_subspace(Y, 1)
-    m = basis.S[:, 0]
-    return BeamformerVector(m=m / np.linalg.norm(m))
 
 
 # QPSK helpers (Gray mapping: bits are the signs of real and imaginary parts)

@@ -1,13 +1,22 @@
-"""The printed high-SNR (W = 0) bilateral enclosures, kept as a test oracle.
+"""Printed high-SNR (W = 0) formulas, kept as test oracles.
 
 The library computes the high-SNR enclosures as the zeta = 0 case of the
-general-SNR ones. These are the separately printed high-SNR expansions, a
-second derivation that tests compare the library against.
+general-SNR ones. This module keeps three separately printed derivations that
+tests compare the library against:
+
+* the high-SNR per-bulk expansions (highsnr_supports);
+* the second-order intervals from the zeros of rho0 (rho0_zero_supports);
+* the explicit zero-load spike of Appendix B, which checks the interference
+  repulsion factor (appendixB_scale_verification).
 """
 
 import math
 
-from svdmimo.bulk_support import BulkInterval, SupportEstimate, _merged_estimate
+import numpy as np
+
+from svdmimo.bulk_support import (BulkInterval, SupportEstimate, _merged_estimate,
+                                  interference_scale_factors)
+from svdmimo.numerics import poly_roots
 
 
 def sP2(x, dp, L):
@@ -61,8 +70,75 @@ def highsnr_supports(dp, L):
         return _merged_estimate("bilateral_highSNR_2", ("negative radicand",))
     sig = BulkInterval(*sorted(sP2(g, dp, L) / TR for g in gp))
     intf = BulkInterval(*sorted(sI2(g, dp, L) / TR for g in gi))
-    flags = ()
+    flags = []
     if (gi[1] < gp[0]) != intf.disjoint_below(sig):
-        flags = ("gamma ordering and interval disjointness disagree",)
+        flags.append("gamma ordering and interval disjointness disagree")
+    if sig.lower < 0 or intf.lower < 0:
+        flags.append("negative lower endpoint")
     return SupportEstimate(signal=sig, interference=intf, method="bilateral_highSNR_2",
-                           separable=intf.disjoint_below(sig), flags=flags)
+                           separable=intf.disjoint_below(sig), flags=tuple(flags))
+
+
+def phi0(G, dp, L):
+    a, k, r, t = dp.alpha, dp.kappa, dp.r, dp.t
+    num = ((2 * a * (L + 1) * (k - 1) + k * (k - 4)) * G ** 2
+           + k * (a * (t + L * r) + (k - 2) * (t + r)) * G + k ** 2 * r * t)
+    den = 2 * G ** 2 * ((2 * k + (L + 1) * a) * G + k * (t + r))
+    return num / den
+
+
+def rho0_radicand_coeffs(dp, L):
+    """Descending coefficients of the quartic under the square root of rho0."""
+    a, k, r, t = dp.alpha, dp.kappa, dp.r, dp.t
+    return np.array([
+        k * (k - 4 * a * (L + 1)),
+        2 * k * (k * (t + r) - 3 * a * (L * r + t)),
+        (t ** 2 + 4 * r * t + r ** 2) * k ** 2 - 2 * a * k * (L * r - t) * (r - t)
+        + a ** 2 * (t + L * r) ** 2,
+        2 * k * r * t * (k * (t + r) + a * (t + L * r)),
+        k ** 2 * t ** 2 * r ** 2,
+    ])
+
+
+def rho0_zero_supports(dp, L):
+    """Second-order bulk intervals from the zeros of rho0: phi0 at the sorted
+    zeros gives [phi0(G1), phi0(G2)] and [phi0(G3), phi0(G4)] on the T*R axis.
+    None when zeros are complex or the interval ordering fails."""
+    roots = poly_roots(rho0_radicand_coeffs(dp, L)[::-1])
+    if np.any(np.abs(roots.imag) > 1e-9 * np.maximum(np.abs(roots), 1e-300)):
+        return None
+    vals = [phi0(g, dp, L) / (dp.T * dp.R) for g in np.sort(roots.real)]
+    if not vals[1] < vals[2]:
+        return None
+    return (BulkInterval(*sorted(vals[2:4])), BulkInterval(*sorted(vals[0:2])))
+
+
+def s0_explicit(G, beta, kappa, t):
+    """Explicit zero-load inverse transform with interference dimension ratio beta."""
+    num = G * kappa - 2 * G + G * beta + t * kappa
+    rad = math.sqrt(beta ** 2 * G ** 2 + 2 * beta * G * t * kappa
+                    - 2 * beta * G ** 2 * kappa + kappa ** 2 * (G + t) ** 2)
+    return num / (2 * G ** 2) - rad / (2 * G ** 2)
+
+
+def appendixB_scale_verification(dp, L):
+    """Cross-check of the interference repulsion factor against the explicit
+    zero-load spike position.
+
+    With interference dimension ratio beta = L*alpha, the spike of the signal
+    of interest sits at s0(G4) with G4 = r k (t - r)/(k (r - t) - beta r); its
+    ratio to the unrepelled position 1/r must match the closed-form factor
+    (1 + (beta/kappa)/(t/r - 1))(1 + beta/(t/r - 1)), which is i_P.
+    """
+    beta = L * dp.alpha
+    k, r, t = dp.kappa, dp.r, dp.t
+    G4 = r * k * (t - r) / (k * (r - t) - beta * r)
+    ratio = s0_explicit(G4, beta, k, t) * r
+    closed_form = (1 + (beta / k) / (t / r - 1)) * (1 + beta / (t / r - 1))
+    i_P, _ = interference_scale_factors(1.0, r / t, dp.alpha, k, L)
+    return {
+        "scale_ratio": ratio,
+        "closed_form_ratio": closed_form,
+        "i_P": i_P,
+        "max_rel_diff": max(abs(ratio - closed_form), abs(ratio - i_P)) / closed_form,
+    }

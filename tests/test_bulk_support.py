@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svdmimo.bulk_support import (RegimeError, appendixB_scale_verification,
-                                  bilateral_supports_general, bilateral_supports_highsnr,
-                                  bilateral_validity, gamma_ordering_separable,
+from svdmimo.bulk_support import (RegimeError, _gamma_I, _gamma_P, bilateral_supports_general,
+                                  bilateral_supports_highsnr, bilateral_validity,
                                   interference_scale_factors, noise_scale_factors,
-                                  quartic_extremes, rho0_zero_supports, s1_inverse, s1_supports,
-                                  s2_inverse_highsnr, separability_boundary,
-                                  separability_boundary_ratio, unilateral_intervals,
-                                  unilateral_separable, unilateral_supports)
+                                  quartic_extremes, s1_inverse, s1_supports,
+                                  separability_boundary, separability_boundary_ratio,
+                                  unilateral_intervals, unilateral_separable,
+                                  unilateral_supports)
 from svdmimo.rmt_spectrum import empirical_spectrum
 from svdmimo.system_model import (DerivedParams, InterferenceProfile, PilotConfig, SystemParams,
                                   assemble_received, derive_params, sample_realization)
 
-from highsnr_oracle import highsnr_supports
+from highsnr_oracle import (appendixB_scale_verification, highsnr_supports,
+                            rho0_zero_supports, s0_explicit)
 
 
 def fig2_system(W=0.0, I_over_P=0.25):
@@ -173,8 +173,18 @@ class TestRegimeFlags:
         unilateral_intervals(flat_dp(100, 30, 100, 2, 0.6), 0.1, 0.06, 2)
         interference_scale_factors(0.1, 0.06, 0.01, 1.0, 2)
         unilateral_separable(fig2_dp(W=1.0), 0.1, 1.0, 2)
-        appendixB_scale_verification(dp_from_ratios(alpha=0.01, kappa=10 / 3, r=2.5e-5,
-                                                    t=4e-5), 2)
+
+    def test_bilateral_negative_lower_endpoint_flagged(self):
+        # inside the separability region (alpha/kappa = 0.046 < 0.082) and the
+        # validity condition, the interference enclosure still reaches below 0;
+        # it is flagged and left unclamped
+        dp = dp_from_ratios(alpha=0.095, kappa=2.06, r=1e-4, t=6.68e-4)
+        assert bilateral_validity(dp, 7) and 0.095 / 2.06 < separability_boundary(1 / 6.68, 7)
+        for est in (bilateral_supports_highsnr(dp, 7), bilateral_supports_general(dp, 7, 0.0)):
+            assert est.flags[-1] == "negative lower endpoint"
+            assert np.isclose(est.interference.lower, -0.2992, atol=1e-4)
+            assert np.isclose(est.interference.upper, 1.8786, atol=1e-4)
+        assert "negative lower endpoint" not in bilateral_supports_highsnr(fig2_dp(), 2).flags
 
 
 class TestS1:
@@ -215,45 +225,6 @@ class TestS1:
         # middle extremes collapse: either flagged as complex or clustered
         if Gs is not None:
             assert abs(Gs[1] - Gs[2]) < 1e-2 * abs(Gs[1])
-
-
-class TestS2HighSnr:
-    def test_equals_phi0_at_rho0_zeros(self):
-        dp = fig2_dp()
-        sup = rho0_zero_supports(dp, 2)
-        assert sup is not None
-        from svdmimo.bulk_support import _phi0, _rho0_radicand_coeffs
-        from svdmimo.numerics import poly_roots
-        zeros = np.sort(poly_roots(_rho0_radicand_coeffs(dp, 2)[::-1]).real)
-        for g in zeros:
-            val = s2_inverse_highsnr(g, dp, 2)
-            if not math.isnan(val):
-                assert np.isclose(val, _phi0(g, dp, 2), rtol=1e-6)
-
-    def test_branch_pole_structure(self):
-        # phi0 - rho0 has a pole inside [G-inf, G+inf]; the selected branch does not
-        dp = fig2_dp()
-        from svdmimo.bulk_support import _gplusminus_inf
-        a, k, r, t = dp.alpha, dp.kappa, dp.r, dp.t
-        g_pole = -(t + r) * k / (2 * k + a * 3)
-        lo, hi = _gplusminus_inf(dp, 2)
-        assert lo < g_pole < hi
-        eps = 1e-4 * abs(g_pole)
-        inside_vals = [abs(s2_inverse_highsnr(g_pole + d, dp, 2)) for d in (-eps, eps)]
-        assert all(v < 1e9 for v in inside_vals)  # selected branch stays finite
-
-    def test_alpha_small_close_to_reciprocal(self):
-        dp = dp_from_ratios(alpha=1e-6, kappa=10 / 3, r=3.3333e-5, t=1.3333e-4, R=3 * 10 ** 6)
-        for G in (-3e-4, -2e-4, -6e-5, -1e-5):
-            val = s2_inverse_highsnr(G, dp, 2)
-            if not math.isnan(val):
-                assert abs(val - (-1.0 / G)) <= 1e-3 * abs(1 / G)
-
-    def test_nan_in_complex_region(self):
-        dp = fig2_dp()
-        from svdmimo.bulk_support import _gamma_I
-        gl, gu = _gamma_I(dp, 2, 0.0)
-        assert math.isnan(s2_inverse_highsnr(0.5 * (gl + gu), dp, 2))
 
 
 class TestBilateralHighSnr:
@@ -411,7 +382,8 @@ class TestBilateralGeneral:
                 alpha = (0.5 if expect else 1.5) * boundary * kappa
                 t = 1.3333e-4
                 dp = dp_from_ratios(alpha=alpha, kappa=kappa, r=beta * t, t=t)
-                got = gamma_ordering_separable(dp, L, W_zeta)
+                gp, gi = _gamma_P(dp, L, W_zeta), _gamma_I(dp, L, W_zeta)
+                got = gp is not None and gi is not None and gi[1] < gp[0]
                 assert got is expect, (W_zeta, beta, expect, got)
 
 
@@ -437,13 +409,12 @@ class TestAppendixB:
 
     def test_noise_limit_recovers_noise_factor(self):
         # t, beta -> infinity with zeta = beta/t fixed: (1 + r zeta)(1 + r zeta/kappa)
-        from svdmimo.bulk_support import _s0_explicit
         kappa, r = 10 / 3, 2.5e-5
         zeta_ratio = 3000.0
         t = 1e8
         beta = zeta_ratio * t
         G4 = r * kappa * (t - r) / (kappa * (r - t) - beta * r)
-        ratio = _s0_explicit(G4, beta, kappa, t) * r
+        ratio = s0_explicit(G4, beta, kappa, t) * r
         expected = (1 + r * zeta_ratio) * (1 + r * zeta_ratio / kappa)
         assert np.isclose(ratio, expected, rtol=1e-4)
 

@@ -6,8 +6,8 @@ from scipy.sparse.linalg import svds
 
 from svdmimo import subspace_receiver
 from svdmimo.subspace_receiver import (conventional_receiver, count_bit_errors, detect_subspace,
-                                       estimate_projected_channel, matched_filter_principal,
-                                       project, signal_subspace, slice_qpsk)
+                                       estimate_projected_channel, project, signal_subspace,
+                                       slice_qpsk)
 from svdmimo.system_model import (InterferenceProfile, PilotConfig, SystemParams,
                                   assemble_received, make_pilots, sample_realization)
 
@@ -269,59 +269,6 @@ class TestConventional:
             errors += count_bit_errors(dec, rz.data_symbols)
             bits += 2 * rz.data_symbols.size
         assert abs(errors / bits - 0.5) <= 3 * np.sqrt(0.25 / bits) + 0.01
-
-
-class TestMatchedFilter:
-    def test_rank_one_alignment(self):
-        rng = np.random.default_rng(13)
-        h, x = cgauss(rng, (50, 1)), cgauss(rng, (1, 30))
-        m = matched_filter_principal(h @ x).m
-        assert abs(abs(np.vdot(m, h[:, 0])) / np.linalg.norm(h) - 1) < 1e-10
-
-    def test_noisy_alignment_when_signal_dominates(self):
-        # regime where the top noise eigenvalue is small against the signal's:
-        # P R C / (W (sqrt(R) + sqrt(C))^2) ~ 40
-        R, C, P, W = 1000, 333, 0.3, 1.0
-        vals = []
-        for seed in range(30):
-            rng = np.random.default_rng([14, seed])
-            h = cgauss(rng, (R, 1))
-            Y = h @ cgauss(rng, (1, C), P) + cgauss(rng, (R, C), W)
-            m = matched_filter_principal(Y).m
-            vals.append(abs(np.vdot(m, h[:, 0])) / np.linalg.norm(h))
-        assert np.mean(vals) >= 0.99
-
-    def test_alignment_median_nondecreasing_in_R(self):
-        # large-system limit takes C = kappa R, so C grows with R here
-        P, W = 0.1, 1.0
-        medians = []
-        for R in (50, 100, 200, 400):
-            C = R
-            vals = []
-            for seed in range(40):
-                rng = np.random.default_rng([15, R, seed])
-                h = cgauss(rng, (R, 1))
-                Y = h @ cgauss(rng, (1, C), P) + cgauss(rng, (R, C), W)
-                m = matched_filter_principal(Y).m
-                vals.append(abs(np.vdot(m, h[:, 0])) / np.linalg.norm(h))
-            medians.append(np.median(vals))
-        assert all(medians[i] <= medians[i + 1] for i in range(len(medians) - 1))
-
-    def test_column_permutation_invariant(self):
-        rng = np.random.default_rng(16)
-        Y = cgauss(rng, (30, 20))
-        m1 = matched_filter_principal(Y).m
-        m2 = matched_filter_principal(Y[:, rng.permutation(20)]).m
-        assert abs(abs(np.vdot(m1, m2)) - 1) < 1e-10
-
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            matched_filter_principal(np.zeros((5, 5)))
-
-    def test_unit_norm(self):
-        rng = np.random.default_rng(17)
-        m = matched_filter_principal(cgauss(rng, (25, 10))).m
-        assert np.isclose(np.linalg.norm(m), 1.0, atol=1e-12)
 
 
 class TestQpskHelpers:
