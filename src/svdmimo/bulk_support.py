@@ -206,8 +206,9 @@ def unilateral_supports(dp: DerivedParams, P, W, L) -> SupportEstimate:
     threshold of 0.612.
 
     Flags, in this order: load alpha > 0.1 (the approximation assumes small
-    load), a negative lower endpoint clamped at 0, and P/I < 2 (the repulsion
-    factors assume P >> I).
+    load), a negative lower endpoint clamped at 0, P/I < 2 (the repulsion
+    factors assume P >> I), and a scaled interval that starts below 0 (a
+    negative i_I flips the interference interval below 0).
     """
     I = dp.beta_ratio * P
     flags = []
@@ -226,9 +227,7 @@ def unilateral_supports(dp: DerivedParams, P, W, L) -> SupportEstimate:
         p_int = p_int.scaled(sf.signal)
         lo, hi = sorted((i_int.lower * sf.interference, i_int.upper * sf.interference))
         i_int = BulkInterval(lo, hi)
-    separable = i_int.disjoint_below(p_int)
-    return SupportEstimate(signal=p_int, interference=i_int, method="unilateral",
-                           separable=separable, flags=tuple(flags))
+    return _estimate(p_int, i_int, "unilateral", i_int.disjoint_below(p_int), flags)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +272,7 @@ def quartic_extremes(dp: DerivedParams, L):
 def s1_supports(dp: DerivedParams, L) -> SupportEstimate:
     """First-order bulk intervals [s1(G1), s1(G2)] and [s1(G3), s1(G4)] on the
     T*R axis; 'bulks merged' when the quartic has complex roots or the
-    ordering s1(G2) < s1(G3) fails."""
+    ordering s1(G2) < s1(G3) fails, flagged when an interval starts below 0."""
     TR = dp.T * dp.R
     Gs = quartic_extremes(dp, L)
     if Gs is None:
@@ -281,12 +280,18 @@ def s1_supports(dp: DerivedParams, L) -> SupportEstimate:
     s_vals = [s1_inverse(g, dp, L) / TR for g in Gs]
     if not s_vals[1] < s_vals[2]:
         return _merged_estimate("bilateral_highSNR_1", ("extreme ordering violated",))
-    return SupportEstimate(
-        signal=BulkInterval(*sorted(s_vals[2:4])),
-        interference=BulkInterval(*sorted(s_vals[0:2])),
-        method="bilateral_highSNR_1",
-        separable=s_vals[1] < s_vals[2],
-    )
+    return _estimate(BulkInterval(*sorted(s_vals[2:4])), BulkInterval(*sorted(s_vals[0:2])),
+                     "bilateral_highSNR_1", s_vals[1] < s_vals[2])
+
+
+def _estimate(signal, interference, method, separable, flags=()):
+    """SupportEstimate of resolved bulks. Appends the flag `negative lower
+    endpoint` when either interval starts below 0: eigenvalues of Y Y^H are
+    not negative, and the endpoints are reported as computed, not clamped."""
+    if signal.lower < 0 or interference.lower < 0:
+        flags = tuple(flags) + ("negative lower endpoint",)
+    return SupportEstimate(signal=signal, interference=interference, method=method,
+                           separable=separable, flags=tuple(flags))
 
 
 def _merged_estimate(method, flags):
@@ -392,21 +397,17 @@ def _bilateral(dp, L, zeta, method):
     radicands mean the bulks cannot be resolved (merged).
 
     Flags, in this order: the G-domain ordering Gamma_Iu < Gamma_Pl disagrees
-    with the disjointness of the intervals, and a lower endpoint below 0
-    (eigenvalues of Y Y^H are not negative; the endpoints are not clamped)."""
+    with the disjointness of the intervals, and a lower endpoint below 0."""
     TR = dp.T * dp.R
     gp, gi = _gamma_P(dp, L, zeta), _gamma_I(dp, L, zeta)
     if gp is None or gi is None:
         return _merged_estimate(method, ("negative radicand",))
     sig = BulkInterval(*sorted(_varsigma_P(g, dp, L, zeta) / TR for g in gp))
     intf = BulkInterval(*sorted(_varsigma_I(g, dp, L, zeta) / TR for g in gi))
-    flags = []
-    if (gi[1] < gp[0]) != intf.disjoint_below(sig):
-        flags.append("gamma ordering and interval disjointness disagree")
-    if sig.lower < 0 or intf.lower < 0:
-        flags.append("negative lower endpoint")
-    return SupportEstimate(signal=sig, interference=intf, method=method,
-                           separable=intf.disjoint_below(sig), flags=tuple(flags))
+    separable = intf.disjoint_below(sig)
+    disagree = (gi[1] < gp[0]) != separable
+    flags = ("gamma ordering and interval disjointness disagree",) if disagree else ()
+    return _estimate(sig, intf, method, separable, flags)
 
 
 def bilateral_supports_general(dp: DerivedParams, L, zeta) -> SupportEstimate:

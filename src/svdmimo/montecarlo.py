@@ -186,10 +186,6 @@ class SpectrumResult:
     n_seeds: int
     seed: int
 
-    def empirical_cdf(self, x):
-        ev = np.sort(self.eigenvalues)
-        return np.searchsorted(ev, x, side="right") / len(ev)
-
     def asymptotic_cdf(self, x):
         """CDF of the continuous part renormalized over the nonzero eigenvalues."""
         cum = self.density.cdf()
@@ -215,29 +211,24 @@ class SpectrumResult:
 
 
 def spectrum_experiment(sys: SystemParams, n_seeds=20, grid_points=600, y_offset=None,
-                        seed=0, grid=None, data_law="gaussian") -> SpectrumResult:
+                        seed=0) -> SpectrumResult:
     """Pooled empirical spectrum of Y Y^H/(T*R) over seeds with the asymptotic
     density on the same axis and every applicable support estimate.
 
-    The default grid spans the pooled nonzero eigenvalues with margin; the
-    default inversion offset is 1e-5 of the grid span, small enough that the
-    zero-eigenvalue atom does not leak into the continuous part.
+    The grid spans the pooled nonzero eigenvalues with margin; the default
+    inversion offset is 1e-5 of the grid span (density_from_stieltjes), small
+    enough that the zero-eigenvalue atom does not leak into the continuous part.
     """
     scale = sys.T * sys.R
     pilots = PilotConfig(tau_blocks=0)
     pooled = []
     for i in range(n_seeds):
-        rz = sample_realization(sys, pilots, [seed, i], data_law=data_law)
+        rz = sample_realization(sys, pilots, [seed, i])
         ev = empirical_spectrum(assemble_received(rz)) * sys.R / scale
         pooled.append(ev[ev > 1e-12 * max(ev[0], 1.0)])
     pooled = np.sort(np.concatenate(pooled))
-    if grid is None:
-        lo = max(0.25 * pooled[0], 1e-6)
-        hi = 1.1 * pooled[-1]
-        grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(max(0.25 * pooled[0], 1e-6), 1.1 * pooled[-1], grid_points)
     fp = FixedPointParams.from_system(sys, scale=scale)
-    if y_offset is None:
-        y_offset = 1e-5 * (grid[-1] - grid[0])
     density = density_from_stieltjes(grid, fp, y_offset=y_offset)
 
     supports = []

@@ -29,8 +29,9 @@ def poly_roots(coeffs):
     return roots
 
 
-def bisect(f, lo, hi, tol=1e-12, max_iter=200):
-    """Root of f on [lo, hi] by bisection; requires a sign change on the bracket."""
+def bisect(f, lo, hi, tol=1e-12):
+    """Root of f on [lo, hi] by bisection, in at most 200 halvings; requires a
+    sign change on the bracket."""
     flo, fhi = f(lo), f(hi)
     if flo == 0:
         return lo
@@ -38,7 +39,7 @@ def bisect(f, lo, hi, tol=1e-12, max_iter=200):
         return hi
     if flo * fhi > 0:
         raise ValueError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0 or (hi - lo) <= tol:

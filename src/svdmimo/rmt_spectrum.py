@@ -23,9 +23,14 @@ from .system_model import SystemParams
 
 _PP = np.polynomial.polynomial
 
+# damped fixed-point iteration: step weight, residual tolerance, step budget
+_DAMPING = 0.5
+_TOL = 1e-10
+_MAX_ITER = 10000
+
 
 class StieltjesSolverError(RuntimeError):
-    """Fixed-point solver failed; carries the last residual."""
+    """Fixed-point solver failed; carries the residual of the warm iterate."""
 
     def __init__(self, message, residual):
         super().__init__(f"{message} (residual={residual:.3e})")
@@ -179,17 +184,17 @@ def _map_step(G, s, fp):
         return Gn, math.inf
 
 
-def _iterate(s, fp, G, damping, tol, max_iter):
-    """Damped map iteration until the residual meets tol. Stops early at the
+def _iterate(s, fp, G):
+    """Damped map iteration until the residual meets _TOL. Stops early at the
     first non-finite iterate, which no later step can bring back, and leaves
-    it to the caller's repair chain."""
+    it to the polynomial stage of _solve_raw."""
     residual = math.inf
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         Gn, residual = _map_step(G, s, fp)
-        G = (1 - damping) * G + damping * Gn
-        if residual <= tol or not cmath.isfinite(G):
+        G = (1 - _DAMPING) * G + _DAMPING * Gn
+        if residual <= _TOL or not cmath.isfinite(G):
             return G, it + 1, residual
-    return G, max_iter, residual
+    return G, _MAX_ITER, residual
 
 
 def _cleared_and_deriv(G, s, fp: FixedPointParams):
@@ -233,21 +238,6 @@ def _newton_polish(s, fp, G, steps=6):
     return best, best_res
 
 
-def _ladder(s, fp, y_start, damping, tol, max_iter, G=None):
-    """Continuation in the imaginary part: solve high above the real axis where
-    the damped map contracts to the Herglotz branch, then walk down."""
-    x, y_target = s.real, s.imag
-    y = max(y_start, y_target)
-    it_total, residual = 0, np.inf
-    while True:
-        z = x + 1j * y
-        G, it, residual = _iterate(z, fp, G if G is not None else -1.0 / z, damping, tol, max_iter)
-        it_total += it
-        if y <= y_target:
-            return G, it_total, residual
-        y = max(y_target, 0.1 * y)
-
-
 def _poly_candidates(s, fp):
     """Upper-half-plane roots of the fixed point after clearing denominators."""
     q = np.array([1.0 - fp.kappa, s])
@@ -268,98 +258,76 @@ def _poly_candidates(s, fp):
     return roots[roots.imag > 0]
 
 
-def _solve_raw(s, fp, init=None, y_start=None, damping=0.5, tol=1e-10, max_iter=10000):
-    """Herglotz-branch solution at one raw-axis point.
+def _accept(s, fp, G):
+    """Newton-polished (G, residual) when G leads to the Herglotz branch within
+    _TOL, else None."""
+    if G.imag <= 0:
+        return None
+    G, res = _newton_polish(s, fp, G)
+    return (G, res) if G.imag > 0 and res <= _TOL else None
 
-    Damped iteration from a warm start, then escalating repairs when the
-    iterate leaves the Herglotz branch or stalls: conjugate restart,
-    continuation from far above the real axis, and direct root-finding on the
-    cleared polynomial. Every accepted value is Newton-polished on the cleared
-    equation.
+
+def _solve_raw(s, fp, init=None):
+    """Herglotz-branch solution at one raw-axis point: (G, iterations, residual).
+
+    Damped iteration from the warm start (init, or -1/s); when that iterate
+    leaves the Herglotz branch or stalls, the upper-half-plane roots of the
+    cleared polynomial, nearest to the start first. Every accepted value is
+    Newton-polished on the cleared equation.
     """
     s = complex(s)
     if s.imag <= 0:
         raise ValueError("stieltjes_solve requires Im(s) > 0")
-    if init is not None:
-        init = complex(init)
-    if y_start is None:
-        y_start = 10.0 * max(abs(s.real), abs(s.imag), fp.scale)
-
-    def accept(G, it):
-        if G.imag <= 0:
-            return None
-        G, res = _newton_polish(s, fp, G)
-        if G.imag > 0 and res <= tol:
-            return G, it, res
-        return None
-
-    worst = np.inf
-    G, it, res = _iterate(s, fp, init if init is not None else -1.0 / s, damping, tol, max_iter)
-    worst = min(worst, res)
-    out = accept(G, it)
-    if out:
-        return out
-    G2, it2, res2 = _iterate(s, fp, G.conjugate(), damping, tol, max_iter)
-    it += it2
-    worst = min(worst, res2)
-    out = accept(G2, it)
-    if out:
-        return out
-    G3, it3, res3 = _ladder(s, fp, y_start, damping, tol, max_iter)
-    it += it3
-    worst = min(worst, res3)
-    out = accept(G3, it)
-    if out:
-        return out
-    if len(fp.rhos) <= 16:
-        for G4 in sorted(_poly_candidates(s, fp),
-                         key=lambda g: abs(g - (init if init is not None else -1.0 / s))):
-            out = accept(complex(G4), it)
+    start = -1.0 / s if init is None else complex(init)
+    G, it, residual = _iterate(s, fp, start)
+    out = _accept(s, fp, G)
+    if out is None and len(fp.rhos) <= 16:
+        for root in sorted(_poly_candidates(s, fp), key=lambda g: abs(g - start)):
+            out = _accept(s, fp, complex(root))
             if out:
-                return out
-    raise StieltjesSolverError(f"no Herglotz solution found at s={s}", worst)
+                break
+    if out is None:
+        raise StieltjesSolverError(f"no Herglotz solution found at s={s}", residual)
+    return out[0], it, out[1]
 
 
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
-def stieltjes_solve(s, fp: FixedPointParams, init=None, damping=0.5, tol=1e-10,
-                    max_iter=10000) -> StieltjesValue:
+def stieltjes_solve(s, fp: FixedPointParams, init=None) -> StieltjesValue:
     """Stieltjes transform G(s) of the eig(Y Y^H)/scale distribution at one point.
 
     The fixed point is solved on the raw axis and rescaled; the returned G
-    satisfies the fixed-point relation to within `tol` on the Herglotz branch
+    satisfies the fixed-point relation to within 1e-10 on the Herglotz branch
     (Im G > 0 for Im s > 0).
     """
     s = complex(s)
     s_raw = fp.scale * s
     init_raw = None if init is None else complex(init) / fp.scale
-    G_raw, iters, res = _solve_raw(s_raw, fp, init=init_raw, damping=damping,
-                                   tol=tol, max_iter=max_iter)
+    G_raw, iters, res = _solve_raw(s_raw, fp, init=init_raw)
     return StieltjesValue(s=s, G=G_raw * fp.scale, residual=res, iterations=iters)
 
 
 def density_from_stieltjes(grid, fp: FixedPointParams, y_offset=None) -> SpectralDensity:
     """Asymptotic density on an increasing grid: values = Im G(x + jy)/pi.
 
-    The sweep warm-starts each point from its neighbor to keep the Herglotz
-    branch; the first point uses continuation from far above the real axis.
-    The atom at zero is reported as the mass missing from the continuous part.
+    The default offset y is 1e-5 of the grid span. The first point starts
+    from -1/s and each later one warm-starts from its neighbor to keep the
+    Herglotz branch. The atom at zero is reported as the mass missing from
+    the continuous part.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be increasing with at least two points")
     if y_offset is None:
-        y_offset = 1e-4 * (grid[-1] - grid[0])
+        y_offset = float(1e-5 * (grid[-1] - grid[0]))
     if y_offset <= 0:
         raise ValueError("y_offset must be > 0")
-    span_raw = (grid[-1] - grid[0]) * fp.scale
     values = np.empty_like(grid)
     G = None
     for i, x in enumerate(grid):
-        s_raw = fp.scale * (x + 1j * y_offset)
-        G, _, _ = _solve_raw(s_raw, fp, init=G, y_start=0.1 * span_raw)
+        G, _, _ = _solve_raw(fp.scale * (x + 1j * y_offset), fp, init=G)
         values[i] = G.imag / math.pi * fp.scale
     dx = np.diff(grid)
     mass = float(np.sum(0.5 * (values[1:] + values[:-1]) * dx))

@@ -185,6 +185,19 @@ class TestRegimeFlags:
             assert np.isclose(est.interference.lower, -0.2992, atol=1e-4)
             assert np.isclose(est.interference.upper, 1.8786, atol=1e-4)
         assert "negative lower endpoint" not in bilateral_supports_highsnr(fig2_dp(), 2).flags
+        # the first-order and the unilateral estimates carry the same flag: at
+        # R=12, T=3, C=1000, L=1, I/P=0.895 the first-order interference interval
+        # starts below 0 with separable True, and the negative repulsion factor
+        # i_I puts the scaled unilateral interference interval wholly below 0
+        dp = flat_dp(12, 3, 1000, 1, 0.895)
+        s1 = s1_supports(dp, 1)
+        assert s1.separable and s1.flags == ("negative lower endpoint",)
+        assert np.isclose(s1.interference.lower, -94.19, atol=0.01)
+        uni = unilateral_supports(dp, 0.1, 1.0, 1)
+        assert uni.flags[-1] == "negative lower endpoint"
+        assert uni.interference.upper <= 0 and np.isclose(uni.interference.lower, -156.76, atol=0.01)
+        assert "negative lower endpoint" not in s1_supports(fig2_dp(), 2).flags
+        assert "negative lower endpoint" not in unilateral_supports(fig2_dp(W=1.0), 0.1, 1.0, 2).flags
 
 
 class TestS1:

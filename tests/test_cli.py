@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,11 @@ class TestSpectrum:
         lines = (tmp_path / "spectrum.csv").read_text().splitlines()
         assert lines[0].startswith("# config: ")
         idx = lines.index("x,density,empirical")
+        # every `# key=value` header holds a plain number, the default y_offset too
+        values = [re.fullmatch(r"# (\w+)=(.*)", line) for line in lines[:idx]]
+        assert [m[1] for m in values if m] == ["kappa", "atom", "scale", "y_offset"]
+        for m in filter(None, values):
+            float(m[2])
         data = np.array([[float(v) for v in line.split(",")] for line in lines[idx + 1:]])
         assert data.shape == (120, 3)
         assert np.all(data[:, 1] >= 0)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixed_point_oracle as oracle
+from svdmimo.montecarlo import spectrum_experiment
 from svdmimo.rmt_spectrum import (FixedPointParams, _cleared_and_deriv, _self_energy,
                                   density_from_stieltjes, empirical_spectrum,
                                   mp_density, stieltjes_solve)
@@ -63,6 +64,30 @@ class TestStieltjesSolve:
         v = stieltjes_solve(2.0 + 0.1j, noise_only(1.0))
         assert v.residual <= 1e-10
         assert v.iterations >= 1
+
+
+class TestFig1PolynomialStage:
+    """Fig.-1 grid points where the warm iterate misses the Herglotz branch.
+
+    References: mpmath at 40 digits, findroot on each rung of a continuation
+    from far above the real axis, y shrunk by a factor of 0.97 per rung.
+    """
+
+    @pytest.mark.parametrize("seed, index, x, want", [
+        # the warm iterate has Im G < 0; the polynomial stage solves both
+        (15, 4, 0.0206343044, 0.678916673401397),
+        (36, 4, 0.0206166420, 0.663843614231379),
+        # two roots of the cleared equation lie in the upper half-plane: this
+        # one (raw G = -0.0149911785968413 + 3.26440508e-5j) is reached by the
+        # continuation; the other (raw G = -0.0182261921391335 + 3.09072765e-5j)
+        # gives density 0.0295143
+        (6, 2, 0.0130972026, 0.0311727722791218),
+    ])
+    def test_density_matches_continuation(self, seed, index, x, want):
+        density = spectrum_experiment(fig1_system(), n_seeds=20, grid_points=600,
+                                      seed=seed).density
+        assert abs(density.grid[index] - x) < 1e-10
+        assert abs(density.values[index] - want) < 1e-9
 
 
 def _log_uniform(lo, hi):
@@ -150,7 +175,7 @@ class TestScalarKernel:
             assert not np.isfinite(want)
             _assert_same_value(got, want, np.inf)
         # a solve started there goes non-finite, stops iterating at once, and
-        # the repair chain still finds the branch
+        # the polynomial stage still finds the branch
         v = stieltjes_solve(s, fp, init=G)
         assert v.G.imag > 0 and v.residual <= 1e-10
         assert v.iterations < 100
