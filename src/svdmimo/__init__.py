@@ -1,7 +1,7 @@
 """Blind subspace-projection receivers for cellular massive MIMO, with
 random-matrix eigenvalue-spectrum analysis and Monte Carlo BER experiments."""
 
-from .bulk_support import (BulkInterval, RegimeError, ScaleFactors, SupportEstimate,
+from .bulk_support import (BulkInterval, RegimeError, SupportEstimate,
                            bilateral_supports_general, bilateral_supports_highsnr,
                            bilateral_validity, interference_scale_factors, noise_scale_factors,
                            quartic_extremes, s1_inverse, s1_supports, separability_boundary,

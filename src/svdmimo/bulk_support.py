@@ -58,29 +58,6 @@ class BulkInterval:
 
 
 @dataclass(frozen=True)
-class ScaleFactors:
-    """Eigenvalue-repulsion factors: n_* from noise, i_* from the other bulk.
-
-    For P > I the interference factors push the signal bulk up (i_P >= 1) and
-    the interference bulk down (i_I <= 1); all tend to 1 as W -> 0 (n's) or
-    load -> 0 (i's).
-    """
-
-    n_P: float
-    n_I: float
-    i_P: float
-    i_I: float
-
-    @property
-    def signal(self):
-        return self.n_P * self.i_P
-
-    @property
-    def interference(self):
-        return self.n_I * self.i_I
-
-
-@dataclass(frozen=True)
 class SupportEstimate:
     """Signal and interference bulk intervals on the eig(Y Y^H)/(T*R) axis."""
 
@@ -125,7 +102,8 @@ def unilateral_intervals(dp: DerivedParams, P, I, L):
 
 
 def noise_scale_factors(P, I, W, R, C):
-    """Noise repulsion: n_P = (1 + W/(P R))(1 + W/(P C)), n_I analogously."""
+    """Noise repulsion: n_P = (1 + W/(P R))(1 + W/(P C)), n_I analogously.
+    Both tend to 1 as W -> 0."""
     if P <= 0 or I <= 0:
         raise ValueError("P and I must be > 0")
     n_P = (1 + W / (P * R)) * (1 + W / (P * C))
@@ -135,8 +113,10 @@ def noise_scale_factors(P, I, W, R, C):
 
 def interference_scale_factors(P, I, alpha, kappa, L):
     """Mutual bulk repulsion: i_P = (1 + (L a/k)/(P/I - 1))(1 + L a/(P/I - 1)),
-    i_I with the power roles swapped. Only accurate for P >> I;
-    unilateral_supports flags P/I < 2. Singular at P = I."""
+    i_I with the power roles swapped. For P > I they push the signal bulk up
+    (i_P >= 1) and the interference bulk down (i_I <= 1), and both tend to 1
+    as the load alpha -> 0. Only accurate for P >> I; unilateral_supports
+    flags P/I < 2. Singular at P = I."""
     if P == I:
         raise ValueError("interference scale factors are singular at P = I")
     i_P = (1 + (L * alpha / kappa) / (P / I - 1)) * (1 + L * alpha / (P / I - 1))
@@ -223,9 +203,9 @@ def unilateral_supports(dp: DerivedParams, P, W, L) -> SupportEstimate:
         i_P, i_I = interference_scale_factors(P, I, dp.alpha, dp.kappa, L)
         if P / I < 2:
             flags.append("interference scale factors are only accurate for P >> I (P/I < 2)")
-        sf = ScaleFactors(n_P=n_P, n_I=n_I, i_P=i_P, i_I=i_I)
-        p_int = p_int.scaled(sf.signal)
-        lo, hi = sorted((i_int.lower * sf.interference, i_int.upper * sf.interference))
+        p_int = p_int.scaled(n_P * i_P)
+        interference = n_I * i_I
+        lo, hi = sorted((i_int.lower * interference, i_int.upper * interference))
         i_int = BulkInterval(lo, hi)
     return _estimate(p_int, i_int, "unilateral", i_int.disjoint_below(p_int), flags)
 

@@ -21,9 +21,8 @@ import numpy as np
 
 from .system_model import SystemParams
 
-_PP = np.polynomial.polynomial
-
 # damped fixed-point iteration: step weight, residual tolerance, step budget
+# (the budget also caps one Newton run)
 _DAMPING = 0.5
 _TOL = 1e-10
 _MAX_ITER = 10000
@@ -106,6 +105,9 @@ class FixedPointParams:
 
 @dataclass(frozen=True)
 class StieltjesValue:
+    """G(s) with its map residual and the solver's work: damped map steps plus
+    Newton steps, summed over every stage that ran."""
+
     s: complex
     G: complex
     residual: float
@@ -187,7 +189,7 @@ def _map_step(G, s, fp):
 def _iterate(s, fp, G):
     """Damped map iteration until the residual meets _TOL. Stops early at the
     first non-finite iterate, which no later step can bring back, and leaves
-    it to the polynomial stage of _solve_raw."""
+    it to the continuation stage of _solve_raw."""
     residual = math.inf
     for it in range(_MAX_ITER):
         Gn, residual = _map_step(G, s, fp)
@@ -222,73 +224,73 @@ def _cleared_and_deriv(G, s, fp: FixedPointParams):
     return F, dF
 
 
-def _newton_polish(s, fp, G, steps=6):
-    """Sharpen a near-solution to machine precision on the cleared equation."""
-    best, best_res = G, _map_step(G, s, fp)[1]
-    for _ in range(steps):
+def _newton(s, fp, G):
+    """Newton on the cleared equation from G until |dG| stops shrinking:
+    (G, Newton steps taken, map residual)."""
+    steps, last = 0, math.inf
+    while steps < _MAX_ITER:
         F, dF = _cleared_and_deriv(G, s, fp)
-        if dF == 0:
+        dG = F / dF if dF else _zero_division(F)
+        size = math.hypot(dG.real, dG.imag)  # inf, not OverflowError, past the float range
+        if not size < last:  # also stops at a non-finite step
             break
-        G = G - F / dF
-        res = _map_step(G, s, fp)[1]
-        if G.imag > 0 and res < best_res:
-            best, best_res = G, res
-        if res > 10 * best_res:
-            break
-    return best, best_res
+        G, last, steps = G - dG, size, steps + 1
+    return G, steps, _map_step(G, s, fp)[1]
 
 
-def _poly_candidates(s, fp):
-    """Upper-half-plane roots of the fixed point after clearing denominators."""
-    q = np.array([1.0 - fp.kappa, s])
-    G1 = np.array([0.0, 1.0])
-    base = _PP.polyadd(np.array([1.0, s]), (fp.noise_a2 / fp.kappa) * _PP.polymul(G1, q))
-    Ds = [_PP.polysub(np.array([rho + 0j]), (a2 / fp.kappa ** 2) * _PP.polymul(G1, q))
-          for rho, a2 in zip(fp.rhos, fp.a2s)]
-    total = base
-    for D in Ds:
-        total = _PP.polymul(total, D)
-    for k, (rho, a2, w) in enumerate(zip(fp.rhos, fp.a2s, fp.weights)):
-        term = (w * a2 * rho / fp.kappa) * _PP.polymul(G1, q)
-        for j, D in enumerate(Ds):
-            if j != k:
-                term = _PP.polymul(term, D)
-        total = _PP.polyadd(total, term)
-    roots = np.roots(total[::-1])
-    return roots[roots.imag > 0]
+def _continuation(s, fp):
+    """G followed down the line x = Re s by Newton on each rung: (G, steps,
+    residual), or None when a rung fails however small its step.
 
-
-def _accept(s, fp, G):
-    """Newton-polished (G, residual) when G leads to the Herglotz branch within
-    _TOL, else None."""
-    if G.imag <= 0:
+    The first rung, y0 = 10 max(|s|, raw mean eigenvalue), lies far enough
+    above the spectrum that the damped iteration from -1/s lands on the
+    Herglotz branch (10 |s| alone does not where |s| is small against the
+    mean). A rung that leaves Im G > 0 or misses _TOL is retried with the
+    square root of the step ratio; each accepted rung squares it back, down
+    to halving y.
+    """
+    x, y_end = s.real, s.imag
+    y = 10.0 * max(abs(s), fp.mean_eigenvalue() * fp.scale)
+    z = complex(x, y)
+    G, steps, residual = _iterate(z, fp, -1.0 / z)
+    if not (G.imag > 0 and residual <= _TOL):
         return None
-    G, res = _newton_polish(s, fp, G)
-    return (G, res) if G.imag > 0 and res <= _TOL else None
+    ratio = 0.5
+    while y > y_end:
+        y_next = max(y * ratio, y_end)
+        if y_next == y:
+            return None
+        Gn, n, res = _newton(complex(x, y_next), fp, G)
+        steps += n
+        if Gn.imag > 0 and res <= _TOL:
+            y, G, residual, ratio = y_next, Gn, res, max(ratio * ratio, 0.5)
+        else:
+            ratio = math.sqrt(ratio)
+    return G, steps, residual
 
 
 def _solve_raw(s, fp, init=None):
     """Herglotz-branch solution at one raw-axis point: (G, iterations, residual).
 
-    Damped iteration from the warm start (init, or -1/s); when that iterate
-    leaves the Herglotz branch or stalls, the upper-half-plane roots of the
-    cleared polynomial, nearest to the start first. Every accepted value is
-    Newton-polished on the cleared equation.
+    Damped iteration from the warm start (init, or -1/s), Newton-polished on
+    the cleared equation. When that iterate leaves the Herglotz branch or
+    misses _TOL, continuation down the line x = Re s from far above the
+    spectrum, where G ~ -1/s fixes the branch (G is analytic in the upper
+    half-plane and continuous down to the real axis).
     """
     s = complex(s)
     if s.imag <= 0:
         raise ValueError("stieltjes_solve requires Im(s) > 0")
     start = -1.0 / s if init is None else complex(init)
     G, it, residual = _iterate(s, fp, start)
-    out = _accept(s, fp, G)
-    if out is None and len(fp.rhos) <= 16:
-        for root in sorted(_poly_candidates(s, fp), key=lambda g: abs(g - start)):
-            out = _accept(s, fp, complex(root))
-            if out:
-                break
+    if G.imag > 0 and residual <= _TOL:
+        Gp, n, res = _newton(s, fp, G)
+        if Gp.imag > 0 and res <= _TOL:
+            return Gp, it + n, res
+    out = _continuation(s, fp)
     if out is None:
         raise StieltjesSolverError(f"no Herglotz solution found at s={s}", residual)
-    return out[0], it, out[1]
+    return out[0], it + out[1], out[2]
 
 
 # ---------------------------------------------------------------------------

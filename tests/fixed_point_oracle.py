@@ -1,12 +1,15 @@
-"""The Stieltjes fixed-point kernel written on numpy arrays, kept as a test oracle.
+"""Test oracles for the Stieltjes fixed point.
 
 The library evaluates the self-energy and the cleared equation term by term on
-plain Python scalars. These are the same formulas evaluated elementwise over
-the term arrays of a FixedPointParams, a second implementation that tests
-compare the library against. Division by a zero denominator gives inf or nan,
-as numpy does, instead of raising.
+plain Python scalars. self_energy and cleared_and_deriv are the same formulas
+evaluated elementwise over the term arrays of a FixedPointParams, a second
+implementation that tests compare the library against. Division by a zero
+denominator gives inf or nan, as numpy does, instead of raising.
+
+continuation_reference solves the fixed point in high precision with mpmath.
 """
 
+import mpmath
 import numpy as np
 
 
@@ -36,3 +39,32 @@ def cleared_and_deriv(G, s, fp):
     F = G * (s + sigma) + 1.0
     dF = s + sigma + G * dsigma
     return F, dF
+
+
+def continuation_reference(s, fp, ratio=0.8, dps=20):
+    """Raw-axis G(s) on the Herglotz branch, in mpmath at `dps` digits.
+
+    Follows G down the line x = Re s from y = 10 max(|s|, raw mean
+    eigenvalue), where G is close to -1/s, to y = Im s: y shrinks by `ratio`
+    per rung, and findroot solves the cleared equation on each rung from the
+    previous rung's value.
+    """
+    with mpmath.workdps(dps):
+        kappa, noise_a2 = mpmath.mpf(fp.kappa), mpmath.mpf(fp.noise_a2)
+        terms = [tuple(map(mpmath.mpf, term)) for term in fp.terms]
+
+        def cleared(G, z):
+            q = z * G + 1 - kappa
+            sigma = noise_a2 * q / kappa + mpmath.fsum(
+                w * a2 * rho * q / kappa / (rho - a2 * q * G / kappa ** 2)
+                for rho, a2, w in terms)
+            return G * (z + sigma) + 1
+
+        x, y_end = mpmath.mpf(s.real), mpmath.mpf(s.imag)
+        y = mpmath.mpf(10 * max(abs(s), fp.mean_eigenvalue() * fp.scale))
+        G = -1 / mpmath.mpc(x, y)
+        while y > y_end:
+            y = max(y * ratio, y_end)
+            z = mpmath.mpc(x, y)
+            G = mpmath.findroot(lambda g: cleared(g, z), G)
+        return complex(G)

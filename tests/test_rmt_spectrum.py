@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fixed_point_oracle as oracle
 from svdmimo.montecarlo import spectrum_experiment
-from svdmimo.rmt_spectrum import (FixedPointParams, _cleared_and_deriv, _self_energy,
-                                  density_from_stieltjes, empirical_spectrum,
-                                  mp_density, stieltjes_solve)
+from svdmimo.rmt_spectrum import (FixedPointParams, _cleared_and_deriv, _continuation,
+                                  _iterate, _self_energy, density_from_stieltjes,
+                                  empirical_spectrum, mp_density, stieltjes_solve)
 from svdmimo.system_model import (InterferenceProfile, PilotConfig, SystemParams,
                                   assemble_received, sample_realization)
 
@@ -66,17 +66,22 @@ class TestStieltjesSolve:
         assert v.iterations >= 1
 
 
-class TestFig1PolynomialStage:
-    """Fig.-1 grid points where the warm iterate misses the Herglotz branch.
+class TestFig1Continuation:
+    """Fig.-1 grid points where the warm iterate misses the Herglotz branch, or
+    where a second root of the cleared equation lies in the upper half-plane.
 
     References: mpmath at 40 digits, findroot on each rung of a continuation
     from far above the real axis, y shrunk by a factor of 0.97 per rung.
     """
 
     @pytest.mark.parametrize("seed, index, x, want", [
-        # the warm iterate has Im G < 0; the polynomial stage solves both
+        # the warm iterate has Im G < 0
         (15, 4, 0.0206343044, 0.678916673401397),
         (36, 4, 0.0206166420, 0.663843614231379),
+        (13, 4, 0.0204845581, 0.535610334220761),
+        (2, 1, 0.0091900511, 0.06375502452964475),
+        (8, 2, 0.0123139242, 0.032669311693887586),
+        (30, 2, 0.0128914454, 0.031484145833964874),
         # two roots of the cleared equation lie in the upper half-plane: this
         # one (raw G = -0.0149911785968413 + 3.26440508e-5j) is reached by the
         # continuation; the other (raw G = -0.0182261921391335 + 3.09072765e-5j)
@@ -88,6 +93,15 @@ class TestFig1PolynomialStage:
                                       seed=seed).density
         assert abs(density.grid[index] - x) < 1e-10
         assert abs(density.values[index] - want) < 1e-9
+
+    @pytest.mark.parametrize("T, seed", [(10, 0), (10, 130478608), (12, 0), (30, 0)])
+    def test_every_grid_point_solved(self, T, seed):
+        # each of these raised StieltjesSolverError before the continuation
+        # stage; T != 10 keeps the Fig.-1 modulo profile with T terms
+        sys = SystemParams.from_profile(R=300, T=T, C=100, L=2, P=0.1, W=1.0,
+                                        profile=InterferenceProfile(kind="modulo", delta=4))
+        values = spectrum_experiment(sys, n_seeds=20, grid_points=600, seed=seed).density.values
+        assert np.all(np.isfinite(values)) and np.all(values >= 0)
 
 
 def _log_uniform(lo, hi):
@@ -175,7 +189,7 @@ class TestScalarKernel:
             assert not np.isfinite(want)
             _assert_same_value(got, want, np.inf)
         # a solve started there goes non-finite, stops iterating at once, and
-        # the polynomial stage still finds the branch
+        # the continuation still finds the branch
         v = stieltjes_solve(s, fp, init=G)
         assert v.G.imag > 0 and v.residual <= 1e-10
         assert v.iterations < 100
@@ -189,6 +203,70 @@ class TestScalarKernel:
         assert type(fp.noise_a2) is float and type(fp.kappa) is float
         with pytest.raises(ValueError):
             FixedPointParams(kappa=0.0, alpha=0.1, rhos=[], a2s=[], weights=[], noise_a2=1.0)
+
+
+@st.composite
+def near_bulk_edges(draw):
+    """(s, FixedPointParams) on the eig/(T*R) axis: a flat profile (two terms)
+    or a modulo profile (T terms, T up to 30), with Re s within 3% of a bulk
+    edge and Im s 1e-6 to 1e-2 of the mean eigenvalue."""
+    kappa = draw(_log_uniform(-0.7, 0.7))
+    C = draw(st.integers(50, 400))
+    R, T, L = max(int(round(C / kappa)), 2), draw(st.integers(1, 30)), draw(st.integers(1, 3))
+    P, W = draw(_log_uniform(-2, 0)), draw(_log_uniform(-2, 1))
+    if draw(st.booleans()):
+        profile = InterferenceProfile(kind="flat", I=P * draw(st.floats(0.05, 0.95)))
+    else:
+        profile = InterferenceProfile(kind="modulo", delta=draw(st.sampled_from((1, 2, 4))))
+    fp = FixedPointParams.from_system(SystemParams.from_profile(R, T, C, L, P, W, profile),
+                                      scale=T * R)
+    mean = fp.mean_eigenvalue()
+    grid = np.linspace(0.0, 12 * mean, 301)[1:]
+    edges = [e for bulk in density_from_stieltjes(grid, fp).bulk_intervals() for e in bulk]
+    x = draw(st.sampled_from(edges)) * (1 + draw(st.floats(-0.03, 0.03)))
+    return complex(x, mean * draw(_log_uniform(-6, -2))), fp
+
+
+def _flat_case(R, T, C, L, P, W, I, s):
+    sys = SystemParams.from_profile(R, T, C, L, P, W, InterferenceProfile(kind="flat", I=I))
+    return s, FixedPointParams.from_system(sys, scale=T * R)
+
+
+# criterion-8 draws 469, 927 and 973 of rng 2024, where the cleared
+# polynomial's root nearest the start was off by 96%, 1.6% and 7.9%
+_CRITERION8_MISSES = (
+    _flat_case(324, 1, 124, 1, 0.039548778252123495, 1.6628053978553248,
+               0.00682726444550803, 0.2950963044334526 + 0.004639122768356093j),
+    _flat_case(1186, 5, 287, 1, 0.043314987749291864, 1.6588073149835276,
+               0.04037200131900568, 0.01047350558072436 + 0.001028790866875452j),
+    _flat_case(1746, 4, 371, 3, 0.16922732702018553, 0.8589652881821647,
+               0.025075234769933882, 0.02368333240545681 + 0.03363879866689995j),
+)
+
+
+class TestHerglotzBranch:
+    """stieltjes_solve against an mpmath continuation from far above the axis."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(near_bulk_edges())
+    @example(_CRITERION8_MISSES[0])
+    @example(_CRITERION8_MISSES[1])
+    @example(_CRITERION8_MISSES[2])
+    def test_matches_mpmath_continuation(self, case):
+        s, fp = case
+        v = stieltjes_solve(s, fp)
+        want = oracle.continuation_reference(fp.scale * s, fp) * fp.scale
+        assert v.G.imag > 0 and v.residual <= 1e-10
+        assert abs(v.G - want) <= 1e-9 * abs(want), (v.G, want)
+
+    def test_iterations_count_every_stage(self):
+        # the warm iterate of draw 469 has Im G <= 0, so the continuation runs
+        s, fp = _CRITERION8_MISSES[0]
+        s_raw = fp.scale * s
+        G, warm, _ = _iterate(s_raw, fp, -1.0 / s_raw)
+        assert G.imag <= 0
+        _, steps, _ = _continuation(s_raw, fp)
+        assert stieltjes_solve(s, fp).iterations == warm + steps
 
 
 class TestDensity:
