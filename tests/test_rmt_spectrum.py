@@ -66,9 +66,16 @@ class TestStieltjesSolve:
         assert v.iterations >= 1
 
 
-class TestFig1Continuation:
-    """Fig.-1 grid points where the warm iterate misses the Herglotz branch, or
-    where a second root of the cleared equation lies in the upper half-plane.
+def _fig1_density_at(seed, index, x, want):
+    density = spectrum_experiment(fig1_system(), n_seeds=20, grid_points=600,
+                                  seed=seed).density
+    assert abs(density.grid[index] - x) < 1e-10
+    assert abs(density.values[index] - want) < 1e-9
+
+
+class TestFig1PolynomialStage:
+    """Fig.-1 grid points that the former cleared-polynomial stage of the
+    solver was written for; the continuation must give the same densities.
 
     References: mpmath at 40 digits, findroot on each rung of a continuation
     from far above the real axis, y shrunk by a factor of 0.97 per rung.
@@ -78,10 +85,6 @@ class TestFig1Continuation:
         # the warm iterate has Im G < 0
         (15, 4, 0.0206343044, 0.678916673401397),
         (36, 4, 0.0206166420, 0.663843614231379),
-        (13, 4, 0.0204845581, 0.535610334220761),
-        (2, 1, 0.0091900511, 0.06375502452964475),
-        (8, 2, 0.0123139242, 0.032669311693887586),
-        (30, 2, 0.0128914454, 0.031484145833964874),
         # two roots of the cleared equation lie in the upper half-plane: this
         # one (raw G = -0.0149911785968413 + 3.26440508e-5j) is reached by the
         # continuation; the other (raw G = -0.0182261921391335 + 3.09072765e-5j)
@@ -89,10 +92,25 @@ class TestFig1Continuation:
         (6, 2, 0.0130972026, 0.0311727722791218),
     ])
     def test_density_matches_continuation(self, seed, index, x, want):
-        density = spectrum_experiment(fig1_system(), n_seeds=20, grid_points=600,
-                                      seed=seed).density
-        assert abs(density.grid[index] - x) < 1e-10
-        assert abs(density.values[index] - want) < 1e-9
+        _fig1_density_at(seed, index, x, want)
+
+
+class TestFig1Continuation:
+    """Fig.-1 grid points where the warm iterate misses the Herglotz branch and
+    the cleared-polynomial stage returned a wrong upper-half-plane root.
+
+    References as for TestFig1PolynomialStage.
+    """
+
+    @pytest.mark.parametrize("seed, index, x, want", [
+        # the warm iterate has Im G < 0
+        (13, 4, 0.0204845581, 0.535610334220761),
+        (2, 1, 0.0091900511, 0.06375502452964475),
+        (8, 2, 0.0123139242, 0.032669311693887586),
+        (30, 2, 0.0128914454, 0.031484145833964874),
+    ])
+    def test_density_matches_continuation(self, seed, index, x, want):
+        _fig1_density_at(seed, index, x, want)
 
     @pytest.mark.parametrize("T, seed", [(10, 0), (10, 130478608), (12, 0), (30, 0)])
     def test_every_grid_point_solved(self, T, seed):
