@@ -1,9 +1,10 @@
 """Batch command-line front end: binds JSON configs to experiments, emits CSV/JSON.
 
-Powers are accepted in dB (keys with a _dB suffix) and converted to linear
-exactly once here; all internal math is linear. Unit conversions (GHz, us,
-km/h) also happen only at this boundary. Every output embeds the resolved
-configuration and seed.
+The `spectrum`, `support` and `ber` configs share one key set, _CONFIG_KEYS,
+and any other key raises ValueError. Powers are given in dB (`P_dB`, `W_dB`)
+and converted to linear exactly once here; all internal math is linear. Unit
+conversions (GHz, us, km/h) also happen only at this boundary. Every output
+embeds the resolved configuration and seed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ from . import bulk_support, montecarlo
 from .system_model import (InterferenceProfile, RadioParams, SystemParams,
                            coherence_symbols, derive_params)
 
+# every key that the spectrum, support or ber command reads from its config
+_CONFIG_KEYS = frozenset({"R", "T", "C", "L", "P_dB", "W_dB", "profile", "I_over_P", "delta",
+                          "seed", "n_seeds", "sweep", "values", "taus", "deltas",
+                          "min_symbols"})
+
 
 def _db_to_linear(x):
     return 10.0 ** (x / 10.0)
@@ -31,14 +37,15 @@ def _load_config(path):
 
 
 def _system_from_config(cfg):
-    P = _db_to_linear(cfg["P_dB"]) if "P_dB" in cfg else cfg["P"]
-    W = _db_to_linear(cfg["W_dB"]) if "W_dB" in cfg else cfg["W"]
+    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; accepted: {sorted(_CONFIG_KEYS)}")
+    P, W = _db_to_linear(cfg["P_dB"]), _db_to_linear(cfg["W_dB"])
     kind = cfg.get("profile", "flat")
     if kind == "flat":
-        I = cfg.get("I", cfg.get("I_over_P", 0.25) * P)
-        profile = InterferenceProfile(kind="flat", I=I)
+        profile = InterferenceProfile(kind="flat", I=cfg.get("I_over_P", 0.25) * P)
     else:
-        profile = InterferenceProfile(kind="modulo", delta=cfg["delta"])
+        profile = InterferenceProfile(kind=kind, delta=cfg.get("delta"))
     return SystemParams.from_profile(R=cfg["R"], T=cfg["T"], C=cfg["C"], L=cfg["L"],
                                      P=P, W=W, profile=profile)
 
@@ -81,6 +88,8 @@ def _cmd_spectrum(args):
 def _cmd_support(args):
     cfg = _load_config(args.config)
     sys_params = _system_from_config(cfg)
+    if not max(sys_params.interference_powers, default=0.0) > 0:
+        raise ValueError("the support estimates need interference power > 0")
     dp = derive_params(sys_params)
     L = sys_params.L
     estimates = [
@@ -136,7 +145,7 @@ def _cmd_ber(args):
     sweep = cfg.get("sweep", "I_over_P")
     ecfg = montecarlo.ExperimentConfig(
         system=sys_params, sweep=sweep, values=tuple(cfg["values"]),
-        taus=tuple(cfg.get("taus", [cfg.get("tau_blocks", 1)])),
+        taus=tuple(cfg.get("taus", [1])),
         deltas=tuple(cfg["deltas"]) if "deltas" in cfg else None,
         min_symbols=cfg.get("min_symbols", 100_000),
         seed=seed, threads=args.threads)

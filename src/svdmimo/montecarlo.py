@@ -35,8 +35,12 @@ class BerPoint:
     tau: int
     errors: int
     bits: int
-    symbols: int
     delta: float | None = None
+
+    @property
+    def symbols(self):
+        """QPSK data symbols behind the bits (2 bits per symbol)."""
+        return self.bits // 2
 
     @property
     def ber(self):
@@ -110,8 +114,8 @@ def _run_realization(sys, pilots, rng_key):
     Y = assemble_received(rz)
     tx = rz.data_symbols
     Yt = project(signal_subspace(Y, sys.T), Y)
-    channel = estimate_projected_channel(Yt, pilots)
-    svd = detect_subspace(Yt[:, pilots.tau_blocks * sys.T:], channel,
+    H_tilde = estimate_projected_channel(Yt, pilots)
+    svd = detect_subspace(Yt[:, pilots.tau_blocks * sys.T:], H_tilde,
                           noise_power=sys.W, symbol_power=sys.P)
     svd_errors = count_bit_errors(svd, tx)
     conventional_errors = count_bit_errors(conventional_receiver(Y, pilots), tx)
@@ -141,7 +145,7 @@ def _sweep(cfg, points):
             for i, rec in enumerate(RECEIVERS):
                 ber_points.append(BerPoint(sweep_value=float(value), receiver=rec, tau=tau,
                                            errors=sum(block[i] for block in blocks),
-                                           bits=bits, symbols=bits // 2, delta=delta))
+                                           bits=bits, delta=delta))
                 per_seed_map[key + (rec,)] = [block[i] / block[-1] for block in blocks]
     return ber_points, per_seed_map
 
@@ -183,8 +187,6 @@ class SpectrumResult:
     eigenvalues: np.ndarray          # pooled nonzero eigenvalues, all seeds
     density: SpectralDensity
     supports: tuple
-    n_seeds: int
-    seed: int
 
     def asymptotic_cdf(self, x):
         """CDF of the continuous part renormalized over the nonzero eigenvalues."""
@@ -241,8 +243,7 @@ def spectrum_experiment(sys: SystemParams, n_seeds=20, grid_points=600, y_offset
         supports.append(bulk_support.s1_supports(dp, sys.L))
         supports.append(bulk_support.bilateral_supports_highsnr(dp, sys.L))
         supports.append(bulk_support.bilateral_supports_general(dp, sys.L, dp.zeta))
-    return SpectrumResult(eigenvalues=pooled, density=density, supports=tuple(supports),
-                          n_seeds=n_seeds, seed=seed)
+    return SpectrumResult(eigenvalues=pooled, density=density, supports=tuple(supports))
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +269,11 @@ def write_ber_csv(points, meta, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_spectrum_csv(result: SpectrumResult, meta, path, bins=80):
-    """Density and empirical histogram on the common axis, with support columns
-    in the header metadata."""
+def write_spectrum_csv(result: SpectrumResult, meta, path):
+    """Density and an 80-bin empirical histogram on the common axis, with support
+    columns in the header metadata."""
     density = result.density
-    hist, edges = np.histogram(result.eigenvalues, bins=bins,
+    hist, edges = np.histogram(result.eigenvalues, bins=80,
                                range=(density.grid[0], density.grid[-1]), density=True)
     # histogram of nonzero eigenvalues is normalized to 1; rescale to the
     # continuous mass so the two columns overlay

@@ -22,10 +22,12 @@ import numpy as np
 from .system_model import SystemParams
 
 # damped fixed-point iteration: step weight, residual tolerance, step budget
-# (the budget also caps one Newton run)
+# (the budget also caps one Newton run), and the residual at which the damped
+# map hands its iterate to Newton
 _DAMPING = 0.5
 _TOL = 1e-10
 _MAX_ITER = 10000
+_HANDOFF = 1e-8
 
 
 class StieltjesSolverError(RuntimeError):
@@ -47,7 +49,6 @@ class FixedPointParams:
     """
 
     kappa: float
-    alpha: float
     rhos: np.ndarray
     a2s: np.ndarray
     weights: np.ndarray
@@ -55,7 +56,7 @@ class FixedPointParams:
     scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("kappa", "alpha", "noise_a2", "scale"):
+        for name in ("kappa", "noise_a2", "scale"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if not self.kappa > 0:
             raise ValueError("kappa must be > 0")
@@ -83,7 +84,7 @@ class FixedPointParams:
             rhos.extend([1.0 / sys.C] * len(vals))
             a2s.extend(list(vals * sys.C))
             wgts.extend(list(counts.astype(float)))
-        return cls(kappa=kappa, alpha=alpha, rhos=np.array(rhos), a2s=np.array(a2s),
+        return cls(kappa=kappa, rhos=np.array(rhos), a2s=np.array(a2s),
                    weights=np.array(wgts), noise_a2=sys.W * sys.C, scale=float(scale))
 
     @cached_property
@@ -108,7 +109,6 @@ class StieltjesValue:
     """G(s) with its map residual and the solver's work: damped map steps plus
     Newton steps, summed over every stage that ran."""
 
-    s: complex
     G: complex
     residual: float
     iterations: int
@@ -134,9 +134,9 @@ class SpectralDensity:
         dx = np.diff(self.grid)
         return np.concatenate([[0.0], np.cumsum(0.5 * (self.values[1:] + self.values[:-1]) * dx)])
 
-    def bulk_intervals(self, threshold_ratio=1e-3):
-        """Contiguous grid regions where the density exceeds a fraction of its peak."""
-        above = self.values > threshold_ratio * self.values.max()
+    def bulk_intervals(self):
+        """Contiguous grid regions where the density exceeds 1e-3 of its peak."""
+        above = self.values > 1e-3 * self.values.max()
         regions, start = [], None
         for i, flag in enumerate(above):
             if flag and start is None:
@@ -187,14 +187,18 @@ def _map_step(G, s, fp):
 
 
 def _iterate(s, fp, G):
-    """Damped map iteration until the residual meets _TOL. Stops early at the
-    first non-finite iterate, which no later step can bring back, and leaves
-    it to the continuation stage of _solve_raw."""
+    """Damped map iteration from G until the residual meets _HANDOFF, then
+    _newton, which meets _TOL where the map can stall just above it. Stops
+    early at the first non-finite iterate, which no later step can bring back,
+    and leaves it to the continuation stage of _solve_raw."""
     residual = math.inf
     for it in range(_MAX_ITER):
         Gn, residual = _map_step(G, s, fp)
         G = (1 - _DAMPING) * G + _DAMPING * Gn
-        if residual <= _TOL or not cmath.isfinite(G):
+        if residual <= _HANDOFF:
+            G, n, residual = _newton(s, fp, G)
+            return G, it + 1 + n, residual
+        if not cmath.isfinite(G):
             return G, it + 1, residual
     return G, _MAX_ITER, residual
 
@@ -243,7 +247,7 @@ def _continuation(s, fp):
     residual), or None when a rung fails however small its step.
 
     The first rung, y0 = 10 max(|s|, raw mean eigenvalue), lies far enough
-    above the spectrum that the damped iteration from -1/s lands on the
+    above the spectrum that _iterate from -1/s lands on the
     Herglotz branch (10 |s| alone does not where |s| is small against the
     mean). A rung that leaves Im G > 0 or misses _TOL is retried with the
     square root of the step ratio; each accepted rung squares it back, down
@@ -272,10 +276,10 @@ def _continuation(s, fp):
 def _solve_raw(s, fp, init=None):
     """Herglotz-branch solution at one raw-axis point: (G, iterations, residual).
 
-    Damped iteration from the warm start (init, or -1/s), Newton-polished on
-    the cleared equation. When that iterate leaves the Herglotz branch or
-    misses _TOL, continuation down the line x = Re s from far above the
-    spectrum, where G ~ -1/s fixes the branch (G is analytic in the upper
+    Damped iteration from the warm start (init, or -1/s), finished by Newton
+    on the cleared equation (_iterate). When that iterate leaves the Herglotz
+    branch or misses _TOL, continuation down the line x = Re s from far above
+    the spectrum, where G ~ -1/s fixes the branch (G is analytic in the upper
     half-plane and continuous down to the real axis).
     """
     s = complex(s)
@@ -284,9 +288,7 @@ def _solve_raw(s, fp, init=None):
     start = -1.0 / s if init is None else complex(init)
     G, it, residual = _iterate(s, fp, start)
     if G.imag > 0 and residual <= _TOL:
-        Gp, n, res = _newton(s, fp, G)
-        if Gp.imag > 0 and res <= _TOL:
-            return Gp, it + n, res
+        return G, it, residual
     out = _continuation(s, fp)
     if out is None:
         raise StieltjesSolverError(f"no Herglotz solution found at s={s}", residual)
@@ -297,18 +299,15 @@ def _solve_raw(s, fp, init=None):
 # public operations
 # ---------------------------------------------------------------------------
 
-def stieltjes_solve(s, fp: FixedPointParams, init=None) -> StieltjesValue:
+def stieltjes_solve(s, fp: FixedPointParams) -> StieltjesValue:
     """Stieltjes transform G(s) of the eig(Y Y^H)/scale distribution at one point.
 
     The fixed point is solved on the raw axis and rescaled; the returned G
     satisfies the fixed-point relation to within 1e-10 on the Herglotz branch
     (Im G > 0 for Im s > 0).
     """
-    s = complex(s)
-    s_raw = fp.scale * s
-    init_raw = None if init is None else complex(init) / fp.scale
-    G_raw, iters, res = _solve_raw(s_raw, fp, init=init_raw)
-    return StieltjesValue(s=s, G=G_raw * fp.scale, residual=res, iterations=iters)
+    G_raw, iters, res = _solve_raw(fp.scale * complex(s), fp)
+    return StieltjesValue(G=G_raw * fp.scale, residual=res, iterations=iters)
 
 
 def density_from_stieltjes(grid, fp: FixedPointParams, y_offset=None) -> SpectralDensity:

@@ -31,11 +31,6 @@ class SubspaceBasis:
     singular_values: np.ndarray   # T_sel leading singular values, non-increasing
 
 
-@dataclass(frozen=True)
-class ProjectedChannel:
-    H_tilde: np.ndarray           # T_sel x T
-
-
 def signal_subspace(Y, T_sel) -> SubspaceBasis:
     """Basis of the T_sel leading left-singular directions of Y.
 
@@ -104,8 +99,8 @@ def project(basis: SubspaceBasis, Y):
     return basis.S.conj().T @ np.asarray(Y)
 
 
-def estimate_projected_channel(Y_tilde, pilots: PilotConfig) -> ProjectedChannel:
-    """Least-squares estimate of the projected channel from the pilot columns.
+def estimate_projected_channel(Y_tilde, pilots: PilotConfig) -> np.ndarray:
+    """Least-squares T_sel x T estimate of the projected channel from the pilot columns.
 
     Applied to the unprojected block Y it gives the full R x T channel estimate
     of the conventional receiver.
@@ -118,18 +113,17 @@ def estimate_projected_channel(Y_tilde, pilots: PilotConfig) -> ProjectedChannel
     if pilots.tau_blocks < 1:
         raise ValueError("pilot columns required for channel estimation")
     Yp = np.asarray(Y_tilde)[:, : pilots.tau_blocks * pilots.T]
-    return ProjectedChannel(H_tilde=Yp @ pilots.pilot_pinv)
+    return Yp @ pilots.pilot_pinv
 
 
-def detect_subspace(Y_tilde_data, channel: ProjectedChannel, noise_power,
-                    symbol_power) -> np.ndarray:
+def detect_subspace(Y_tilde_data, H_tilde, noise_power, symbol_power) -> np.ndarray:
     """MMSE-equalize the projected data columns and slice to QPSK.
 
     The projected noise is approximately white with per-entry power W, so the
     equalizer regularizer is (W/P) I. A singular equalizer matrix (possible at
     W = 0) falls back to the pseudo-inverse.
     """
-    Ht = channel.H_tilde
+    Ht = np.asarray(H_tilde)
     T = Ht.shape[1]
     A = Ht.conj().T @ Ht + (noise_power / symbol_power) * np.eye(T)
     rhs = Ht.conj().T @ np.asarray(Y_tilde_data)
@@ -144,7 +138,7 @@ def conventional_receiver(Y, pilots: PilotConfig) -> np.ndarray:
     """Linear baseline: LS (zero-forcing) estimate of the full channel from the
     pilot columns of Y, then maximum-ratio combining and QPSK slicing."""
     Y = np.asarray(Y)
-    H_hat = estimate_projected_channel(Y, pilots).H_tilde
+    H_hat = estimate_projected_channel(Y, pilots)
     return slice_qpsk(H_hat.conj().T @ Y[:, pilots.tau_blocks * pilots.T:],
                       pilots.symbol_power)
 

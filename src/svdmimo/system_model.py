@@ -25,10 +25,9 @@ class RadioParams:
     carrier_frequency: float  # Hz
     delay_spread: float       # seconds
     mobile_speed: float       # m/s
-    light_speed: float = LIGHT_SPEED
 
     def __post_init__(self):
-        for name in ("carrier_frequency", "delay_spread", "mobile_speed", "light_speed"):
+        for name in ("carrier_frequency", "delay_spread", "mobile_speed"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 
@@ -36,7 +35,7 @@ class RadioParams:
 def coherence_symbols(radio: RadioParams) -> float:
     """Coherence time in symbol intervals: 3/(4 sqrt(pi) f0 tau) * c/v."""
     return (3.0 / (4.0 * math.sqrt(math.pi) * radio.carrier_frequency * radio.delay_spread)
-            * radio.light_speed / radio.mobile_speed)
+            * LIGHT_SPEED / radio.mobile_speed)
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,8 @@ class DerivedParams:
     """Dimensionless parameters derived once from SystemParams.
 
     r = 1/(P R C), t = 1/(I R C) for flat interference at level I, zeta = W C.
-    For non-flat profiles t is computed from max I_k (worst case) and flagged
-    via flat_interference=False. Source dimensions are kept for axis rescaling.
+    For non-flat profiles t is computed from max I_k (worst case). Source
+    dimensions are kept for axis rescaling.
     """
 
     kappa: float
@@ -120,7 +119,6 @@ class DerivedParams:
     R: int
     T: int
     C: int
-    flat_interference: bool = True
 
 
 def derive_params(sys: SystemParams) -> DerivedParams:
@@ -130,13 +128,10 @@ def derive_params(sys: SystemParams) -> DerivedParams:
     kappa = sys.C / sys.R
     alpha = sys.T / sys.R
     r = 1.0 / (sys.P * sys.R * sys.C)
-    powers = sys.interference_powers
-    flat = len(set(powers)) <= 1
-    I = max(powers) if powers else 0.0
+    I = max(sys.interference_powers, default=0.0)
     t = math.inf if I == 0 else 1.0 / (I * sys.R * sys.C)
     return DerivedParams(kappa=kappa, alpha=alpha, r=r, t=t, zeta=sys.W * sys.C,
-                         beta_ratio=I / sys.P, R=sys.R, T=sys.T, C=sys.C,
-                         flat_interference=flat)
+                         beta_ratio=I / sys.P, R=sys.R, T=sys.T, C=sys.C)
 
 
 @dataclass(frozen=True)

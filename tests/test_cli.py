@@ -123,9 +123,23 @@ class TestErrors:
         for bad, args in (({"R": 0, "sweep": "I_over_P", "values": [0.2]}, []),
                           ({"R": 50, "sweep": "R", "values": [40, 60.7]}, []),
                           (ok, ["--threads", "0"]),
-                          (dict(ok, min_symbols=-5), [])):
+                          (dict(ok, min_symbols=-5), []),
+                          (dict(ok, tau_blocks=2), [])):
             cfg = write_cfg(tmp_path, "bad.json",
                             dict({"T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
                                   "profile": "flat"}, **bad))
             assert main(["ber", "--config", cfg, "--out", str(tmp_path)] + args) == 1
             assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+    def test_bad_support_configs_exit_nonzero(self, tmp_path, capsys):
+        fig2 = {"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0, "profile": "flat"}
+        no_p = {k: v for k, v in fig2.items() if k != "P_dB"}
+        for bad, message in ((dict(fig2, I_overP=0.5), "unknown config keys ['I_overP']"),
+                             (dict(no_p, P=0.1), "unknown config keys ['P']"),
+                             (dict(fig2, I=0.05), "unknown config keys ['I']"),
+                             (dict(fig2, I_over_P=0), "interference power > 0"),
+                             (dict(fig2, profile="modulus", delta=2), "unknown profile kind")):
+            cfg = write_cfg(tmp_path, "bad.json", bad)
+            assert main(["support", "--config", cfg, "--out", str(tmp_path)]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ValueError" and message in err["message"], err

@@ -14,18 +14,18 @@ def small_system(I_over_P=0.25, W=1.0, L=2, R=60, T=3, C=40, P=0.1):
 
 class TestBerPoint:
     def test_ber_and_integer_counts(self):
-        p = BerPoint(sweep_value=1.0, receiver="svd", tau=1, errors=25, bits=1000, symbols=500)
+        p = BerPoint(sweep_value=1.0, receiver="svd", tau=1, errors=25, bits=1000)
         assert p.ber == 0.025
         assert p.ber * p.symbols * 2 == p.errors  # error count recoverable
         assert p.ci_halfwidth > 0
 
     def test_ci_formula(self):
-        p = BerPoint(sweep_value=1.0, receiver="svd", tau=1, errors=100, bits=10_000, symbols=5000)
+        p = BerPoint(sweep_value=1.0, receiver="svd", tau=1, errors=100, bits=10_000)
         assert np.isclose(p.ci_halfwidth, 1.96 * np.sqrt(0.01 * 0.99 / 10_000))
 
     def test_beats(self):
-        a = BerPoint(1.0, "svd", 1, errors=10, bits=100_000, symbols=50_000)
-        b = BerPoint(1.0, "conventional", 1, errors=5_000, bits=100_000, symbols=50_000)
+        a = BerPoint(1.0, "svd", 1, errors=10, bits=100_000)
+        b = BerPoint(1.0, "conventional", 1, errors=5_000, bits=100_000)
         assert a.beats(b) and not b.beats(a)
 
 
@@ -133,8 +133,7 @@ class TestFrozenOutputs:
             for rec, errors in zip(("svd", "conventional"), block_errors):
                 bits = block_bits * len(errors)
                 expected_points.append(BerPoint(sweep_value=sweep_value, receiver=rec, tau=tau,
-                                                errors=sum(errors), bits=bits,
-                                                symbols=bits // 2, delta=delta))
+                                                errors=sum(errors), bits=bits, delta=delta))
                 expected_per_seed[key + (rec,)] = [e / block_bits for e in errors]
         points, per_seed = result
         assert points == expected_points

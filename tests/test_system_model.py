@@ -64,11 +64,10 @@ class TestDerivedParams:
         assert dp1.kappa == dp2.kappa
         assert dp1.alpha == dp2.alpha
 
-    def test_nonflat_uses_max_and_flags(self):
+    def test_nonflat_uses_max(self):
         sys = SystemParams.from_profile(300, 10, 100, 2, 0.1, 1.0,
                                         InterferenceProfile(kind="modulo", delta=4))
         dp = derive_params(sys)
-        assert not dp.flat_interference
         Imax = max(sys.interference_powers)
         assert np.isclose(dp.t, 1.0 / (Imax * 300 * 100))
 
