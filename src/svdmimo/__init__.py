@@ -5,8 +5,8 @@ from .bulk_support import (BulkInterval, RegimeError, SupportEstimate,
                            bilateral_supports_general, bilateral_supports_highsnr,
                            bilateral_validity, interference_scale_factors, noise_scale_factors,
                            quartic_extremes, s1_inverse, s1_supports, separability_boundary,
-                           separability_boundary_ratio, unilateral_intervals,
-                           unilateral_separable, unilateral_supports)
+                           separability_boundary_ratio, support_estimates,
+                           unilateral_intervals, unilateral_separable, unilateral_supports)
 from .montecarlo import (BerPoint, ExperimentConfig, SpectrumResult, ber_vs_IP, ber_vs_R,
                          spectrum_experiment, write_ber_csv, write_spectrum_csv)
 from .numerics import bisect, poly_roots

@@ -1,6 +1,8 @@
 """Analytic approximations to the supports of the signal and interference bulks.
 
-Three families, all in the (r, t, zeta) parameterization of DerivedParams:
+Three families, all in the (r, t, zeta) parameterization of DerivedParams,
+which also carries the source values L, P and W: every estimate reads the one
+system it was derived from, and support_estimates returns all four estimates.
 
 * unilateral: each bulk computed alone, then rescaled by noise and
   interference repulsion factors; separability by a closed-form threshold.
@@ -50,7 +52,8 @@ class BulkInterval:
         return (self.lower <= np.asarray(x)) & (np.asarray(x) <= self.upper)
 
     def scaled(self, factor):
-        return BulkInterval(self.lower * factor, self.upper * factor)
+        """This interval times `factor`; a negative factor flips it below 0."""
+        return BulkInterval(*sorted((self.lower * factor, self.upper * factor)))
 
     def disjoint_below(self, other):
         """True when this interval lies strictly below `other`."""
@@ -81,23 +84,24 @@ class SupportEstimate:
 # unilateral approximation
 # ---------------------------------------------------------------------------
 
-def _unilateral_endpoints(dp, P, I, L):
+def _unilateral_endpoints(dp):
     """Signal and interference (lower, upper) before clamping at zero."""
-    a, k = dp.alpha, dp.kappa
+    a, k, P, L = dp.alpha, dp.kappa, dp.P, dp.L
+    I = dp.beta_ratio * P
     root = math.sqrt((k ** 2 + k) / a)
     return ((k * P / a - 2 * P * root, k * P / a + 2 * P * root),
             (k * I / a - 2 * I * math.sqrt(L) * root, k * I / a + 2 * I * math.sqrt(L) * root))
 
 
-def unilateral_intervals(dp: DerivedParams, P, I, L):
+def unilateral_intervals(dp: DerivedParams):
     """Unscaled single-bulk supports on the T*R axis.
 
     Signal: kappa*P/alpha -+ 2P*sqrt((kappa^2+kappa)/alpha); interference the
-    same with I and an extra factor L under the root. Negative lower endpoints
-    are clamped to zero. Valid for small load; unilateral_supports flags a
-    clamped endpoint and alpha > 0.1.
+    same with I = beta_ratio*P and an extra factor L under the root. Negative
+    lower endpoints are clamped to zero. Valid for small load;
+    unilateral_supports flags a clamped endpoint and alpha > 0.1.
     """
-    (p_lo, p_hi), (i_lo, i_hi) = _unilateral_endpoints(dp, P, I, L)
+    (p_lo, p_hi), (i_lo, i_hi) = _unilateral_endpoints(dp)
     return (BulkInterval(max(p_lo, 0.0), p_hi), BulkInterval(max(i_lo, 0.0), max(i_hi, 0.0)))
 
 
@@ -124,15 +128,7 @@ def interference_scale_factors(P, I, alpha, kappa, L):
     return i_P, i_I
 
 
-def _unilateral_rhs(x, dp, P, W, L, edge_ratio):
-    """Right-hand side of the separability inequality at trial ratio x = I/P."""
-    I = x * P
-    n_P, n_I = noise_scale_factors(P, I, W, dp.R, dp.C)
-    i_P, i_I = interference_scale_factors(P, I, dp.alpha, dp.kappa, L)
-    return (n_I * i_I) / (n_P * i_P) * edge_ratio
-
-
-def unilateral_separable(dp: DerivedParams, P, W, L):
+def unilateral_separable(dp: DerivedParams):
     """Separability verdict and threshold ratio I/P under the unilateral rule.
 
     The threshold solves P/I = (n_I i_I)/(n_P i_P) * edge ratio by bisection,
@@ -144,14 +140,18 @@ def unilateral_separable(dp: DerivedParams, P, W, L):
     RegimeError when the signal-bulk edge factor 1 - 2 sqrt(alpha (1 + 1/kappa))
     is not positive (no separation predicted at any ratio).
     """
-    a, k = dp.alpha, dp.kappa
+    a, k, L, P = dp.alpha, dp.kappa, dp.L, dp.P
     lower_edge = 1 - 2 * math.sqrt(a * (1 + 1 / k))
     if lower_edge <= 0:
         raise RegimeError("1 - 2 sqrt(alpha (1 + 1/kappa)) <= 0: no separation predicted")
     edge_ratio = (1 + 2 * math.sqrt(a * L * (1 + 1 / k))) / lower_edge
 
     def margin(x):
-        return 1.0 / x - _unilateral_rhs(x, dp, P, W, L, edge_ratio)
+        # P/I minus the right-hand side of the inequality at trial ratio x = I/P
+        I = x * P
+        n_P, n_I = noise_scale_factors(P, I, dp.W, dp.R, dp.C)
+        i_P, i_I = interference_scale_factors(P, I, a, k, L)
+        return 1.0 / x - (n_I * i_I) / (n_P * i_P) * edge_ratio
 
     # keep the i-factor denominators away from the I = P singularity
     x_max = min(0.999, 1 - 2 * a, 1 - 2 * a / k)
@@ -173,7 +173,7 @@ def unilateral_separable(dp: DerivedParams, P, W, L):
     return bool(dp.beta_ratio <= threshold), float(threshold)
 
 
-def unilateral_supports(dp: DerivedParams, P, W, L) -> SupportEstimate:
+def unilateral_supports(dp: DerivedParams) -> SupportEstimate:
     """Unilateral SupportEstimate: single-bulk intervals rescaled by the
     repulsion factors; `separable` says whether the scaled intervals are
     disjoint.
@@ -188,25 +188,28 @@ def unilateral_supports(dp: DerivedParams, P, W, L) -> SupportEstimate:
     Flags, in this order: load alpha > 0.1 (the approximation assumes small
     load), a negative lower endpoint clamped at 0, P/I < 2 (the repulsion
     factors assume P >> I), and a scaled interval that starts below 0 (a
-    negative i_I flips the interference interval below 0).
+    negative i_I flips the interference interval below 0, a negative i_P at
+    I > P the signal interval). At P = I the repulsion factors are singular
+    and the estimate is merged.
     """
+    P = dp.P
     I = dp.beta_ratio * P
+    if I == P:
+        return _merged_estimate("unilateral", ("interference scale factors singular at P = I",))
     flags = []
     if dp.alpha > 0.1:
         flags.append(f"unilateral approximation assumes small load (alpha={dp.alpha:.3f} > 0.1)")
-    (p_lo, _), (i_lo, _) = _unilateral_endpoints(dp, P, I, L)
+    (p_lo, _), (i_lo, _) = _unilateral_endpoints(dp)
     if p_lo < 0 or i_lo < 0:
         flags.append("unilateral interval lower endpoint clamped at 0")
-    p_int, i_int = unilateral_intervals(dp, P, I, L)
+    p_int, i_int = unilateral_intervals(dp)
     if I > 0:
-        n_P, n_I = noise_scale_factors(P, I, W, dp.R, dp.C)
-        i_P, i_I = interference_scale_factors(P, I, dp.alpha, dp.kappa, L)
+        n_P, n_I = noise_scale_factors(P, I, dp.W, dp.R, dp.C)
+        i_P, i_I = interference_scale_factors(P, I, dp.alpha, dp.kappa, dp.L)
         if P / I < 2:
             flags.append("interference scale factors are only accurate for P >> I (P/I < 2)")
         p_int = p_int.scaled(n_P * i_P)
-        interference = n_I * i_I
-        lo, hi = sorted((i_int.lower * interference, i_int.upper * interference))
-        i_int = BulkInterval(lo, hi)
+        i_int = i_int.scaled(n_I * i_I)
     return _estimate(p_int, i_int, "unilateral", i_int.disjoint_below(p_int), flags)
 
 
@@ -214,11 +217,11 @@ def unilateral_supports(dp: DerivedParams, P, W, L) -> SupportEstimate:
 # bilateral high-SNR approximation (W = 0)
 # ---------------------------------------------------------------------------
 
-def s1_inverse(G, dp: DerivedParams, L):
+def s1_inverse(G, dp: DerivedParams):
     """First-order rational approximation of the inverse Stieltjes transform
     (raw axis). Reduces exactly to -1/G at alpha = 0. Values near the poles of
     the rational function are flagged with a warning."""
-    a, k, r, t = dp.alpha, dp.kappa, dp.r, dp.t
+    a, k, r, t, L = dp.alpha, dp.kappa, dp.r, dp.t, dp.L
     num = (((L + 1) * (k - 2) * a - k) * G ** 2
            + ((L * r + t) * (k - 1) * a - k * (r + t)) * G - k * r * t)
     den = G * ((k + 2 * (L + 1) * a) * G ** 2
@@ -231,11 +234,11 @@ def s1_inverse(G, dp: DerivedParams, L):
     return num / den
 
 
-def quartic_extremes(dp: DerivedParams, L):
+def quartic_extremes(dp: DerivedParams):
     """Real solutions G1 <= G2 <= G3 <= G4 of the quartic locating the extremes
     of s1_inverse, or None when complex pairs appear (no first-order
     separation). Roots found via the companion-matrix method."""
-    a, k, r, t = dp.alpha, dp.kappa, dp.r, dp.t
+    a, k, r, t, L = dp.alpha, dp.kappa, dp.r, dp.t, dp.L
     c4 = 2 * (L + 1) ** 2 * (k - 2) * a ** 2 + (L + 1) * (k - 4) * k * a - k ** 2
     c3 = 2 * (2 * (L * r + t) * (L + 1) * (k - 1) * a ** 2
               + ((L * r + t) * (k - 1) - 2 * (L + 1) * (t + r)) * a * k - (t + r) * k ** 2)
@@ -249,15 +252,15 @@ def quartic_extremes(dp: DerivedParams, L):
     return np.sort(roots.real)
 
 
-def s1_supports(dp: DerivedParams, L) -> SupportEstimate:
+def s1_supports(dp: DerivedParams) -> SupportEstimate:
     """First-order bulk intervals [s1(G1), s1(G2)] and [s1(G3), s1(G4)] on the
     T*R axis; 'bulks merged' when the quartic has complex roots or the
     ordering s1(G2) < s1(G3) fails, flagged when an interval starts below 0."""
     TR = dp.T * dp.R
-    Gs = quartic_extremes(dp, L)
+    Gs = quartic_extremes(dp)
     if Gs is None:
         return _merged_estimate("bilateral_highSNR_1", ("complex quartic roots",))
-    s_vals = [s1_inverse(g, dp, L) / TR for g in Gs]
+    s_vals = [s1_inverse(g, dp) / TR for g in Gs]
     if not s_vals[1] < s_vals[2]:
         return _merged_estimate("bilateral_highSNR_1", ("extreme ordering violated",))
     return _estimate(BulkInterval(*sorted(s_vals[2:4])), BulkInterval(*sorted(s_vals[0:2])),
@@ -280,10 +283,10 @@ def _merged_estimate(method, flags):
                            separable=False, flags=("merged",) + tuple(flags))
 
 
-def bilateral_supports_highsnr(dp: DerivedParams, L) -> SupportEstimate:
+def bilateral_supports_highsnr(dp: DerivedParams) -> SupportEstimate:
     """Second-order high-SNR enclosures of the noiseless bulks on the T*R axis:
     the zeta = 0 case of bilateral_supports_general."""
-    return _bilateral(dp, L, 0.0, "bilateral_highSNR_2")
+    return _bilateral(dp, 0.0, "bilateral_highSNR_2")
 
 
 def separability_boundary(beta, L):
@@ -309,10 +312,10 @@ def separability_boundary_ratio(alpha_over_kappa, L):
                   1e-9, 1 - 1e-12, tol=1e-6)
 
 
-def bilateral_validity(dp: DerivedParams, L):
+def bilateral_validity(dp: DerivedParams):
     """Validity condition of the bilateral expansions:
     0 <= alpha/kappa <= (t - r)^2 / (r (t + (L-1) r))."""
-    r, t = dp.r, dp.t
+    r, t, L = dp.r, dp.t, dp.L
     if not (t >= r >= 0):
         raise ValueError("requires t >= r >= 0")
     if dp.alpha == 0:
@@ -328,24 +331,24 @@ def bilateral_validity(dp: DerivedParams, L):
 # bilateral general-SNR approximation (zeta = W*C retained)
 # ---------------------------------------------------------------------------
 
-def _varsigma_P(G, dp, L, zeta):
-    a, k, r, t = dp.alpha, dp.kappa, dp.r, dp.t
+def _varsigma_P(G, dp, zeta):
+    a, k, r, t, L = dp.alpha, dp.kappa, dp.r, dp.t, dp.L
     s0 = ((k - 1) * G + k * r) / G ** 2
     b = a * ((L + 2) * r - t) + (k + zeta * r) * (t - r)
     E = ((L + 1) * a - k + zeta * (t - 2 * r)) * G + k * (t - 2 * r)
     return s0 - (k / 2) * (G * b + k * r * (t - r)) / (G ** 2 * E)
 
 
-def _varsigma_I(G, dp, L, zeta):
-    a, k, r, t = dp.alpha, dp.kappa, dp.r, dp.t
+def _varsigma_I(G, dp, zeta):
+    a, k, r, t, L = dp.alpha, dp.kappa, dp.r, dp.t, dp.L
     s0 = ((k - 1) * G + k * t) / G ** 2
     b = a * ((2 * L + 1) * t - L * r) + (k + zeta * t) * (r - t)
     E = ((L + 1) * a - k - zeta * (2 * t - r)) * G - k * (2 * t - r)
     return s0 - (k / 2) * (G * b + k * t * (r - t)) / (G ** 2 * E)
 
 
-def _gamma_P(dp, L, zeta):
-    a, k, r, t = dp.alpha, dp.kappa, dp.r, dp.t
+def _gamma_P(dp, zeta):
+    a, k, r, t, L = dp.alpha, dp.kappa, dp.r, dp.t, dp.L
     rad2 = a * k * (t - r) ** 2 - a ** 2 * r * (t + (L - 1) * r)
     if rad2 < 0:
         return None
@@ -358,8 +361,8 @@ def _gamma_P(dp, L, zeta):
             -k * r * (t - r) * (bracket - 2 * rad) / den)
 
 
-def _gamma_I(dp, L, zeta):
-    a, k, r, t = dp.alpha, dp.kappa, dp.r, dp.t
+def _gamma_I(dp, zeta):
+    a, k, r, t, L = dp.alpha, dp.kappa, dp.r, dp.t, dp.L
     rad2 = a * k * L * (t - r) ** 2 + a ** 2 * L * t * ((L - 1) * t - L * r)
     if rad2 < 0:
         return None
@@ -371,7 +374,7 @@ def _gamma_I(dp, L, zeta):
             -k * t * (t - r) * (bracket - 2 * rad) / den)
 
 
-def _bilateral(dp, L, zeta, method):
+def _bilateral(dp, zeta, method):
     """Per-bulk second-order enclosures: the rational parts of the expansions
     evaluated at the zeros Gamma of the respective discriminants. Negative
     radicands mean the bulks cannot be resolved (merged).
@@ -379,22 +382,33 @@ def _bilateral(dp, L, zeta, method):
     Flags, in this order: the G-domain ordering Gamma_Iu < Gamma_Pl disagrees
     with the disjointness of the intervals, and a lower endpoint below 0."""
     TR = dp.T * dp.R
-    gp, gi = _gamma_P(dp, L, zeta), _gamma_I(dp, L, zeta)
+    gp, gi = _gamma_P(dp, zeta), _gamma_I(dp, zeta)
     if gp is None or gi is None:
         return _merged_estimate(method, ("negative radicand",))
-    sig = BulkInterval(*sorted(_varsigma_P(g, dp, L, zeta) / TR for g in gp))
-    intf = BulkInterval(*sorted(_varsigma_I(g, dp, L, zeta) / TR for g in gi))
+    sig = BulkInterval(*sorted(_varsigma_P(g, dp, zeta) / TR for g in gp))
+    intf = BulkInterval(*sorted(_varsigma_I(g, dp, zeta) / TR for g in gi))
     separable = intf.disjoint_below(sig)
     disagree = (gi[1] < gp[0]) != separable
     flags = ("gamma ordering and interval disjointness disagree",) if disagree else ()
     return _estimate(sig, intf, method, separable, flags)
 
 
-def bilateral_supports_general(dp: DerivedParams, L, zeta) -> SupportEstimate:
-    """General-SNR enclosures of the noisy bulks on the T*R axis.
+def bilateral_supports_general(dp: DerivedParams) -> SupportEstimate:
+    """General-SNR enclosures of the noisy bulks on the T*R axis, at the noise
+    term zeta = W*C of dp.
 
     At zeta = 0 these are the high-SNR enclosures. The printed interference
     expansion in the source carries a typo in its zeta term; this implements
     the expansion re-derived from the stated recipe (second-order Taylor
     expansion of the cleared fixed point around the per-bulk zeros)."""
-    return _bilateral(dp, L, zeta, "bilateral_general")
+    return _bilateral(dp, dp.zeta, "bilateral_general")
+
+
+def support_estimates(dp: DerivedParams):
+    """The four support estimates of one system: unilateral, first-order,
+    high-SNR and general-SNR, in that order. Raises ValueError without
+    interference power (t = inf)."""
+    if math.isinf(dp.t):
+        raise ValueError("the support estimates need interference power > 0")
+    return (unilateral_supports(dp), s1_supports(dp), bilateral_supports_highsnr(dp),
+            bilateral_supports_general(dp))

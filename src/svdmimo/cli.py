@@ -1,7 +1,9 @@
 """Batch command-line front end: binds JSON configs to experiments, emits CSV/JSON.
 
 The `spectrum`, `support` and `ber` configs share one key set, _CONFIG_KEYS,
-and any other key raises ValueError. Powers are given in dB (`P_dB`, `W_dB`)
+and `coherence` reads _COHERENCE_KEYS; any other key raises ValueError, and so
+does a profile key given with the other profile (`delta` applies to `modulo`,
+`I_over_P` to `flat`). Powers are given in dB (`P_dB`, `W_dB`)
 and converted to linear exactly once here; all internal math is linear. Unit
 conversions (GHz, us, km/h) also happen only at this boundary. Every output
 embeds the resolved configuration and seed.
@@ -25,23 +27,29 @@ from .system_model import (InterferenceProfile, RadioParams, SystemParams,
 _CONFIG_KEYS = frozenset({"R", "T", "C", "L", "P_dB", "W_dB", "profile", "I_over_P", "delta",
                           "seed", "n_seeds", "sweep", "values", "taus", "deltas",
                           "min_symbols"})
+_COHERENCE_KEYS = frozenset({"f0_GHz", "delay_spread_us", "speed_kmh"})
 
 
 def _db_to_linear(x):
     return 10.0 ** (x / 10.0)
 
 
-def _load_config(path):
+def _load_config(path, keys=_CONFIG_KEYS):
+    """The JSON config at `path`; raises ValueError naming any key outside `keys`."""
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    unknown = sorted(set(cfg) - keys)
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; accepted: {sorted(keys)}")
+    return cfg
 
 
 def _system_from_config(cfg):
-    unknown = sorted(set(cfg) - _CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config keys {unknown}; accepted: {sorted(_CONFIG_KEYS)}")
     P, W = _db_to_linear(cfg["P_dB"]), _db_to_linear(cfg["W_dB"])
     kind = cfg.get("profile", "flat")
+    other = {"flat": "delta", "modulo": "I_over_P"}.get(kind)
+    if other in cfg:
+        raise ValueError(f"config key {other!r} does not apply to profile {kind!r}")
     if kind == "flat":
         profile = InterferenceProfile(kind="flat", I=cfg.get("I_over_P", 0.25) * P)
     else:
@@ -62,7 +70,7 @@ def _resolved(cfg, sys_params, seed):
 
 def _cmd_coherence(args):
     if args.config:
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, _COHERENCE_KEYS)
         f0, tau, v = cfg["f0_GHz"], cfg["delay_spread_us"], cfg["speed_kmh"]
     else:
         f0, tau, v = args.f0_ghz, args.delay_us, args.speed_kmh
@@ -88,23 +96,15 @@ def _cmd_spectrum(args):
 def _cmd_support(args):
     cfg = _load_config(args.config)
     sys_params = _system_from_config(cfg)
-    if not max(sys_params.interference_powers, default=0.0) > 0:
-        raise ValueError("the support estimates need interference power > 0")
     dp = derive_params(sys_params)
-    L = sys_params.L
-    estimates = [
-        bulk_support.unilateral_supports(dp, sys_params.P, sys_params.W, L),
-        bulk_support.s1_supports(dp, L),
-        bulk_support.bilateral_supports_highsnr(dp, L),
-        bulk_support.bilateral_supports_general(dp, L, dp.zeta),
-    ]
+    estimates = bulk_support.support_estimates(dp)
     try:
-        sep, threshold = bulk_support.unilateral_separable(dp, sys_params.P, sys_params.W, L)
+        sep, threshold = bulk_support.unilateral_separable(dp)
         thresholds = {"unilateral_I_over_P": threshold, "unilateral_separable": sep}
     except bulk_support.RegimeError as err:
         thresholds = {"unilateral_error": str(err)}
     thresholds["bilateral_boundary_I_over_P"] = bulk_support.separability_boundary_ratio(
-        dp.alpha / dp.kappa, L)
+        dp.alpha / dp.kappa, dp.L)
     uni, bil = estimates[0], estimates[2]
     consistency = {
         "signal_lower_ratio": bil.signal.lower / uni.signal.lower if uni.signal.lower else None,

@@ -215,7 +215,8 @@ class SpectrumResult:
 def spectrum_experiment(sys: SystemParams, n_seeds=20, grid_points=600, y_offset=None,
                         seed=0) -> SpectrumResult:
     """Pooled empirical spectrum of Y Y^H/(T*R) over seeds with the asymptotic
-    density on the same axis and every applicable support estimate.
+    density on the same axis and, when there is interference power, the four
+    support estimates of bulk_support.support_estimates.
 
     The grid spans the pooled nonzero eigenvalues with margin; the default
     inversion offset is 1e-5 of the grid span (density_from_stieltjes), small
@@ -233,17 +234,10 @@ def spectrum_experiment(sys: SystemParams, n_seeds=20, grid_points=600, y_offset
     fp = FixedPointParams.from_system(sys, scale=scale)
     density = density_from_stieltjes(grid, fp, y_offset=y_offset)
 
-    supports = []
+    supports = ()
     if sys.P > 0 and max(sys.interference_powers, default=0.0) > 0:
-        dp = derive_params(sys)
-        try:
-            supports.append(bulk_support.unilateral_supports(dp, sys.P, sys.W, sys.L))
-        except (ValueError, bulk_support.RegimeError):
-            pass
-        supports.append(bulk_support.s1_supports(dp, sys.L))
-        supports.append(bulk_support.bilateral_supports_highsnr(dp, sys.L))
-        supports.append(bulk_support.bilateral_supports_general(dp, sys.L, dp.zeta))
-    return SpectrumResult(eigenvalues=pooled, density=density, supports=tuple(supports))
+        supports = bulk_support.support_estimates(derive_params(sys))
+    return SpectrumResult(eigenvalues=pooled, density=density, supports=supports)
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,6 @@ class SpectralDensity:
 
     grid: np.ndarray
     values: np.ndarray
-    atom_at_zero: float
     kappa: float
     scale: float = 1.0
     y_offset: float = 0.0
@@ -128,6 +127,11 @@ class SpectralDensity:
     @property
     def continuous_mass(self):
         return float(np.trapezoid(self.values, self.grid))
+
+    @property
+    def atom_at_zero(self):
+        """The mass missing from the continuous part, clipped to [0, 1]."""
+        return min(1.0, max(0.0, 1.0 - self.continuous_mass))
 
     def cdf(self):
         """Cumulative mass of the continuous part along the grid."""
@@ -315,8 +319,7 @@ def density_from_stieltjes(grid, fp: FixedPointParams, y_offset=None) -> Spectra
 
     The default offset y is 1e-5 of the grid span. The first point starts
     from -1/s and each later one warm-starts from its neighbor to keep the
-    Herglotz branch. The atom at zero is reported as the mass missing from
-    the continuous part.
+    Herglotz branch.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
@@ -330,11 +333,8 @@ def density_from_stieltjes(grid, fp: FixedPointParams, y_offset=None) -> Spectra
     for i, x in enumerate(grid):
         G, _, _ = _solve_raw(fp.scale * (x + 1j * y_offset), fp, init=G)
         values[i] = G.imag / math.pi * fp.scale
-    dx = np.diff(grid)
-    mass = float(np.sum(0.5 * (values[1:] + values[:-1]) * dx))
-    atom = min(1.0, max(0.0, 1.0 - mass))
-    return SpectralDensity(grid=grid, values=values, atom_at_zero=atom,
-                           kappa=fp.kappa, scale=fp.scale, y_offset=y_offset)
+    return SpectralDensity(grid=grid, values=values, kappa=fp.kappa, scale=fp.scale,
+                           y_offset=y_offset)
 
 
 def empirical_spectrum(Y) -> np.ndarray:

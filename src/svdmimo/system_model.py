@@ -106,8 +106,9 @@ class DerivedParams:
     """Dimensionless parameters derived once from SystemParams.
 
     r = 1/(P R C), t = 1/(I R C) for flat interference at level I, zeta = W C.
-    For non-flat profiles t is computed from max I_k (worst case). Source
-    dimensions are kept for axis rescaling.
+    For non-flat profiles t is computed from max I_k (worst case). The source
+    dimensions and powers are kept, so the support analysis reads one system:
+    R, T, C for axis rescaling, and L, P, W for the unilateral rule.
     """
 
     kappa: float
@@ -119,6 +120,9 @@ class DerivedParams:
     R: int
     T: int
     C: int
+    L: int
+    P: float
+    W: float
 
 
 def derive_params(sys: SystemParams) -> DerivedParams:
@@ -131,7 +135,8 @@ def derive_params(sys: SystemParams) -> DerivedParams:
     I = max(sys.interference_powers, default=0.0)
     t = math.inf if I == 0 else 1.0 / (I * sys.R * sys.C)
     return DerivedParams(kappa=kappa, alpha=alpha, r=r, t=t, zeta=sys.W * sys.C,
-                         beta_ratio=I / sys.P, R=sys.R, T=sys.T, C=sys.C)
+                         beta_ratio=I / sys.P, R=sys.R, T=sys.T, C=sys.C, L=sys.L, P=sys.P,
+                         W=sys.W)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ def test_criterion_1_coherence_formula():
 def test_criterion_2_threshold_reproduction():
     with criterion("criterion 2: thresholds I/P = 0.61 +- 0.02 and 0.78 +- 0.01"):
         dp = sm.derive_params(fig2_system(W=1.0))
-        _, unilateral = sm.unilateral_separable(dp, P=0.1, W=1.0, L=2)
+        _, unilateral = sm.unilateral_separable(dp)
         assert abs(unilateral - 0.61) <= 0.02, unilateral
         bilateral = sm.separability_boundary_ratio(dp.alpha / dp.kappa, 2)
         assert abs(bilateral - 0.78) <= 0.01, bilateral
@@ -91,8 +91,8 @@ def _pooled_bulk_eigenvalues(sys, n_seeds, seed):
 def test_criterion_5_support_containment():
     with criterion("criterion 5: Fig.-2 bilateral intervals contain >= 99% of the bulks"):
         dp0 = sm.derive_params(fig2_system(W=0.0))
-        high = sm.bilateral_supports_highsnr(dp0, 2)
-        general0 = sm.bilateral_supports_general(dp0, 2, zeta=0.0)
+        high = sm.bilateral_supports_highsnr(dp0)
+        general0 = sm.bilateral_supports_general(dp0)
         # zeta = 0 general formulas equal the printed high-SNR formulas to 1e-10
         printed = highsnr_supports(dp0, 2)
         for est in (high, general0):
@@ -107,7 +107,7 @@ def test_criterion_5_support_containment():
 
         noisy = fig2_system(W=1.0)
         dpW = sm.derive_params(noisy)
-        generalW = sm.bilateral_supports_general(dpW, 2, zeta=dpW.zeta)
+        generalW = sm.bilateral_supports_general(dpW)
         sigW, intfW = _pooled_bulk_eigenvalues(noisy, n_seeds=20, seed=78)
         assert np.mean(generalW.signal.contains(sigW)) >= 0.99
         assert np.mean(generalW.interference.contains(intfW)) >= 0.99
@@ -187,9 +187,10 @@ def test_criterion_8_invariant_suites():
 
         # alpha = 0 collapse: s1(G) = -1/G to 1e-12 (relative), on a grid
         dp0 = sm.DerivedParams(kappa=10 / 3, alpha=0.0, r=3.3333e-5, t=1.3333e-4,
-                               zeta=0.0, beta_ratio=0.25, R=300, T=1, C=1000)
+                               zeta=0.0, beta_ratio=0.25, R=300, T=1, C=1000, L=2, P=0.1,
+                               W=0.0)
         for G in np.linspace(-3e-4, -1e-5, 200):
-            assert abs(sm.s1_inverse(G, dp0, 2) * G + 1.0) <= 1e-12
+            assert abs(sm.s1_inverse(G, dp0) * G + 1.0) <= 1e-12
 
         # separability condition implies the validity condition, 1e3 draws
         count = 0
@@ -203,8 +204,9 @@ def test_criterion_8_invariant_suites():
             alpha = rng.uniform(0.0, limit) * kappa
             t = 10 ** rng.uniform(-5, -3)
             dp = sm.DerivedParams(kappa=kappa, alpha=alpha, r=beta * t, t=t, zeta=0.0,
-                                  beta_ratio=beta, R=300, T=3, C=int(round(300 * kappa)))
-            assert sm.bilateral_validity(dp, L), (beta, alpha / kappa, L)
+                                  beta_ratio=beta, R=300, T=3, C=int(round(300 * kappa)),
+                                  L=L, P=0.1, W=0.0)
+            assert sm.bilateral_validity(dp), (beta, alpha / kappa, L)
             count += 1
 
         # separability boundary monotone decreasing in beta for L in {2, 4, 7}

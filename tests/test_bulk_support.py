@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +11,8 @@ from svdmimo.bulk_support import (RegimeError, _gamma_I, _gamma_P, bilateral_sup
                                   interference_scale_factors, noise_scale_factors,
                                   quartic_extremes, s1_inverse, s1_supports,
                                   separability_boundary, separability_boundary_ratio,
-                                  unilateral_intervals, unilateral_separable,
-                                  unilateral_supports)
+                                  support_estimates, unilateral_intervals,
+                                  unilateral_separable, unilateral_supports)
 from svdmimo.rmt_spectrum import empirical_spectrum
 from svdmimo.system_model import (DerivedParams, InterferenceProfile, PilotConfig, SystemParams,
                                   assemble_received, derive_params, sample_realization)
@@ -29,10 +30,14 @@ def fig2_dp(W=0.0, I_over_P=0.25):
     return derive_params(fig2_system(W=W, I_over_P=I_over_P))
 
 
-def dp_from_ratios(alpha, kappa, r, t, zeta=0.0, R=300):
+def dp_from_ratios(alpha, kappa, r, t, L, zeta=0.0, R=300, P=None, W=None):
+    """DerivedParams built from the ratios; P and W default to the source
+    values that r = 1/(P R C) and zeta = W C imply."""
+    C = int(round(kappa * R))
     return DerivedParams(kappa=kappa, alpha=alpha, r=r, t=t, zeta=zeta,
-                         beta_ratio=r / t, R=R, T=max(int(round(alpha * R)), 1),
-                         C=int(round(kappa * R)))
+                         beta_ratio=r / t, R=R, T=max(int(round(alpha * R)), 1), C=C,
+                         L=L, P=1.0 / (r * R * C) if P is None else P,
+                         W=zeta / C if W is None else W)
 
 
 def flat_dp(R, T, C, L, I_over_P):
@@ -50,7 +55,7 @@ class TestUnilateralIntervals:
         sys = SystemParams.from_profile(300, 10, 100, 2, 0.1, 1.0,
                                         InterferenceProfile(kind="flat", I=0.025))
         dp = derive_params(sys)
-        p_int, _ = unilateral_intervals(dp, 0.1, 0.025, 2)
+        p_int, _ = unilateral_intervals(dp)
         center = 0.5 * (p_int.lower + p_int.upper)
         halfwidth = 0.5 * (p_int.upper - p_int.lower)
         assert np.isclose(center, 1.0, rtol=1e-12)
@@ -58,23 +63,23 @@ class TestUnilateralIntervals:
         assert np.isclose(halfwidth, 0.730, atol=5e-4)
 
     def test_relative_width_vanishes_at_small_load(self):
-        dp_small = dp_from_ratios(alpha=1e-6, kappa=2.0, r=1e-5, t=4e-5, R=10 ** 6)
-        p_int, _ = unilateral_intervals(dp_small, 0.1, 0.025, 2)
+        dp_small = dp_from_ratios(alpha=1e-6, kappa=2.0, r=1e-5, t=4e-5, L=2, R=10 ** 6, P=0.1)
+        p_int, _ = unilateral_intervals(dp_small)
         center = 0.5 * (p_int.lower + p_int.upper)
         assert (p_int.upper - p_int.lower) / center < 0.02
 
     def test_symmetry_when_equal_powers_single_cell(self):
-        dp = fig2_dp()
-        p_int, i_int = unilateral_intervals(dp, 0.1, 0.1, 1)
+        dp = flat_dp(300, 3, 1000, 1, 1.0)
+        p_int, i_int = unilateral_intervals(dp)
         assert np.isclose(p_int.lower, i_int.lower) and np.isclose(p_int.upper, i_int.upper)
 
     def test_negative_lower_clamped_flagged(self):
         sys = SystemParams.from_profile(300, 30, 100, 2, 0.1, 1.0,
                                         InterferenceProfile(kind="flat", I=0.025))
         dp = derive_params(sys)
-        p_int, i_int = unilateral_intervals(dp, 0.1, 0.025, 2)
+        p_int, i_int = unilateral_intervals(dp)
         assert p_int.lower == 0 and i_int.lower == 0
-        assert CLAMPED in unilateral_supports(dp, 0.1, 1.0, 2).flags
+        assert CLAMPED in unilateral_supports(dp).flags
 
 
 class TestScaleFactors:
@@ -109,27 +114,26 @@ class TestScaleFactors:
             interference_scale_factors(0.1, 0.1, 0.01, 1.0, 2)
 
     def test_close_powers_flagged(self):
-        below, above = (unilateral_supports(fig2_dp(W=1.0, I_over_P=ip), 0.1, 1.0, 2)
+        below, above = (unilateral_supports(fig2_dp(W=1.0, I_over_P=ip))
                         for ip in (0.501, 0.499))
         assert CLOSE_POWERS in below.flags and CLOSE_POWERS not in above.flags
 
 
 class TestUnilateralThreshold:
     def test_paper_operating_point(self):
-        separable, threshold = unilateral_separable(fig2_dp(W=1.0), 0.1, 1.0, 2)
+        separable, threshold = unilateral_separable(fig2_dp(W=1.0))
         assert abs(threshold - 0.61) <= 0.02
         assert separable  # I/P = 0.25 lies below the threshold
 
     def test_zero_load_threshold_tends_to_one(self):
         dp = dp_from_ratios(alpha=1e-6, kappa=2.0, r=1.0 / (0.1 * 1e6 * 2e6), t=math.inf,
-                            zeta=2e6, R=10 ** 6)
-        dp = DerivedParams(kappa=dp.kappa, alpha=dp.alpha, r=dp.r, t=dp.r / 0.5,
-                           zeta=dp.zeta, beta_ratio=0.5, R=dp.R, T=dp.T, C=dp.C)
-        _, threshold = unilateral_separable(dp, 0.1, 1.0, 1)
+                            L=1, zeta=2e6, R=10 ** 6, P=0.1, W=1.0)
+        dp = dataclasses.replace(dp, t=dp.r / 0.5, beta_ratio=0.5)
+        _, threshold = unilateral_separable(dp)
         assert threshold > 0.98
 
     def test_threshold_decreasing_in_L(self):
-        thresholds = [unilateral_separable(fig2_dp(W=1.0), 0.1, 1.0, L)[1] for L in (1, 2, 4)]
+        thresholds = [unilateral_separable(flat_dp(300, 3, 1000, L, 0.25))[1] for L in (1, 2, 4)]
         assert thresholds[0] > thresholds[1] > thresholds[2]
 
     def test_threshold_decreasing_in_alpha(self):
@@ -137,19 +141,19 @@ class TestUnilateralThreshold:
         sys = SystemParams.from_profile(R=300, T=6, C=1000, L=2, P=0.1, W=1.0,
                                         profile=InterferenceProfile(kind="flat", I=0.025))
         dps.append(derive_params(sys))
-        t1 = unilateral_separable(dps[0], 0.1, 1.0, 2)[1]
-        t2 = unilateral_separable(dps[1], 0.1, 1.0, 2)[1]
+        t1 = unilateral_separable(dps[0])[1]
+        t2 = unilateral_separable(dps[1])[1]
         assert t2 < t1
 
     def test_regime_error_when_load_too_large(self):
-        dp = dp_from_ratios(alpha=0.4, kappa=1.0, r=1e-5, t=4e-5)
+        dp = dp_from_ratios(alpha=0.4, kappa=1.0, r=1e-5, t=4e-5, L=2, P=0.1, W=1.0)
         with pytest.raises(RegimeError):
-            unilateral_separable(dp, 0.1, 1.0, 2)
+            unilateral_separable(dp)
 
     def test_scaled_intervals_disjointness_matches_threshold(self):
         # disjointness of the n*i scaled intervals is exactly the inequality
         for ip, expect in ((0.3, True), (0.8, False)):
-            est = unilateral_supports(fig2_dp(W=1.0, I_over_P=ip), 0.1, 1.0, 2)
+            est = unilateral_supports(fig2_dp(W=1.0, I_over_P=ip))
             assert est.separable is expect
 
 
@@ -163,78 +167,98 @@ class TestRegimeFlags:
         (300, 3, 1000, 2, 0.6, (CLOSE_POWERS,)),
         (100, 30, 100, 2, 0.6, (SMALL_LOAD.format(0.3), CLAMPED, CLOSE_POWERS)),
         (300, 3, 1000, 2, 0.25, ()),
-    ], ids=["small_load", "clamped", "close_powers", "all_in_order", "none"])
+        (300, 3, 1000, 2, 1.0, ("merged", "interference scale factors singular at P = I")),
+    ], ids=["small_load", "clamped", "close_powers", "all_in_order", "none", "equal_powers"])
     def test_unilateral_flags(self, R, T, C, L, I_over_P, flags):
-        assert unilateral_supports(flat_dp(R, T, C, L, I_over_P), 0.1, 1.0, L).flags == flags
+        assert unilateral_supports(flat_dp(R, T, C, L, I_over_P)).flags == flags
 
     @pytest.mark.filterwarnings("error")
     def test_formulas_do_not_warn(self):
         # each call meets a condition that unilateral_supports flags
-        unilateral_intervals(flat_dp(100, 30, 100, 2, 0.6), 0.1, 0.06, 2)
+        unilateral_intervals(flat_dp(100, 30, 100, 2, 0.6))
         interference_scale_factors(0.1, 0.06, 0.01, 1.0, 2)
-        unilateral_separable(fig2_dp(W=1.0), 0.1, 1.0, 2)
+        unilateral_separable(fig2_dp(W=1.0))
+
+    def test_interference_above_power_flips_signal_interval(self):
+        # i_P < 0 just above I = P: the scaled signal interval lies below 0
+        with pytest.warns(UserWarning, match="exceeds P"):
+            dp = fig2_dp(W=1.0, I_over_P=1.01)
+        est = unilateral_supports(dp)
+        assert est.signal.upper <= 0 and est.flags[-1] == "negative lower endpoint"
 
     def test_bilateral_negative_lower_endpoint_flagged(self):
         # inside the separability region (alpha/kappa = 0.046 < 0.082) and the
         # validity condition, the interference enclosure still reaches below 0;
         # it is flagged and left unclamped
-        dp = dp_from_ratios(alpha=0.095, kappa=2.06, r=1e-4, t=6.68e-4)
-        assert bilateral_validity(dp, 7) and 0.095 / 2.06 < separability_boundary(1 / 6.68, 7)
-        for est in (bilateral_supports_highsnr(dp, 7), bilateral_supports_general(dp, 7, 0.0)):
+        dp = dp_from_ratios(alpha=0.095, kappa=2.06, r=1e-4, t=6.68e-4, L=7)
+        assert bilateral_validity(dp) and 0.095 / 2.06 < separability_boundary(1 / 6.68, 7)
+        for est in (bilateral_supports_highsnr(dp), bilateral_supports_general(dp)):
             assert est.flags[-1] == "negative lower endpoint"
             assert np.isclose(est.interference.lower, -0.2992, atol=1e-4)
             assert np.isclose(est.interference.upper, 1.8786, atol=1e-4)
-        assert "negative lower endpoint" not in bilateral_supports_highsnr(fig2_dp(), 2).flags
+        assert "negative lower endpoint" not in bilateral_supports_highsnr(fig2_dp()).flags
         # the first-order and the unilateral estimates carry the same flag: at
         # R=12, T=3, C=1000, L=1, I/P=0.895 the first-order interference interval
         # starts below 0 with separable True, and the negative repulsion factor
         # i_I puts the scaled unilateral interference interval wholly below 0
         dp = flat_dp(12, 3, 1000, 1, 0.895)
-        s1 = s1_supports(dp, 1)
+        s1 = s1_supports(dp)
         assert s1.separable and s1.flags == ("negative lower endpoint",)
         assert np.isclose(s1.interference.lower, -94.19, atol=0.01)
-        uni = unilateral_supports(dp, 0.1, 1.0, 1)
+        uni = unilateral_supports(dp)
         assert uni.flags[-1] == "negative lower endpoint"
         assert uni.interference.upper <= 0 and np.isclose(uni.interference.lower, -156.76, atol=0.01)
-        assert "negative lower endpoint" not in s1_supports(fig2_dp(), 2).flags
-        assert "negative lower endpoint" not in unilateral_supports(fig2_dp(W=1.0), 0.1, 1.0, 2).flags
+        assert "negative lower endpoint" not in s1_supports(fig2_dp()).flags
+        assert "negative lower endpoint" not in unilateral_supports(fig2_dp(W=1.0)).flags
+
+
+class TestSupportEstimates:
+    def test_four_estimates_in_order(self):
+        dp = fig2_dp(W=1.0)
+        assert support_estimates(dp) == (unilateral_supports(dp), s1_supports(dp),
+                                         bilateral_supports_highsnr(dp),
+                                         bilateral_supports_general(dp))
+
+    def test_needs_interference_power(self):
+        with pytest.raises(ValueError, match="interference power > 0"):
+            support_estimates(fig2_dp(W=1.0, I_over_P=0.0))
 
 
 class TestS1:
     def test_alpha_zero_reduces_to_reciprocal(self):
-        dp = dp_from_ratios(alpha=0.0, kappa=10 / 3, r=3.3333e-5, t=1.3333e-4)
+        dp = dp_from_ratios(alpha=0.0, kappa=10 / 3, r=3.3333e-5, t=1.3333e-4, L=2)
         for G in np.linspace(-3e-4, -1e-5, 25):
-            assert abs(s1_inverse(G, dp, 2) - (-1.0 / G)) <= 1e-12 * abs(1 / G)
+            assert abs(s1_inverse(G, dp) - (-1.0 / G)) <= 1e-12 * abs(1 / G)
 
     def test_pole_at_zero_flagged(self):
         with pytest.warns(UserWarning):
-            s1_inverse(0.0, fig2_dp(), 2)
+            s1_inverse(0.0, fig2_dp())
 
     def test_quartic_root_sanity(self):
         # independent check: quartic roots are stationary points of s1
         dp = fig2_dp()
-        Gs = quartic_extremes(dp, 2)
+        Gs = quartic_extremes(dp)
         assert Gs is not None and len(Gs) == 4
         for g in Gs:
             h = abs(g) * 1e-6
-            deriv = (s1_inverse(g + h, dp, 2) - s1_inverse(g - h, dp, 2)) / (2 * h)
-            curv = (s1_inverse(g + h, dp, 2) - 2 * s1_inverse(g, dp, 2)
-                    + s1_inverse(g - h, dp, 2)) / h ** 2
+            deriv = (s1_inverse(g + h, dp) - s1_inverse(g - h, dp)) / (2 * h)
+            curv = (s1_inverse(g + h, dp) - 2 * s1_inverse(g, dp)
+                    + s1_inverse(g - h, dp)) / h ** 2
             assert abs(deriv) <= 1e-6 * abs(curv * g)
 
     def test_fig2_ordering_and_bracketing(self):
         dp = fig2_dp()
-        Gs = quartic_extremes(dp, 2)
-        svals = [s1_inverse(g, dp, 2) for g in Gs]
+        Gs = quartic_extremes(dp)
+        svals = [s1_inverse(g, dp) for g in Gs]
         assert svals[1] < svals[2]  # interference upper below signal lower
-        est = s1_supports(dp, 2)
+        est = s1_supports(dp)
         assert est.separable
         # signal interval brackets the unilateral center kappa P / alpha
         assert est.signal.lower < 10 / 3 * 0.1 / 0.01 < est.signal.upper
 
     def test_equal_powers_degenerate(self):
-        dp = dp_from_ratios(alpha=0.01, kappa=10 / 3, r=3.3333e-5, t=3.3333e-5)
-        Gs = quartic_extremes(dp, 2)
+        dp = dp_from_ratios(alpha=0.01, kappa=10 / 3, r=3.3333e-5, t=3.3333e-5, L=2)
+        Gs = quartic_extremes(dp)
         # middle extremes collapse: either flagged as complex or clustered
         if Gs is not None:
             assert abs(Gs[1] - Gs[2]) < 1e-2 * abs(Gs[1])
@@ -242,7 +266,7 @@ class TestS1:
 
 class TestBilateralHighSnr:
     def test_fig2_intervals(self):
-        est = bilateral_supports_highsnr(fig2_dp(), 2)
+        est = bilateral_supports_highsnr(fig2_dp())
         assert est.separable
         # frozen from the verified evaluation at Fig.-2 parameters
         assert np.isclose(est.signal.lower, 24.3957, atol=1e-3)
@@ -251,8 +275,8 @@ class TestBilateralHighSnr:
         assert np.isclose(est.interference.upper, 12.5826, atol=1e-3)
 
     def test_interference_interval_shrinks_to_zero_power(self):
-        est1 = bilateral_supports_highsnr(fig2_dp(I_over_P=0.25), 2)
-        est2 = bilateral_supports_highsnr(fig2_dp(I_over_P=0.05), 2)
+        est1 = bilateral_supports_highsnr(fig2_dp(I_over_P=0.25))
+        est2 = bilateral_supports_highsnr(fig2_dp(I_over_P=0.05))
         assert est2.interference.upper < est1.interference.upper
 
     def test_enclosures_track_rho0_intervals(self):
@@ -260,7 +284,7 @@ class TestBilateralHighSnr:
         # second-order expansions of the same extremes: they agree to within
         # ~10% on each endpoint but neither strictly contains the other
         dp = fig2_dp()
-        est = bilateral_supports_highsnr(dp, 2)
+        est = bilateral_supports_highsnr(dp)
         sig, intf = rho0_zero_supports(dp, 2)
         for enc, ref in ((est.signal, sig), (est.interference, intf)):
             assert abs(enc.lower - ref.lower) <= 0.10 * ref.lower
@@ -268,7 +292,7 @@ class TestBilateralHighSnr:
 
     def test_empirical_containment(self):
         sys = fig2_system(W=0.0)
-        est = bilateral_supports_highsnr(derive_params(sys), 2)
+        est = bilateral_supports_highsnr(derive_params(sys))
         scale = sys.T * sys.R
         sig, intf = [], []
         for i in range(10):
@@ -305,12 +329,12 @@ class TestSeparabilityBoundary:
 
 class TestBilateralValidity:
     def test_equal_powers_invalid(self):
-        dp = dp_from_ratios(alpha=0.01, kappa=1.0, r=1e-5, t=1e-5)
-        assert not bilateral_validity(dp, 2)
+        dp = dp_from_ratios(alpha=0.01, kappa=1.0, r=1e-5, t=1e-5, L=2)
+        assert not bilateral_validity(dp)
 
     def test_zero_load_valid(self):
-        dp = dp_from_ratios(alpha=0.0, kappa=1.0, r=1e-5, t=4e-5)
-        assert bilateral_validity(dp, 2)
+        dp = dp_from_ratios(alpha=0.0, kappa=1.0, r=1e-5, t=4e-5, L=2)
+        assert bilateral_validity(dp)
 
     def test_boundary_implies_validity_sweep(self):
         # whenever the separability condition holds, the expansion is valid
@@ -326,8 +350,8 @@ class TestBilateralValidity:
             kappa = 10 ** rng.uniform(-0.5, 0.7)
             alpha = ratio * kappa
             t = 10 ** rng.uniform(-5, -3)
-            dp = dp_from_ratios(alpha=alpha, kappa=kappa, r=beta * t, t=t)
-            assert bilateral_validity(dp, L)
+            dp = dp_from_ratios(alpha=alpha, kappa=kappa, r=beta * t, t=t, L=L)
+            assert bilateral_validity(dp)
             checked += 1
         assert checked > 800
 
@@ -337,7 +361,7 @@ class TestBilateralGeneral:
         # the library's high-SNR enclosures against the printed high-SNR expansions
         dp = fig2_dp()
         oracle = highsnr_supports(dp, 2)
-        for est in (bilateral_supports_general(dp, 2, 0.0), bilateral_supports_highsnr(dp, 2)):
+        for est in (bilateral_supports_general(dp), bilateral_supports_highsnr(dp)):
             for a, b in ((est.signal, oracle.signal), (est.interference, oracle.interference)):
                 assert abs(a.lower - b.lower) <= 1e-10 * abs(b.lower)
                 assert abs(a.upper - b.upper) <= 1e-10 * abs(b.upper)
@@ -356,24 +380,22 @@ class TestBilateralGeneral:
         r = t / t_over_r
         boundary = separability_boundary(r / t, L)
         ratio = fraction * boundary if inside else (1 + 2 * fraction) * boundary
-        dp = dp_from_ratios(alpha=ratio * kappa, kappa=kappa, r=r, t=t)
-        got, oracle = bilateral_supports_general(dp, L, 0.0), highsnr_supports(dp, L)
+        dp = dp_from_ratios(alpha=ratio * kappa, kappa=kappa, r=r, t=t, L=L)
+        got, oracle = bilateral_supports_general(dp), highsnr_supports(dp, L)
         assert (got.separable, got.flags) == (oracle.separable, oracle.flags)
         for a, b in ((got.signal, oracle.signal), (got.interference, oracle.interference)):
             assert abs(a.lower - b.lower) <= 1e-10 * abs(b.lower)
             assert abs(a.upper - b.upper) <= 1e-10 * abs(b.upper)
 
     def test_noisy_intervals_shift_up(self):
-        dp = fig2_dp(W=1.0)
-        est0 = bilateral_supports_general(dp, 2, 0.0)
-        estW = bilateral_supports_general(dp, 2, dp.zeta)
+        est0 = bilateral_supports_general(fig2_dp())
+        estW = bilateral_supports_general(fig2_dp(W=1.0))
         assert estW.signal.lower > est0.signal.lower
         assert estW.interference.lower > est0.interference.lower
 
     def test_noisy_empirical_containment(self):
         sys = fig2_system(W=1.0)
-        dp = derive_params(sys)
-        est = bilateral_supports_general(dp, 2, dp.zeta)
+        est = bilateral_supports_general(derive_params(sys))
         scale = sys.T * sys.R
         sig, intf = [], []
         for i in range(10):
@@ -394,21 +416,21 @@ class TestBilateralGeneral:
                 kappa = 10 / 3
                 alpha = (0.5 if expect else 1.5) * boundary * kappa
                 t = 1.3333e-4
-                dp = dp_from_ratios(alpha=alpha, kappa=kappa, r=beta * t, t=t)
-                gp, gi = _gamma_P(dp, L, W_zeta), _gamma_I(dp, L, W_zeta)
+                dp = dp_from_ratios(alpha=alpha, kappa=kappa, r=beta * t, t=t, L=L)
+                gp, gi = _gamma_P(dp, W_zeta), _gamma_I(dp, W_zeta)
                 got = gp is not None and gi is not None and gi[1] < gp[0]
                 assert got is expect, (W_zeta, beta, expect, got)
 
 
 class TestAppendixB:
     def test_zero_beta_ratio_one(self):
-        dp = dp_from_ratios(alpha=0.0, kappa=10 / 3, r=2.5e-5, t=1e-4)
+        dp = dp_from_ratios(alpha=0.0, kappa=10 / 3, r=2.5e-5, t=1e-4, L=2)
         rep = appendixB_scale_verification(dp, 2)
         assert np.isclose(rep["scale_ratio"], 1.0, atol=1e-12)
 
     def test_example_value(self):
         # t/r = 4, kappa = 10/3, beta = L*alpha = 0.02
-        dp = dp_from_ratios(alpha=0.01, kappa=10 / 3, r=2.5e-5, t=1e-4)
+        dp = dp_from_ratios(alpha=0.01, kappa=10 / 3, r=2.5e-5, t=1e-4, L=2)
         rep = appendixB_scale_verification(dp, 2)
         expected = (1 + (0.02 / (10 / 3)) / 3) * (1 + 0.02 / 3)
         assert np.isclose(rep["scale_ratio"], expected, rtol=1e-10)
@@ -434,13 +456,13 @@ class TestAppendixB:
 
 class TestSupportEstimateInvariants:
     def test_separable_implies_disjoint(self):
-        for est in (unilateral_supports(fig2_dp(W=1.0), 0.1, 1.0, 2),
-                    s1_supports(fig2_dp(), 2),
-                    bilateral_supports_highsnr(fig2_dp(), 2),
-                    bilateral_supports_general(fig2_dp(W=1.0), 2, 1000.0)):
+        for est in (unilateral_supports(fig2_dp(W=1.0)),
+                    s1_supports(fig2_dp()),
+                    bilateral_supports_highsnr(fig2_dp()),
+                    bilateral_supports_general(fig2_dp(W=1.0))):
             if est.separable:
                 assert est.interference.upper < est.signal.lower
 
     def test_to_dict_roundtrip_fields(self):
-        d = bilateral_supports_highsnr(fig2_dp(), 2).to_dict()
+        d = bilateral_supports_highsnr(fig2_dp()).to_dict()
         assert set(d) == {"method", "signal", "interference", "separable", "flags"}

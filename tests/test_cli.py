@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from svdmimo.cli import main
+from svdmimo.montecarlo import spectrum_experiment
+from svdmimo.system_model import InterferenceProfile, SystemParams
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -67,6 +69,15 @@ class TestSupport:
         assert 0.8 < cons["signal_lower_ratio"] < 1.2
         assert 0.8 < cons["signal_upper_ratio"] < 1.2
 
+    def test_equal_powers_merged_unilateral(self, tmp_path):
+        cfg = write_cfg(tmp_path, "s.json",
+                        {"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0,
+                         "profile": "flat", "I_over_P": 1.0})
+        assert main(["support", "--config", cfg, "--out", str(tmp_path)]) == 0
+        uni = json.loads((tmp_path / "support.json").read_text())["estimates"][0]
+        assert uni["method"] == "unilateral" and not uni["separable"]
+        assert uni["flags"] == ["merged", "interference scale factors singular at P = I"]
+
 
 class TestSpectrum:
     def test_writes_csv(self, tmp_path):
@@ -86,6 +97,18 @@ class TestSpectrum:
         data = np.array([[float(v) for v in line.split(",")] for line in lines[idx + 1:]])
         assert data.shape == (120, 3)
         assert np.all(data[:, 1] >= 0)
+
+    def test_supports_equal_support_json(self, tmp_path):
+        # both commands report the same four estimates, at equal powers too
+        cfg = {"R": 80, "T": 3, "C": 60, "L": 1, "P_dB": -10, "W_dB": 0,
+               "profile": "flat", "I_over_P": 1.0}
+        assert main(["support", "--config", write_cfg(tmp_path, "s.json", cfg),
+                     "--out", str(tmp_path)]) == 0
+        estimates = json.loads((tmp_path / "support.json").read_text())["estimates"]
+        sys = SystemParams.from_profile(R=80, T=3, C=60, L=1, P=0.1, W=1.0,
+                                        profile=InterferenceProfile(kind="flat", I=0.1))
+        result = spectrum_experiment(sys, n_seeds=1, grid_points=60, seed=2)
+        assert [s.to_dict() for s in result.supports] == estimates
 
 
 class TestBer:
@@ -138,8 +161,20 @@ class TestErrors:
                              (dict(no_p, P=0.1), "unknown config keys ['P']"),
                              (dict(fig2, I=0.05), "unknown config keys ['I']"),
                              (dict(fig2, I_over_P=0), "interference power > 0"),
-                             (dict(fig2, profile="modulus", delta=2), "unknown profile kind")):
+                             (dict(fig2, profile="modulus", delta=2), "unknown profile kind"),
+                             (dict(fig2, delta=4), "'delta' does not apply to profile 'flat'"),
+                             (dict(fig2, profile="modulo", delta=4, I_over_P=0.5),
+                              "'I_over_P' does not apply to profile 'modulo'")):
             cfg = write_cfg(tmp_path, "bad.json", bad)
             assert main(["support", "--config", cfg, "--out", str(tmp_path)]) == 1
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == "ValueError" and message in err["message"], err
+
+    def test_coherence_rejects_unknown_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "c.json", {"f0_GHz": 2.6, "delay_spread_us": 5,
+                                             "speed_kmh": 350, "speed_mph": 100})
+        assert main(["coherence", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and "['speed_mph']" in err["message"], err
+        assert captured.out == ""
