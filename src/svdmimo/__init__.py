@@ -3,7 +3,7 @@ random-matrix eigenvalue-spectrum analysis and Monte Carlo BER experiments."""
 
 from .bulk_support import (BulkInterval, RegimeError, SupportEstimate,
                            bilateral_supports_general, bilateral_supports_highsnr,
-                           bilateral_validity, interference_scale_factors, noise_scale_factors,
+                           interference_scale_factors, noise_scale_factors,
                            quartic_extremes, s1_inverse, s1_supports, separability_boundary,
                            separability_boundary_ratio, support_estimates,
                            unilateral_intervals, unilateral_separable, unilateral_supports)

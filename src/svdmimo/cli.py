@@ -3,10 +3,10 @@
 The `spectrum`, `support` and `ber` configs share one key set, _CONFIG_KEYS,
 and `coherence` reads _COHERENCE_KEYS; any other key raises ValueError, and so
 does a profile key given with the other profile (`delta` applies to `modulo`,
-`I_over_P` to `flat`). Powers are given in dB (`P_dB`, `W_dB`)
-and converted to linear exactly once here; all internal math is linear. Unit
-conversions (GHz, us, km/h) also happen only at this boundary. Every output
-embeds the resolved configuration and seed.
+`I_over_P` to `flat`) or a profile key that a `ber` sweep replaces. Powers
+are given in dB (`P_dB`, `W_dB`) and converted to linear exactly once here;
+all internal math is linear. Unit conversions (GHz, us, km/h) also happen only
+at this boundary. Every output embeds the resolved configuration and seed.
 """
 
 from __future__ import annotations
@@ -138,11 +138,35 @@ def _cmd_separability(args):
     return [out]
 
 
+def _sweep_base(cfg, sweep):
+    """The base system of a `ber` sweep. The I/P sweep runs the flat profile at
+    each listed I/P and the R sweep with `deltas` the modulo profile of each
+    listed delta, built here at the first; both raise ValueError naming the
+    profile keys they would replace."""
+    if sweep == "R" and "deltas" in cfg:
+        if not cfg["deltas"]:
+            raise ValueError("config key 'deltas' lists no delta")
+        profile = "modulo"
+    elif sweep == "I_over_P":
+        profile = "flat"
+    else:
+        return _system_from_config(cfg)
+    replaced = sorted({"I_over_P", "delta"} & set(cfg))
+    if cfg.get("profile", profile) != profile:
+        replaced.append("profile")
+    if replaced:
+        raise ValueError(f"config keys {replaced} do not apply to the {sweep} sweep: "
+                         f"it sets the {profile} profile itself")
+    if profile == "modulo":
+        cfg = dict(cfg, profile="modulo", delta=cfg["deltas"][0])
+    return _system_from_config(cfg)
+
+
 def _cmd_ber(args):
     cfg = _load_config(args.config)
-    sys_params = _system_from_config(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     sweep = cfg.get("sweep", "I_over_P")
+    sys_params = _sweep_base(cfg, sweep)
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     ecfg = montecarlo.ExperimentConfig(
         system=sys_params, sweep=sweep, values=tuple(cfg["values"]),
         taus=tuple(cfg.get("taus", [1])),

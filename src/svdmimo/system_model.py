@@ -9,7 +9,6 @@ variance I_k / P, and noise entries have variance W.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -90,9 +89,6 @@ class SystemParams:
             raise ValueError(f"interference_powers must have L*T = {self.L * self.T} entries")
         if any(x < 0 for x in powers):
             raise ValueError("interference powers must be >= 0")
-        if any(x > self.P for x in powers):
-            # allowed, but violates power-controlled handoff
-            warnings.warn("some interference power exceeds P (no power-controlled handoff)")
         object.__setattr__(self, "interference_powers", powers)
 
     @classmethod

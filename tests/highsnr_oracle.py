@@ -7,7 +7,11 @@ tests compare the library against:
 * the high-SNR per-bulk expansions (highsnr_supports);
 * the second-order intervals from the zeros of rho0 (rho0_zero_supports);
 * the explicit zero-load spike of Appendix B, which checks the interference
-  repulsion factor (appendixB_scale_verification).
+  repulsion factor (appendixB_scale_verification);
+* the printed validity condition of the bilateral expansions
+  (bilateral_validity). For L >= 1 and 0 < r <= t it holds exactly when the
+  radicand of the library's signal-bulk zeros is >= 0; where it fails, both
+  second-order estimates are flagged `merged` with `negative radicand`.
 """
 
 import math
@@ -111,6 +115,21 @@ def rho0_zero_supports(dp, L):
     if not vals[1] < vals[2]:
         return None
     return (BulkInterval(*sorted(vals[2:4])), BulkInterval(*sorted(vals[0:2])))
+
+
+def bilateral_validity(dp):
+    """Validity condition of the bilateral expansions:
+    0 <= alpha/kappa <= (t - r)^2 / (r (t + (L-1) r))."""
+    r, t, L = dp.r, dp.t, dp.L
+    if not (t >= r >= 0):
+        raise ValueError("requires t >= r >= 0")
+    if dp.alpha == 0:
+        return True
+    if t == r:
+        return False
+    if math.isinf(t):
+        return True
+    return dp.alpha / dp.kappa <= (t - r) ** 2 / (r * (t + (L - 1) * r))
 
 
 def s0_explicit(G, beta, kappa, t):

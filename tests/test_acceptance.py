@@ -12,7 +12,7 @@ import pytest
 
 import svdmimo as sm
 
-from highsnr_oracle import highsnr_supports
+from highsnr_oracle import bilateral_validity, highsnr_supports
 
 
 @contextlib.contextmanager
@@ -206,7 +206,7 @@ def test_criterion_8_invariant_suites():
             dp = sm.DerivedParams(kappa=kappa, alpha=alpha, r=beta * t, t=t, zeta=0.0,
                                   beta_ratio=beta, R=300, T=3, C=int(round(300 * kappa)),
                                   L=L, P=0.1, W=0.0)
-            assert sm.bilateral_validity(dp), (beta, alpha / kappa, L)
+            assert bilateral_validity(dp), (beta, alpha / kappa, L)
             count += 1
 
         # separability boundary monotone decreasing in beta for L in {2, 4, 7}

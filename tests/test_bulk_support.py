@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svdmimo.bulk_support import (RegimeError, _gamma_I, _gamma_P, bilateral_supports_general,
-                                  bilateral_supports_highsnr, bilateral_validity,
-                                  interference_scale_factors, noise_scale_factors,
-                                  quartic_extremes, s1_inverse, s1_supports,
+                                  bilateral_supports_highsnr, interference_scale_factors,
+                                  noise_scale_factors, quartic_extremes, s1_inverse, s1_supports,
                                   separability_boundary, separability_boundary_ratio,
                                   support_estimates, unilateral_intervals,
                                   unilateral_separable, unilateral_supports)
@@ -17,7 +16,7 @@ from svdmimo.rmt_spectrum import empirical_spectrum
 from svdmimo.system_model import (DerivedParams, InterferenceProfile, PilotConfig, SystemParams,
                                   assemble_received, derive_params, sample_realization)
 
-from highsnr_oracle import (appendixB_scale_verification, highsnr_supports,
+from highsnr_oracle import (appendixB_scale_verification, bilateral_validity, highsnr_supports,
                             rho0_zero_supports, s0_explicit)
 
 
@@ -181,8 +180,7 @@ class TestRegimeFlags:
 
     def test_interference_above_power_flips_signal_interval(self):
         # i_P < 0 just above I = P: the scaled signal interval lies below 0
-        with pytest.warns(UserWarning, match="exceeds P"):
-            dp = fig2_dp(W=1.0, I_over_P=1.01)
+        dp = fig2_dp(W=1.0, I_over_P=1.01)
         est = unilateral_supports(dp)
         assert est.signal.upper <= 0 and est.flags[-1] == "negative lower endpoint"
 
@@ -230,9 +228,9 @@ class TestS1:
         for G in np.linspace(-3e-4, -1e-5, 25):
             assert abs(s1_inverse(G, dp) - (-1.0 / G)) <= 1e-12 * abs(1 / G)
 
+    @pytest.mark.filterwarnings("error")
     def test_pole_at_zero_flagged(self):
-        with pytest.warns(UserWarning):
-            s1_inverse(0.0, fig2_dp())
+        assert s1_inverse(0.0, fig2_dp()) == -math.inf
 
     def test_quartic_root_sanity(self):
         # independent check: quartic roots are stationary points of s1
@@ -354,6 +352,29 @@ class TestBilateralValidity:
             assert bilateral_validity(dp)
             checked += 1
         assert checked > 800
+
+    def test_validity_is_nonnegative_radicand(self):
+        # the library reports the condition as data: on the systems that
+        # derive_params gives (L >= 1, 0 < r <= t) it holds exactly when the
+        # radicand of _gamma_P is >= 0, and both second-order estimates are
+        # merged with `negative radicand` where it fails
+        rng = np.random.default_rng(11)
+        invalid = 0
+        for i in range(2000):
+            L = int(rng.integers(1, 8))
+            kappa = 10 ** rng.uniform(-0.5, 0.7)
+            alpha = kappa * 10 ** rng.uniform(-4, 0)
+            t = 10 ** rng.uniform(-5, -3)
+            r = t if i % 10 == 0 else t * rng.uniform(1e-3, 1.0)
+            dp = dp_from_ratios(alpha=alpha, kappa=kappa, r=r, t=t, L=L,
+                                zeta=10 ** rng.uniform(-1, 3))
+            valid = bilateral_validity(dp)
+            assert valid == (_gamma_P(dp, 0.0) is not None), (alpha, kappa, r, t, L)
+            if not valid:
+                invalid += 1
+                for est in (bilateral_supports_highsnr(dp), bilateral_supports_general(dp)):
+                    assert est.flags[:2] == ("merged", "negative radicand")
+        assert 200 < invalid < 1800
 
 
 class TestBilateralGeneral:

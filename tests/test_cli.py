@@ -132,6 +132,17 @@ class TestBer:
         main(["ber", "--config", cfg, "--out", str(tmp_path)])
         assert (tmp_path / "ber.csv").read_bytes() == first
 
+    def test_r_sweep_base_system_at_first_delta(self, tmp_path):
+        # without `delta`, the echoed system is the modulo profile of deltas[0]
+        cfg = write_cfg(tmp_path, "b.json",
+                        {"R": 20, "T": 2, "C": 30, "L": 1, "P_dB": -10, "W_dB": 0,
+                         "sweep": "R", "values": [20], "deltas": [4, 2],
+                         "min_symbols": 50, "seed": 1})
+        assert main(["ber", "--config", cfg, "--out", str(tmp_path)]) == 0
+        header = (tmp_path / "ber.csv").read_text().splitlines()[0]
+        system = json.loads(header.removeprefix("# config: "))["system"]
+        assert system["interference_powers"] == pytest.approx([0.1 / 8, 0.0])
+
 
 class TestErrors:
     def test_missing_config_exits_nonzero_with_json(self, tmp_path, capsys):
@@ -169,6 +180,34 @@ class TestErrors:
             assert main(["support", "--config", cfg, "--out", str(tmp_path)]) == 1
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == "ValueError" and message in err["message"], err
+
+    @pytest.mark.parametrize("bad, keys", [
+        # the I/P sweep runs the flat profile at each listed I/P
+        ({"sweep": "I_over_P", "I_over_P": 0.7}, ["I_over_P"]),
+        ({"sweep": "I_over_P", "profile": "modulo", "delta": 3}, ["delta", "profile"]),
+        ({"profile": "modulo", "delta": 3}, ["delta", "profile"]),
+        # the R sweep with deltas runs the modulo profile of each listed delta
+        ({"sweep": "R", "profile": "modulo", "delta": 2, "deltas": [2, 3]}, ["delta"]),
+        ({"sweep": "R", "I_over_P": 0.5, "deltas": [2]}, ["I_over_P"]),
+        ({"sweep": "R", "profile": "flat", "deltas": [2]}, ["profile"]),
+    ], ids=["ip_I_over_P", "ip_modulo", "ip_default_sweep_modulo", "r_delta",
+            "r_I_over_P", "r_flat"])
+    def test_ber_rejects_keys_its_sweep_replaces(self, tmp_path, capsys, bad, keys):
+        cfg = dict({"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
+                    "values": [50], "min_symbols": 400}, **bad)
+        assert main(["ber", "--config", write_cfg(tmp_path, "b.json", cfg),
+                     "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and f"config keys {keys}" in err["message"], err
+        assert not (tmp_path / "ber.csv").exists()
+
+    def test_ber_rejects_empty_deltas(self, tmp_path, capsys):
+        cfg = {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
+               "sweep": "R", "values": [50], "deltas": []}
+        assert main(["ber", "--config", write_cfg(tmp_path, "b.json", cfg),
+                     "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "'deltas'" in err["message"], err
 
     def test_coherence_rejects_unknown_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {"f0_GHz": 2.6, "delay_spread_us": 5,

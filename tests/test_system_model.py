@@ -315,6 +315,10 @@ class TestFrozenStream:
         assert np.array_equal(Y, (rz.H @ rz.X + rz.noise) + rz.H_I @ rz.X_I)
 
 
+@pytest.mark.filterwarnings("error")
 def test_interference_above_p_warns():
-    with pytest.warns(UserWarning):
-        SystemParams.from_profile(10, 2, 8, 1, 0.1, 1.0, InterferenceProfile(kind="flat", I=0.2))
+    # accepted without a warning: every output echoes P and the powers, and the
+    # unilateral estimate flags P/I < 2
+    sys = SystemParams.from_profile(10, 2, 8, 1, 0.1, 1.0,
+                                    InterferenceProfile(kind="flat", I=0.2))
+    assert sys.interference_powers == (0.2, 0.2)
