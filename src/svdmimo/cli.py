@@ -1,7 +1,7 @@
 """Batch command-line front end: binds JSON configs to experiments, emits CSV/JSON.
 
-The `spectrum`, `support` and `ber` configs share one key set, _CONFIG_KEYS,
-and `coherence` reads _COHERENCE_KEYS; any other key raises ValueError, and so
+`spectrum` and `support` read _SPECTRUM_KEYS, `ber` reads _BER_KEYS and
+`coherence` reads _COHERENCE_KEYS; any other key raises ValueError, and so
 does a profile key given with the other profile (`delta` applies to `modulo`,
 `I_over_P` to `flat`) or a profile key that a `ber` sweep replaces. Powers
 are given in dB (`P_dB`, `W_dB`) and converted to linear exactly once here;
@@ -23,10 +23,12 @@ from . import bulk_support, montecarlo
 from .system_model import (InterferenceProfile, RadioParams, SystemParams,
                            coherence_symbols, derive_params)
 
-# every key that the spectrum, support or ber command reads from its config
-_CONFIG_KEYS = frozenset({"R", "T", "C", "L", "P_dB", "W_dB", "profile", "I_over_P", "delta",
-                          "seed", "n_seeds", "sweep", "values", "taus", "deltas",
-                          "min_symbols"})
+# the keys of one system and its master seed, read by every command but `coherence`
+_SYSTEM_KEYS = frozenset({"R", "T", "C", "L", "P_dB", "W_dB", "profile", "I_over_P", "delta",
+                          "seed"})
+# `support` reads no `n_seeds` but shares its config file with `spectrum`
+_SPECTRUM_KEYS = _SYSTEM_KEYS | {"n_seeds"}
+_BER_KEYS = _SYSTEM_KEYS | {"sweep", "values", "taus", "deltas", "min_symbols"}
 _COHERENCE_KEYS = frozenset({"f0_GHz", "delay_spread_us", "speed_kmh"})
 
 
@@ -34,7 +36,7 @@ def _db_to_linear(x):
     return 10.0 ** (x / 10.0)
 
 
-def _load_config(path, keys=_CONFIG_KEYS):
+def _load_config(path, keys):
     """The JSON config at `path`; raises ValueError naming any key outside `keys`."""
     with open(path) as fh:
         cfg = json.load(fh)
@@ -81,7 +83,7 @@ def _cmd_coherence(args):
 
 
 def _cmd_spectrum(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _SPECTRUM_KEYS)
     sys_params = _system_from_config(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     result = montecarlo.spectrum_experiment(
@@ -94,7 +96,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_support(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _SPECTRUM_KEYS)
     sys_params = _system_from_config(cfg)
     dp = derive_params(sys_params)
     estimates = bulk_support.support_estimates(dp)
@@ -163,7 +165,7 @@ def _sweep_base(cfg, sweep):
 
 
 def _cmd_ber(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _BER_KEYS)
     sweep = cfg.get("sweep", "I_over_P")
     sys_params = _sweep_base(cfg, sweep)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse.linalg import svds
+from scipy.linalg.blas import zherk
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .system_model import PilotConfig
 
@@ -34,17 +35,23 @@ class SubspaceBasis:
 def signal_subspace(Y, T_sel) -> SubspaceBasis:
     """Basis of the T_sel leading left-singular directions of Y.
 
-    Two paths give the same subspace; the shape of Y picks one:
+    Two paths give the same subspace; the shape of Y picks one. Both find
+    orthonormal eigenvectors V of the top T_sel eigenvalues of the smaller
+    Gram matrix (Y Y^H if R <= C, else Y^H Y), and both read Y only through
+    Y and its transpose view, never through a conjugate copy:
 
-    * Gram side, when min(R, C) <= 200 or T_sel >= min(R, C) - 1: the top
-      T_sel eigenvectors V of the smaller Gram matrix (Y Y^H if R <= C, else
-      Y^H Y) from a dense subset ``eigh``, then one Rayleigh-Ritz step, a thin
-      SVD of V^H Y (T_sel x C) or of Y V (R x T_sel). That step makes S
-      orthonormal to machine precision and takes the singular values from Y
-      itself rather than from its squared spectrum, so they stay accurate,
-      also when Y is rank-deficient.
-    * ARPACK (implicitly restarted Lanczos) above that size. Its start vector
-      is fixed so identical inputs give identical bases.
+    * Gram side, when min(R, C) <= 200 or T_sel >= min(R, C) - 1: one herk
+      on Y^T forms the lower triangle of the conjugate Gram matrix, and a
+      dense subset ``eigh`` of it gives the conjugates of V.
+    * ARPACK (implicitly restarted Lanczos) above that size, on the Gram
+      operator applied as Y (Y^T v*)*, or (Y^T (Y v)*)* when R > C (* is
+      the complex conjugate); a QR orthonormalises its vectors. Its start
+      vector is fixed so identical inputs give identical bases.
+
+    Then one Rayleigh-Ritz step, a thin SVD of V^H Y (T_sel x C) or of Y V
+    (R x T_sel), makes S orthonormal to machine precision and takes the
+    singular values from Y itself rather than from its squared spectrum, so
+    they stay accurate, also when Y is rank-deficient.
 
     The Gram side costs about min(R, C)^2 max(R, C) per call; ARPACK costs a
     number of restarts times min(R, C) max(R, C) plus a fixed overhead of a
@@ -58,19 +65,20 @@ def signal_subspace(Y, T_sel) -> SubspaceBasis:
     ====================  ====================  ====================
     block (R x C, T_sel)  ARPACK                Gram side
     ====================  ====================  ====================
-    50 x 100, 5           3.9 ms (3.6-4.2)      0.7 ms (0.6-0.8)
-    400 x 100, 5          4.3 ms (3.7-6.2)      2.1 ms (1.8-2.6)
-    200 x 1000, 3         13.5 ms (9.9-18.3)    13.9 ms (9.9-15.5)
-    225 x 1000, 3         12.6 ms (11.9-21.7)   19.5 ms (16.3-25.5)
-    300 x 1000, 3         15.8 ms (13.9-17.8)   28.5 ms (23.8-34.0)
+    50 x 100, 5           2.5 ms (2.5-3.1)      0.5 ms (0.4-0.5)
+    400 x 100, 5          3.8 ms (2.9-3.9)      1.7 ms (1.7-1.7)
+    200 x 1000, 3         8.1 ms (7.9-12.5)     9.6 ms (9.4-9.7)
+    225 x 1000, 3         8.9 ms (8.8-14.6)     12.2 ms (11.8-12.3)
+    300 x 1000, 3         13.8 ms (11.2-13.9)   24.1 ms (19.2-26.6)
     ====================  ====================  ====================
 
     With a smaller eigengap ARPACK needs more restarts and the crossover
-    moves up: at T_sel = 5 on 200 x 1000 blocks ARPACK takes 19 ms and the
-    Gram side 11 ms, and on noise-only blocks the Gram side still wins at
-    300 x 1000. The crossover (_GRAM_MAX_DIM) is 200, the largest size at
-    which the Gram side was never the slower. Fig.-4 blocks (C = 100) take
-    the Gram side, Fig.-5 blocks (300 x 1000) ARPACK.
+    moves up: at T_sel = 5 on 200 x 1000 blocks ARPACK takes 14.4 ms and the
+    Gram side 11.8 ms, and on noise-only 300 x 1000 blocks ARPACK takes
+    77 ms and the Gram side 21 ms. The crossover (_GRAM_MAX_DIM) is 200: at
+    200 x 1000 the two paths overlap with T_sel = 3 and the Gram side wins
+    with T_sel = 5. Fig.-4 blocks (C = 100) take the Gram side, Fig.-5
+    blocks (300 x 1000) ARPACK.
     """
     Y = np.asarray(Y)
     R, C = Y.shape
@@ -78,19 +86,26 @@ def signal_subspace(Y, T_sel) -> SubspaceBasis:
     if not 1 <= T_sel <= mn:
         raise ValueError(f"T_sel must be in [1, min(R, C)] = [1, {mn}]")
     if mn > _GRAM_MAX_DIM and T_sel < mn - 1:
+        if R <= C:
+            def gram(v):          # Y Y^H v
+                return Y @ (Y.T @ v.conj()).conj()
+        else:
+            def gram(v):          # Y^H Y v
+                return (Y.T @ (Y @ v).conj()).conj()
         rng = np.random.default_rng(0)
         v0 = rng.standard_normal(mn) + 1j * rng.standard_normal(mn)
-        U, sv, _ = svds(Y.astype(complex, copy=False), k=T_sel, v0=v0, tol=0)
-        order = np.argsort(sv)[::-1]
-        return SubspaceBasis(S=U[:, order], singular_values=sv[order])
-    YH = Y.conj().T
-    if R <= C:
-        V = eigh(Y @ YH, subset_by_index=[mn - T_sel, mn - 1])[1]
-        U, sv, _ = np.linalg.svd(V.conj().T @ Y, full_matrices=False)
-        S = V @ U
+        op = LinearOperator((mn, mn), matvec=gram, dtype=complex)
+        V = np.linalg.qr(eigsh(op, k=T_sel, v0=v0, tol=0)[1])[0]
     else:
-        V = eigh(YH @ Y, subset_by_index=[mn - T_sel, mn - 1])[1]
-        S, sv, _ = np.linalg.svd(Y @ V, full_matrices=False)
+        # lower triangle of the conjugate Gram matrix, conj(Y Y^H) or
+        # conj(Y^H Y), whose eigenvectors are the conjugates of the Gram ones
+        G = zherk(1.0, Y.T, trans=2 if R <= C else 0, lower=1)
+        V = eigh(G, lower=True, overwrite_a=True, check_finite=False,
+                 subset_by_index=[mn - T_sel, mn - 1])[1].conj()
+    if R <= C:
+        U, sv, _ = np.linalg.svd(V.conj().T @ Y, full_matrices=False)
+        return SubspaceBasis(S=V @ U, singular_values=sv)
+    S, sv, _ = np.linalg.svd(Y @ V, full_matrices=False)
     return SubspaceBasis(S=S, singular_values=sv)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.blas import zgemm
 
 LIGHT_SPEED = 299_792_458.0  # m/s
 
@@ -229,22 +230,36 @@ class ChannelRealization:
         return self.X[:, off:]
 
 
+# Normal draws per pass through _complex_gaussian's scratch buffer (32 KiB)
+_DRAW_CHUNK = 4096
+
+
 def _complex_gaussian(rng, shape, var=1.0):
-    # real parts, then imaginary parts: the stream of two consecutive draws
+    # real parts, then imaginary parts: the stream of two consecutive draws,
+    # each drawn in chunks and scaled straight into the complex output
     if var == 0:
         return np.zeros(shape, dtype=complex)
-    parts = rng.standard_normal((2,) + shape)
-    scale = np.sqrt(var / 2.0)
     out = np.empty(shape, dtype=complex)
-    np.multiply(parts[0], scale, out=out.real)
-    np.multiply(parts[1], scale, out=out.imag)
+    scale = np.sqrt(var / 2.0)
+    flat = out.reshape(-1)
+    buf = np.empty(min(flat.size, _DRAW_CHUNK))
+    for part in (flat.real, flat.imag):
+        for i in range(0, flat.size, _DRAW_CHUNK):
+            chunk = buf[:min(_DRAW_CHUNK, flat.size - i)]
+            rng.standard_normal(out=chunk)
+            np.multiply(chunk, scale, out=part[i:i + chunk.size])
     return out
 
 
 def _qpsk(rng, shape, power):
-    re = 1 - 2 * rng.integers(0, 2, size=shape)
-    im = 1 - 2 * rng.integers(0, 2, size=shape)
-    return np.sqrt(power / 2.0) * (re + 1j * im)
+    # real parts, then imaginary parts, each from one 0/1 draw b: the level
+    # a (1 - 2b), formed exactly as -2a b + a in the output itself
+    a = np.sqrt(power / 2.0)
+    out = np.empty(shape, dtype=complex)
+    for part in (out.real, out.imag):
+        np.multiply(rng.integers(0, 2, size=shape), -2.0 * a, out=part)
+        part += a
+    return out
 
 
 def sample_realization(sys: SystemParams, pilots: PilotConfig, seed,
@@ -307,5 +322,7 @@ def assemble_received(rz: ChannelRealization) -> np.ndarray:
     Y = np.matmul(rz.H, rz.X, dtype=complex)
     Y += rz.noise
     if rz.H_I.shape[1]:
-        Y += rz.H_I @ rz.X_I
+        # Y^T += X_I^T H_I^T on the transposed view: the gemm numpy runs for
+        # H_I @ X_I, accumulating into Y instead of a product temporary
+        Y = zgemm(1.0, rz.X_I.T, rz.H_I.T, beta=1.0, c=Y.T, overwrite_c=True).T
     return Y

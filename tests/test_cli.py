@@ -44,9 +44,10 @@ class TestSeparability:
 
 class TestSupport:
     def test_json_all_methods(self, tmp_path):
+        # `n_seeds` is accepted: `support` shares its config file with `spectrum`
         cfg = write_cfg(tmp_path, "s.json",
                         {"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0,
-                         "profile": "flat", "I_over_P": 0.25, "seed": 1})
+                         "profile": "flat", "I_over_P": 0.25, "n_seeds": 20, "seed": 1})
         assert main(["support", "--config", cfg, "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "support.json").read_text())
         methods = {e["method"] for e in doc["estimates"]}
@@ -208,6 +209,26 @@ class TestErrors:
                      "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and "'deltas'" in err["message"], err
+
+    @pytest.mark.parametrize("command, key, value", [
+        *((cmd, key, value) for cmd in ("support", "spectrum")
+          for key, value in (("sweep", "R"), ("values", [50]), ("taus", [1]),
+                             ("deltas", [5]), ("min_symbols", 7))),
+        ("ber", "n_seeds", 20),
+    ])
+    def test_rejects_keys_of_another_command(self, tmp_path, capsys, command, key, value):
+        # a key only another command reads would be accepted and have no effect
+        cfg = {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0, "profile": "flat",
+               "seed": 7, key: value}
+        if command == "ber":
+            cfg.update(values=[0.2], min_symbols=400)
+        assert main([command, "--config", write_cfg(tmp_path, "k.json", cfg),
+                     "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError", err
+        assert f"unknown config keys [{key!r}]" in err["message"], err
+        assert captured.out == "" and not list(tmp_path.glob("*.csv"))
 
     def test_coherence_rejects_unknown_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {"f0_GHz": 2.6, "delay_spread_us": 5,

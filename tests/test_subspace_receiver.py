@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import svds
+from scipy.sparse.linalg import eigsh
 
 from svdmimo import subspace_receiver
 from svdmimo.subspace_receiver import (conventional_receiver, count_bit_errors, detect_subspace,
@@ -73,19 +73,42 @@ class TestSignalSubspace:
         Y = cgauss(rng, (n + 1, 3)) @ cgauss(rng, (3, 2 * n)) + 0.1 * cgauss(rng, (n + 1, 2 * n))
         calls = []
 
-        def counting_svds(A, **kwargs):
+        def counting_eigsh(A, **kwargs):
             calls.append(A.shape)
-            return svds(A, **kwargs)
+            return eigsh(A, **kwargs)
 
-        monkeypatch.setattr(subspace_receiver, "svds", counting_svds)
+        monkeypatch.setattr(subspace_receiver, "eigsh", counting_eigsh)
         gram = signal_subspace(Y[:n], 3)
         signal_subspace(Y, 3)
-        assert calls == [(n + 1, 2 * n)]          # one row more crosses over to ARPACK
+        assert calls == [(n + 1, n + 1)]          # one row more crosses over to ARPACK
         monkeypatch.setattr(subspace_receiver, "_GRAM_MAX_DIM", n - 1)
         arpack = signal_subspace(Y[:n], 3)
-        assert calls[1:] == [(n, 2 * n)]
+        assert calls[1:] == [(n, n)]
         assert np.allclose(arpack.singular_values, gram.singular_values, rtol=1e-10)
         assert np.linalg.norm(arpack.S @ arpack.S.conj().T - gram.S @ gram.S.conj().T, 2) < 1e-10
+
+    @pytest.mark.parametrize("shape", [(40, 60), (60, 40), (300, 500), (500, 300)],
+                             ids=["gram_wide", "gram_tall", "arpack_wide", "arpack_tall"])
+    @pytest.mark.parametrize("layout", ["strided", "fortran", "real"])
+    def test_any_memory_layout(self, shape, layout):
+        # blocks that are not C-ordered complex arrays: a column-strided view,
+        # a Fortran-ordered copy and a real array, on both Gram sides and both
+        # sides of the crossover
+        rng = np.random.default_rng(23)
+        R, C = shape
+        T_sel = 3
+        if layout == "strided":
+            Y = (cgauss(rng, (R, 3)) @ cgauss(rng, (3, 2 * C))
+                 + 0.1 * cgauss(rng, (R, 2 * C)))[:, ::2]
+        else:
+            Y = cgauss(rng, (R, 3)) @ cgauss(rng, (3, C)) + 0.1 * cgauss(rng, (R, C))
+            Y = np.asfortranarray(Y) if layout == "fortran" else Y.real.copy()
+        assert Y.shape == shape
+        basis = signal_subspace(Y, T_sel)
+        U, s, _ = np.linalg.svd(Y, full_matrices=False)
+        P_full = U[:, :T_sel] @ U[:, :T_sel].conj().T
+        assert np.abs(basis.S @ basis.S.conj().T - P_full).max() <= 1e-10
+        assert np.abs(basis.singular_values - s[:T_sel]).max() <= 1e-10 * s[0]
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(R=st.integers(2, 260), C=st.integers(2, 260), data=st.data())

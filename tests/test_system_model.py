@@ -233,9 +233,12 @@ class TestFrozenStream:
     Pilot columns are left out: for tau = 2 they come from a LAPACK QR whose
     last bits may depend on the CPU. The interferer data that follows them in
     the stream is digested, so the stream position is still checked.
+
+    The blocks are 24 x 40, except one of the Fig.-5 size, 300 x 1000: its
+    noise spans many chunks of the draw, and its H_I X_I sum is large.
     """
 
-    # (tau, data law, P, W, L, profile kind); P = 0 draws no data at all
+    # (tau, data law, P, W, L, profile kind[, R, C]); P = 0 draws no data at all
     CASES = {
         "tau0_gaussian": (0, "gaussian", 0.1, 1.0, 2, "flat"),
         "tau0_P0_L0": (0, "gaussian", 0.0, 1.0, 0, "flat"),
@@ -243,6 +246,7 @@ class TestFrozenStream:
         "tau1_gaussian_W0": (1, "gaussian", 0.1, 0.0, 2, "modulo"),
         "tau2_gaussian": (2, "gaussian", 0.1, 0.5, 2, "modulo"),
         "tau2_qpsk": (2, "qpsk", 0.1, 1.0, 1, "flat"),
+        "fig5_tau1_qpsk": (1, "qpsk", 0.1, 1.0, 2, "flat", 300, 1000),
     }
     DIGESTS = {
         "tau0_gaussian": {
@@ -287,13 +291,20 @@ class TestFrozenStream:
             "X_I_data": "cf528e69f5bd33ef19e4b4d31e53dd31",
             "noise": "a060f2156b9077bbeba21e3b3feb4471",
         },
+        "fig5_tau1_qpsk": {
+            "H": "a1de266374f33f71b0a5c88cb89e825e",
+            "X_data": "b768f05fc0e46042d252e94e41996717",
+            "H_I": "aa24c1a3ade9677e8e0b43e4218bade9",
+            "X_I_data": "cb651889fd353b2fd8d9c9383d050759",
+            "noise": "7d5c0112b6a61502e04a6bdee7fb031f",
+        },
     }
 
     @staticmethod
-    def realization(tau, law, P, W, L, kind):
+    def realization(tau, law, P, W, L, kind, R=24, C=40):
         profile = (InterferenceProfile(kind="flat", I=0.3 * P) if kind == "flat"
                    else InterferenceProfile(kind="modulo", delta=2))
-        sys = SystemParams.from_profile(R=24, T=3, C=40, L=L, P=P, W=W, profile=profile)
+        sys = SystemParams.from_profile(R=R, T=3, C=C, L=L, P=P, W=W, profile=profile)
         return sample_realization(sys, make_pilots(3, 0.1, tau, rng=8), seed=[13, tau],
                                   data_law=law)
 
@@ -313,6 +324,17 @@ class TestFrozenStream:
         rz = self.realization(*self.CASES[name])
         Y = assemble_received(rz)
         assert np.array_equal(Y, (rz.H @ rz.X + rz.noise) + rz.H_I @ rz.X_I)
+
+    def test_assemble_bitwise_real_interference(self):
+        # hand-built real H_I and X_I of small integers: every entry of
+        # H_I X_I is exact whatever the summation order, so Y has one rounding
+        rz = self.realization(*self.CASES["tau0_gaussian"])
+        H_I = np.arange(24 * 6, dtype=float).reshape(24, 6) % 5 - 2
+        X_I = np.arange(6 * 40, dtype=float).reshape(6, 40) % 3 - 1
+        Y = assemble_received(type(rz)(H=rz.H, X=rz.X, H_I=H_I, X_I=X_I, noise=rz.noise,
+                                       pilot_config=rz.pilot_config))
+        assert Y.dtype == complex
+        assert np.array_equal(Y, (rz.H @ rz.X + rz.noise) + H_I @ X_I)
 
 
 @pytest.mark.filterwarnings("error")
