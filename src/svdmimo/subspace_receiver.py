@@ -28,7 +28,7 @@ _GRAM_MAX_DIM = 200
 class SubspaceBasis:
     """Orthonormal basis of the estimated signal subspace with singular values."""
 
-    S: np.ndarray                 # R x T_sel, orthonormal columns
+    S: np.ndarray                 # R x T_sel, orthonormal columns; see signal_subspace for phases
     singular_values: np.ndarray   # T_sel leading singular values, non-increasing
 
 
@@ -51,7 +51,12 @@ def signal_subspace(Y, T_sel) -> SubspaceBasis:
     Then one Rayleigh-Ritz step, a thin SVD of V^H Y (T_sel x C) or of Y V
     (R x T_sel), makes S orthonormal to machine precision and takes the
     singular values from Y itself rather than from its squared spectrum, so
-    they stay accurate, also when Y is rank-deficient.
+    they stay accurate, also when Y is rank-deficient. Last, each column of
+    S is scaled by a unit phase that makes its largest-magnitude entry real
+    and positive. The SVD would otherwise pick the phases from last-bit
+    rounding, so they would change with the path, the BLAS build or the
+    thread count; with this rule S is fixed wherever the singular values
+    are distinct.
 
     The Gram side costs about min(R, C)^2 max(R, C) per call; ARPACK costs a
     number of restarts times min(R, C) max(R, C) plus a fixed overhead of a
@@ -104,8 +109,11 @@ def signal_subspace(Y, T_sel) -> SubspaceBasis:
                  subset_by_index=[mn - T_sel, mn - 1])[1].conj()
     if R <= C:
         U, sv, _ = np.linalg.svd(V.conj().T @ Y, full_matrices=False)
-        return SubspaceBasis(S=V @ U, singular_values=sv)
-    S, sv, _ = np.linalg.svd(Y @ V, full_matrices=False)
+        S = V @ U
+    else:
+        S, sv, _ = np.linalg.svd(Y @ V, full_matrices=False)
+    peak = S[np.argmax(np.abs(S), axis=0), np.arange(T_sel)]
+    S *= peak.conj() / np.abs(peak)
     return SubspaceBasis(S=S, singular_values=sv)
 
 

@@ -214,13 +214,22 @@ def make_pilots(T, P, tau_blocks, rng=None) -> PilotConfig:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One sampled coherence block; immutable after construction."""
+    """One sampled coherence block; immutable after construction.
+
+    The noise is the last draw of the block's stream. It is not drawn at
+    sampling: the realization keeps W and the generator state where the
+    noise starts. ``noise`` draws it from a fresh generator restored to that
+    state on first read, and ``assemble_received`` draws it the same way
+    straight into the array that becomes Y, so every draw gives the same
+    array and none advances a shared generator.
+    """
 
     H: np.ndarray       # R x T, unit-variance entries
     X: np.ndarray       # T x C, pilots in the first tau*T columns, then data
     H_I: np.ndarray     # R x (L*T), column k variance I_k / P
     X_I: np.ndarray     # (L*T) x C, power P
-    noise: np.ndarray   # R x C, variance W
+    noise_var: float    # W, the variance of the noise entries
+    noise_state: dict | None  # bit-generator state before the noise; None at W = 0
     pilot_config: PilotConfig
 
     @property
@@ -228,6 +237,11 @@ class ChannelRealization:
         """Transmitted data part of X (own cell)."""
         off = self.pilot_config.tau_blocks * self.X.shape[0]
         return self.X[:, off:]
+
+    @cached_property
+    def noise(self):
+        """R x C noise, variance W; drawn on first read and kept."""
+        return _draw_noise(self)
 
 
 # Normal draws per pass through _complex_gaussian's scratch buffer (32 KiB)
@@ -269,7 +283,8 @@ def sample_realization(sys: SystemParams, pilots: PilotConfig, seed,
     Pilots occupy the first tau*T columns of X. Interfering cells transmit the
     same pilot block when tau=1 (synchronized reuse, the pilot-contamination
     scenario) and independent Haar-random blocks when tau > 1. Data entries are
-    circular Gaussian or QPSK, both of power P.
+    circular Gaussian or QPSK, both of power P. The noise, the last draw, is
+    left undrawn: the realization keeps the generator state where it starts.
     """
     if data_law not in ("gaussian", "qpsk"):
         raise ValueError(f"unknown data law {data_law!r}")
@@ -312,17 +327,34 @@ def sample_realization(sys: SystemParams, pilots: PilotConfig, seed,
     else:
         X_I = np.zeros((0, sys.C), dtype=complex)
 
-    noise = _complex_gaussian(rng, (sys.R, sys.C), sys.W)
-    return ChannelRealization(H=H, X=X, H_I=H_I, X_I=X_I, noise=noise, pilot_config=pilots)
+    noise_state = rng.bit_generator.state if sys.W else None
+    return ChannelRealization(H=H, X=X, H_I=H_I, X_I=X_I, noise_var=sys.W,
+                              noise_state=noise_state, pilot_config=pilots)
+
+
+def _draw_noise(rz: ChannelRealization) -> np.ndarray:
+    """A new R x C array of the block's noise; zeros, drawn from nothing, at W = 0."""
+    shape = (rz.H.shape[0], rz.X.shape[1])
+    if rz.noise_state is None:
+        return np.zeros(shape, dtype=complex)
+    # a seed skips gathering OS entropy; the state set next replaces it
+    bit_generator = getattr(np.random, rz.noise_state["bit_generator"])(0)
+    bit_generator.state = rz.noise_state
+    return _complex_gaussian(np.random.Generator(bit_generator), shape, rz.noise_var)
 
 
 def assemble_received(rz: ChannelRealization) -> np.ndarray:
-    """Received block Y = H X + noise + H_I X_I, accumulated in place in that order."""
-    # complex from the start, so the in-place sums never need an upcast
-    Y = np.matmul(rz.H, rz.X, dtype=complex)
-    Y += rz.noise
-    if rz.H_I.shape[1]:
-        # Y^T += X_I^T H_I^T on the transposed view: the gemm numpy runs for
-        # H_I @ X_I, accumulating into Y instead of a product temporary
-        Y = zgemm(1.0, rz.X_I.T, rz.H_I.T, beta=1.0, c=Y.T, overwrite_c=True).T
+    """Received block Y = H X + noise + H_I X_I, one new array per call.
+
+    The noise is drawn straight into Y from the state the realization keeps
+    (see ChannelRealization), then H X and H_I X_I are accumulated into it in
+    place, in that order. Addition commutes, so noise + H X is bitwise
+    H X + noise. No shared generator is advanced: every call gives the same Y.
+    """
+    Y = _draw_noise(rz)
+    for A, B in ((rz.H, rz.X), (rz.H_I, rz.X_I)):
+        if A.shape[1]:
+            # Y^T += B^T A^T on the transposed view: the gemm numpy runs for
+            # A @ B, accumulating into Y instead of a product temporary
+            Y = zgemm(1.0, B.T, A.T, beta=1.0, c=Y.T, overwrite_c=True).T
     return Y

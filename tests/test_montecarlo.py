@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from svdmimo import montecarlo
 from svdmimo.montecarlo import (BerPoint, ExperimentConfig, ber_vs_IP, ber_vs_R,
                                 spectrum_experiment, write_ber_csv, write_spectrum_csv)
 from svdmimo.rmt_spectrum import mp_density
-from svdmimo.system_model import InterferenceProfile, SystemParams
+from svdmimo.system_model import InterferenceProfile, SystemParams, make_pilots
 
 
 def small_system(I_over_P=0.25, W=1.0, L=2, R=60, T=3, C=40, P=0.1):
@@ -118,6 +121,22 @@ class TestBerSweeps:
         by_tau = {p.tau: p for p in points if p.receiver == "conventional"}
         # more pilot blocks cannot hurt the conventional estimate on average
         assert by_tau[5].ber <= by_tau[1].ber + 0.05
+
+
+    def test_block_allocation(self):
+        # one Fig.-5 block through both receivers: Y is the only R x C array,
+        # the rest (subspace, projections, decisions) is small beside it
+        sys = small_system(R=300, T=3, C=1000, L=2)
+        pilots = make_pilots(3, 0.1, 1)
+        block = sys.R * sys.C * np.dtype(complex).itemsize
+        montecarlo._run_realization(sys, pilots, [3, 0, 0])
+        tracemalloc.start()
+        try:
+            montecarlo._run_realization(sys, pilots, [3, 0, 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block
 
 
 class TestFrozenOutputs:

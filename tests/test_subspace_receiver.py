@@ -110,6 +110,26 @@ class TestSignalSubspace:
         assert np.abs(basis.S @ basis.S.conj().T - P_full).max() <= 1e-10
         assert np.abs(basis.singular_values - s[:T_sel]).max() <= 1e-10 * s[0]
 
+    @pytest.mark.parametrize("shape", [(40, 60), (60, 40), (300, 500), (500, 300)],
+                             ids=["gram_wide", "gram_tall", "arpack_wide", "arpack_tall"])
+    def test_basis_matches_svd_entrywise(self, shape):
+        # S itself, phases included, wherever the singular values are
+        # separated: the same normalisation applied to np.linalg.svd's U
+        rng = np.random.default_rng(29)
+        R, C = shape
+        T_sel = 4
+        Y = cgauss(rng, (R, 3)) @ cgauss(rng, (3, C)) + 0.1 * cgauss(rng, (R, C))
+        S = signal_subspace(Y, T_sel).S
+        U, s, _ = np.linalg.svd(Y, full_matrices=False)
+        U = U[:, :T_sel]
+        peak = U[np.argmax(np.abs(U), axis=0), np.arange(T_sel)]
+        U = U * (peak.conj() / np.abs(peak))
+        gaps = np.minimum(-np.diff(s[:T_sel + 1]), np.r_[np.inf, -np.diff(s[:T_sel])])
+        separated = gaps > 1e-6 * s[0]
+        assert separated.all()
+        assert np.abs(S - U)[:, separated].max() <= 1e-10
+        assert np.all(S[np.argmax(np.abs(S), axis=0), np.arange(T_sel)].real > 0)
+
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(R=st.integers(2, 260), C=st.integers(2, 260), data=st.data())
     def test_matches_full_svd(self, R, C, data):

@@ -1,4 +1,7 @@
+import dataclasses
 import hashlib
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -140,9 +143,11 @@ class TestRealization:
             assert abs(var - target) <= 3 * target / np.sqrt(sys.R)
 
     def test_zero_noise(self):
+        # W = 0 keeps no generator state: the noise is zeros, drawn from nothing
         sys = flat_system(W=0.0)
         rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=5)
-        assert not np.any(rz.noise)
+        assert rz.noise_state is None and not np.any(rz.noise)
+        assert np.array_equal(assemble_received(rz), rz.H @ rz.X + rz.H_I @ rz.X_I)
 
     def test_pilots_occupy_first_columns(self):
         sys = flat_system(R=50, T=4, C=30)
@@ -194,16 +199,14 @@ class TestAssembleReceived:
         H = np.zeros((3, 3), complex)
         H[1, 2] = 2.0 + 1j
         X = np.eye(3, dtype=complex)
-        rz2 = type(rz)(H=H, X=X, H_I=rz.H_I, X_I=np.zeros((0, 3), complex),
-                       noise=np.zeros((3, 3), complex), pilot_config=rz.pilot_config)
+        rz2 = dataclasses.replace(rz, H=H, X=X, X_I=np.zeros((0, 3), complex))
         Y = assemble_received(rz2)
         assert Y[1, 2] == 2.0 + 1j and np.count_nonzero(Y) == 1
 
     def test_real_channel_complex_noise(self):
         sys = SystemParams(R=6, T=2, C=5, L=0, P=0.1, W=1.0)
         rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=2)
-        real = type(rz)(H=rz.H.real.copy(), X=rz.X.real.copy(), H_I=rz.H_I, X_I=rz.X_I,
-                        noise=rz.noise, pilot_config=rz.pilot_config)
+        real = dataclasses.replace(rz, H=rz.H.real.copy(), X=rz.X.real.copy())
         assert np.array_equal(assemble_received(real), real.H @ real.X + rz.noise)
 
     def test_frobenius_power_bookkeeping(self):
@@ -219,9 +222,44 @@ class TestAssembleReceived:
     def test_linearity_in_summands(self):
         sys = flat_system(R=20, T=3, C=15)
         rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=4)
-        doubled = type(rz)(H=2 * rz.H, X=rz.X, H_I=rz.H_I, X_I=rz.X_I,
-                           noise=rz.noise, pilot_config=rz.pilot_config)
+        doubled = dataclasses.replace(rz, H=2 * rz.H)
         assert np.allclose(assemble_received(doubled) - assemble_received(rz), rz.H @ rz.X)
+
+    def test_repeat_calls_identical(self):
+        # the noise comes from the state the realization keeps, not from a
+        # shared generator: every call, in any thread, makes the same new Y
+        rz = sample_realization(flat_system(R=30, T=3, C=40), make_pilots(3, 0.1, 1), seed=6)
+        Y = assemble_received(rz)
+        assert assemble_received(rz) is not Y
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            again = list(pool.map(lambda _: assemble_received(rz), range(16)))
+        assert all(np.array_equal(Z, Y) for Z in again)
+
+    def test_noise_unchanged_by_assembly(self):
+        sys, pilots = flat_system(R=30, T=3, C=40), make_pilots(3, 0.1, 1)
+        rz = sample_realization(sys, pilots, seed=6)
+        before = rz.noise.copy()
+        assemble_received(rz)
+        assert np.array_equal(rz.noise, before)
+        # read after assembling on a fresh realization of the same seed
+        late = sample_realization(sys, pilots, seed=6)
+        assemble_received(late)
+        assert np.array_equal(late.noise, before)
+
+    def test_one_block_sized_array(self):
+        # Fig.-5 block: the noise is drawn into Y itself, so sampling and
+        # assembling allocate one R x C array (two when the noise had its own)
+        sys, pilots = flat_system(R=300, T=3, C=1000, L=2), make_pilots(3, 0.1, 1)
+        block = sys.R * sys.C * np.dtype(complex).itemsize
+        assemble_received(sample_realization(sys, pilots, seed=0, data_law="qpsk"))
+        tracemalloc.start()
+        try:
+            Y = assemble_received(sample_realization(sys, pilots, seed=1, data_law="qpsk"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert Y.shape == (300, 1000)
+        assert peak < 1.2 * block
 
 
 class TestFrozenStream:
@@ -331,8 +369,7 @@ class TestFrozenStream:
         rz = self.realization(*self.CASES["tau0_gaussian"])
         H_I = np.arange(24 * 6, dtype=float).reshape(24, 6) % 5 - 2
         X_I = np.arange(6 * 40, dtype=float).reshape(6, 40) % 3 - 1
-        Y = assemble_received(type(rz)(H=rz.H, X=rz.X, H_I=H_I, X_I=X_I, noise=rz.noise,
-                                       pilot_config=rz.pilot_config))
+        Y = assemble_received(dataclasses.replace(rz, H_I=H_I, X_I=X_I))
         assert Y.dtype == complex
         assert np.array_equal(Y, (rz.H @ rz.X + rz.noise) + H_I @ X_I)
 
