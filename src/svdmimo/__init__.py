@@ -12,7 +12,7 @@ from .montecarlo import (BerPoint, ExperimentConfig, SpectrumResult, ber_vs_IP, 
 from .numerics import bisect, poly_roots
 from .rmt_spectrum import (FixedPointParams, SpectralDensity, StieltjesSolverError,
                            StieltjesValue, density_from_stieltjes, empirical_spectrum,
-                           mp_density, stieltjes_solve)
+                           stieltjes_solve)
 from .subspace_receiver import (SubspaceBasis, conventional_receiver, count_bit_errors,
                                 detect_subspace, estimate_projected_channel, project,
                                 signal_subspace, slice_qpsk)

@@ -12,6 +12,7 @@ at this boundary. Every output embeds the resolved configuration and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys as _sys
@@ -63,9 +64,7 @@ def _system_from_config(cfg):
 def _resolved(cfg, sys_params, seed):
     return {
         "config": cfg,
-        "resolved": {"R": sys_params.R, "T": sys_params.T, "C": sys_params.C,
-                     "L": sys_params.L, "P": sys_params.P, "W": sys_params.W,
-                     "interference_powers": list(sys_params.interference_powers)},
+        "resolved": dataclasses.asdict(sys_params),
         "seed": seed,
     }
 
@@ -87,8 +86,7 @@ def _cmd_spectrum(args):
     sys_params = _system_from_config(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     result = montecarlo.spectrum_experiment(
-        sys_params, n_seeds=cfg.get("n_seeds", 20), grid_points=args.grid_points,
-        y_offset=args.y_offset, seed=seed)
+        sys_params, n_seeds=cfg.get("n_seeds", 20), grid_points=args.grid_points, seed=seed)
     out = Path(args.out) / "spectrum.csv"
     montecarlo.write_spectrum_csv(result, _resolved(cfg, sys_params, seed), out)
     print(f"wrote {out}")
@@ -204,7 +202,6 @@ def build_parser():
     p.add_argument("--out", default=".")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--grid-points", type=int, default=600)
-    p.add_argument("--y-offset", type=float, default=None)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("support", help="bulk support estimates JSON (all methods)")

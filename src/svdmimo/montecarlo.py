@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -96,9 +96,7 @@ class ExperimentConfig:
 
     def to_dict(self):
         d = {
-            "system": {"R": self.system.R, "T": self.system.T, "C": self.system.C,
-                       "L": self.system.L, "P": self.system.P, "W": self.system.W,
-                       "interference_powers": list(self.system.interference_powers)},
+            "system": asdict(self.system),
             "sweep": self.sweep, "values": list(self.values), "taus": list(self.taus),
             "receivers": list(RECEIVERS), "min_symbols": self.min_symbols,
             "data_law": "qpsk", "seed": self.seed, "paired_realizations": True,
@@ -188,51 +186,25 @@ class SpectrumResult:
     density: SpectralDensity
     supports: tuple
 
-    def asymptotic_cdf(self, x):
-        """CDF of the continuous part renormalized over the nonzero eigenvalues."""
-        cum = self.density.cdf()
-        total = cum[-1]
-        return np.interp(x, self.density.grid, cum / total, left=0.0, right=1.0)
 
-    def kolmogorov_distance(self):
-        ev = np.sort(self.eigenvalues)
-        n = len(ev)
-        F = self.asymptotic_cdf(ev)
-        steps = np.arange(1, n + 1) / n
-        return float(max(np.max(np.abs(steps - F)), np.max(np.abs(steps - 1.0 / n - F))))
-
-    def gap_mass(self):
-        """Fraction of pooled eigenvalues strictly between the two rightmost bulks
-        of the asymptotic density; None when the density shows a single bulk."""
-        bulks = self.density.bulk_intervals()
-        if len(bulks) < 2:
-            return None
-        gap_lo, gap_hi = bulks[-2][1], bulks[-1][0]
-        inside = np.sum((self.eigenvalues > gap_lo) & (self.eigenvalues < gap_hi))
-        return float(inside / len(self.eigenvalues))
-
-
-def spectrum_experiment(sys: SystemParams, n_seeds=20, grid_points=600, y_offset=None,
-                        seed=0) -> SpectrumResult:
+def spectrum_experiment(sys: SystemParams, n_seeds=20, grid_points=600, seed=0) -> SpectrumResult:
     """Pooled empirical spectrum of Y Y^H/(T*R) over seeds with the asymptotic
     density on the same axis and, when there is interference power, the four
     support estimates of bulk_support.support_estimates.
 
-    The grid spans the pooled nonzero eigenvalues with margin; the default
-    inversion offset is 1e-5 of the grid span (density_from_stieltjes), small
-    enough that the zero-eigenvalue atom does not leak into the continuous part.
+    The grid spans the pooled nonzero eigenvalues with margin; the inversion
+    offset is 1e-5 of the grid span (density_from_stieltjes), small enough
+    that the zero-eigenvalue atom does not leak into the continuous part.
     """
-    scale = sys.T * sys.R
     pilots = PilotConfig(tau_blocks=0)
     pooled = []
     for i in range(n_seeds):
         rz = sample_realization(sys, pilots, [seed, i])
-        ev = empirical_spectrum(assemble_received(rz)) * sys.R / scale
+        ev = empirical_spectrum(assemble_received(rz), sys.T)
         pooled.append(ev[ev > 1e-12 * max(ev[0], 1.0)])
     pooled = np.sort(np.concatenate(pooled))
     grid = np.linspace(max(0.25 * pooled[0], 1e-6), 1.1 * pooled[-1], grid_points)
-    fp = FixedPointParams.from_system(sys, scale=scale)
-    density = density_from_stieltjes(grid, fp, y_offset=y_offset)
+    density = density_from_stieltjes(grid, FixedPointParams.from_system(sys, scale=sys.T * sys.R))
 
     supports = ()
     if sys.P > 0 and max(sys.interference_powers, default=0.0) > 0:

@@ -1,8 +1,10 @@
-"""Shared numerical kernels: polynomial roots and bisection."""
+"""Shared numerical kernels: polynomial roots, bisection and the Gram matrix
+of a block."""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
 _PP = np.polynomial.polynomial
 
@@ -49,3 +51,15 @@ def bisect(f, lo, hi, tol=1e-12):
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
+
+
+def _gram_lower(Y):
+    """Lower triangle of the conjugate of the smaller Gram matrix of Y:
+    conj(Y Y^H) if R <= C, else conj(Y^H Y); the upper triangle is not set.
+
+    One herk on Y^T, which reads Y through its transpose view, never through
+    a conjugate copy. The conjugate has the eigenvalues of the Gram matrix,
+    and the conjugates of its eigenvectors.
+    """
+    R, C = Y.shape
+    return zherk(1.0, Y.T, trans=2 if R <= C else 0, lower=1)

@@ -7,7 +7,7 @@ contributes one rational self-energy term. Densities are recovered by the
 inversion formula p(x) = Im G(x + jy)/pi for small y > 0.
 
 Eigenvalue axes are expressed as eig(Y Y^H)/scale; `scale` = T*R places the
-signal bulk near kappa*P/alpha, `scale` = R matches empirical_spectrum.
+signal bulk near kappa*P/alpha and is the axis of empirical_spectrum.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .numerics import _gram_lower
 from .system_model import SystemParams
 
 # damped fixed-point iteration: step weight, residual tolerance, step budget
@@ -132,25 +133,6 @@ class SpectralDensity:
     def atom_at_zero(self):
         """The mass missing from the continuous part, clipped to [0, 1]."""
         return min(1.0, max(0.0, 1.0 - self.continuous_mass))
-
-    def cdf(self):
-        """Cumulative mass of the continuous part along the grid."""
-        dx = np.diff(self.grid)
-        return np.concatenate([[0.0], np.cumsum(0.5 * (self.values[1:] + self.values[:-1]) * dx)])
-
-    def bulk_intervals(self):
-        """Contiguous grid regions where the density exceeds 1e-3 of its peak."""
-        above = self.values > 1e-3 * self.values.max()
-        regions, start = [], None
-        for i, flag in enumerate(above):
-            if flag and start is None:
-                start = i
-            elif not flag and start is not None:
-                regions.append((float(self.grid[start]), float(self.grid[i - 1])))
-                start = None
-        if start is not None:
-            regions.append((float(self.grid[start]), float(self.grid[-1])))
-        return regions
 
 
 # ---------------------------------------------------------------------------
@@ -337,42 +319,14 @@ def density_from_stieltjes(grid, fp: FixedPointParams, y_offset=None) -> Spectra
                            y_offset=y_offset)
 
 
-def empirical_spectrum(Y) -> np.ndarray:
-    """All R eigenvalues of Y Y^H / R, non-negative, descending.
+def empirical_spectrum(Y, T) -> np.ndarray:
+    """All R eigenvalues of Y Y^H/(T*R), the axis of the support estimates,
+    non-negative, descending.
 
-    Computed on the smaller Gram side; for R > C the trailing R - C entries
-    are exact zeros (rank bound).
+    Computed on the smaller Gram side, formed as in signal_subspace; for
+    R > C the trailing R - C entries are exact zeros (rank bound).
     """
     Y = np.asarray(Y)
     R, C = Y.shape
-    if R <= C:
-        ev = np.linalg.eigvalsh(Y @ Y.conj().T).real
-    else:
-        ev = np.concatenate([np.linalg.eigvalsh(Y.conj().T @ Y).real, np.zeros(R - C)])
-    ev = np.clip(ev, 0.0, None)
-    return np.sort(ev)[::-1] / R
-
-
-def mp_density(kappa, scale=1.0):
-    """Marchenko-Pastur eigenvalue density and support edges.
-
-    Returns (pdf, (lo, hi)) for eigenvalues of W W^H/(C W_pow) times `scale`:
-    the noise-only reduction of the fixed point. Support edges sit at the
-    zeros of the discriminant, scale*(1 -+ 1/sqrt(kappa))^2, and the density
-    integrates to min(1, kappa); for kappa < 1 the remaining 1 - kappa mass is
-    the atom at zero.
-    """
-    if kappa <= 0:
-        raise ValueError("kappa must be > 0")
-    lo = scale * (1 - 1 / math.sqrt(kappa)) ** 2
-    hi = scale * (1 + 1 / math.sqrt(kappa)) ** 2
-
-    def pdf(x):
-        u = np.asarray(x, dtype=float) / scale
-        disc = 4 * u * kappa - (u * kappa + 1 - kappa) ** 2
-        out = np.zeros_like(u)
-        inside = disc > 0
-        out[inside] = np.sqrt(disc[inside]) / (2 * math.pi * u[inside]) / scale
-        return out if out.ndim else float(out)
-
-    return pdf, (lo, hi)
+    ev = np.clip(np.linalg.eigvalsh(_gram_lower(Y), UPLO="L"), 0.0, None)[::-1]
+    return np.concatenate([ev, np.zeros(max(R - C, 0))]) / (T * R)

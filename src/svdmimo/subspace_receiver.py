@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.linalg.blas import zherk
 from scipy.sparse.linalg import LinearOperator, eigsh
 
+from .numerics import _gram_lower
 from .system_model import PilotConfig
 
 
@@ -102,10 +102,7 @@ def signal_subspace(Y, T_sel) -> SubspaceBasis:
         op = LinearOperator((mn, mn), matvec=gram, dtype=complex)
         V = np.linalg.qr(eigsh(op, k=T_sel, v0=v0, tol=0)[1])[0]
     else:
-        # lower triangle of the conjugate Gram matrix, conj(Y Y^H) or
-        # conj(Y^H Y), whose eigenvectors are the conjugates of the Gram ones
-        G = zherk(1.0, Y.T, trans=2 if R <= C else 0, lower=1)
-        V = eigh(G, lower=True, overwrite_a=True, check_finite=False,
+        V = eigh(_gram_lower(Y), lower=True, overwrite_a=True, check_finite=False,
                  subset_by_index=[mn - T_sel, mn - 1])[1].conj()
     if R <= C:
         U, sv, _ = np.linalg.svd(V.conj().T @ Y, full_matrices=False)

@@ -218,10 +218,9 @@ class ChannelRealization:
 
     The noise is the last draw of the block's stream. It is not drawn at
     sampling: the realization keeps W and the generator state where the
-    noise starts. ``noise`` draws it from a fresh generator restored to that
-    state on first read, and ``assemble_received`` draws it the same way
-    straight into the array that becomes Y, so every draw gives the same
-    array and none advances a shared generator.
+    noise starts, and ``assemble_received`` draws it from a fresh generator
+    restored to that state straight into the array that becomes Y, so every
+    call gives the same array and none advances a shared generator.
     """
 
     H: np.ndarray       # R x T, unit-variance entries
@@ -237,11 +236,6 @@ class ChannelRealization:
         """Transmitted data part of X (own cell)."""
         off = self.pilot_config.tau_blocks * self.X.shape[0]
         return self.X[:, off:]
-
-    @cached_property
-    def noise(self):
-        """R x C noise, variance W; drawn on first read and kept."""
-        return _draw_noise(self)
 
 
 # Normal draws per pass through _complex_gaussian's scratch buffer (32 KiB)

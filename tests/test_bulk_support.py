@@ -291,11 +291,10 @@ class TestBilateralHighSnr:
     def test_empirical_containment(self):
         sys = fig2_system(W=0.0)
         est = bilateral_supports_highsnr(derive_params(sys))
-        scale = sys.T * sys.R
         sig, intf = [], []
         for i in range(10):
             rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=[77, i])
-            ev = empirical_spectrum(assemble_received(rz)) * sys.R / scale
+            ev = empirical_spectrum(assemble_received(rz), sys.T)
             sig.extend(ev[:3])
             intf.extend(ev[3:9])
         assert np.mean(est.signal.contains(np.array(sig))) == 1.0
@@ -417,11 +416,10 @@ class TestBilateralGeneral:
     def test_noisy_empirical_containment(self):
         sys = fig2_system(W=1.0)
         est = bilateral_supports_general(derive_params(sys))
-        scale = sys.T * sys.R
         sig, intf = [], []
         for i in range(10):
             rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=[78, i])
-            ev = empirical_spectrum(assemble_received(rz)) * sys.R / scale
+            ev = empirical_spectrum(assemble_received(rz), sys.T)
             sig.extend(ev[:3])
             intf.extend(ev[3:9])
         assert np.mean(est.signal.contains(np.array(sig))) == 1.0

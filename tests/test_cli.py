@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -98,6 +99,18 @@ class TestSpectrum:
         data = np.array([[float(v) for v in line.split(",")] for line in lines[idx + 1:]])
         assert data.shape == (120, 3)
         assert np.all(data[:, 1] >= 0)
+
+    def test_frozen_csv_digest(self, tmp_path):
+        # reruns keep every byte, header and columns, whatever the BLAS
+        # thread count: the eigenvalues come from the herk Gram matrix of
+        # signal_subspace, and the grid spans their extremes
+        cfg = write_cfg(tmp_path, "sp.json",
+                        {"R": 80, "T": 3, "C": 60, "L": 1, "P_dB": -10, "W_dB": 0,
+                         "profile": "flat", "I_over_P": 0.25, "n_seeds": 3, "seed": 2})
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path),
+                     "--grid-points", "120"]) == 0
+        digest = hashlib.sha256((tmp_path / "spectrum.csv").read_bytes()).hexdigest()
+        assert digest == "a72b739d3aa3a3ce1a82ebdc9238a23f3715c3b3f8cdc8bfbe2b308ef8263c57"
 
     def test_supports_equal_support_json(self, tmp_path):
         # both commands report the same four estimates, at equal powers too

@@ -3,10 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spectrum_oracle import mp_density
 from svdmimo import montecarlo
 from svdmimo.montecarlo import (BerPoint, ExperimentConfig, ber_vs_IP, ber_vs_R,
                                 spectrum_experiment, write_ber_csv, write_spectrum_csv)
-from svdmimo.rmt_spectrum import mp_density
 from svdmimo.system_model import InterferenceProfile, SystemParams, make_pilots
 
 

@@ -5,10 +5,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fixed_point_oracle as oracle
+from spectrum_oracle import bulk_intervals, cdf, mp_density
 from svdmimo.montecarlo import spectrum_experiment
 from svdmimo.rmt_spectrum import (FixedPointParams, _cleared_and_deriv, _continuation,
                                   _iterate, _self_energy, _solve_raw, density_from_stieltjes,
-                                  empirical_spectrum, mp_density, stieltjes_solve)
+                                  empirical_spectrum, stieltjes_solve)
 from svdmimo.system_model import (InterferenceProfile, PilotConfig, SystemParams,
                                   assemble_received, sample_realization)
 
@@ -239,7 +240,7 @@ def near_bulk_edges(draw):
                                       scale=T * R)
     mean = fp.mean_eigenvalue()
     grid = np.linspace(0.0, 12 * mean, 301)[1:]
-    edges = [e for bulk in density_from_stieltjes(grid, fp).bulk_intervals() for e in bulk]
+    edges = [e for bulk in bulk_intervals(density_from_stieltjes(grid, fp)) for e in bulk]
     x = draw(st.sampled_from(edges)) * (1 + draw(st.floats(-0.03, 0.03)))
     return complex(x, mean * draw(_log_uniform(-6, -2))), fp
 
@@ -327,7 +328,7 @@ class TestDensity:
         fp = FixedPointParams.from_system(sys, scale=sys.T * sys.R)
         grid = np.linspace(0.01, 2.6, 400)
         density = density_from_stieltjes(grid, fp, y_offset=2e-5)
-        bulks = density.bulk_intervals()
+        bulks = bulk_intervals(density)
         assert len(bulks) >= 2
         lo, hi = bulks[-1]
         assert lo < 1.0 < hi  # signal bulk sits at kappa P / alpha = 1
@@ -350,22 +351,35 @@ class TestDensity:
 
 
 class TestEmpiricalSpectrum:
+    @pytest.mark.parametrize("R, C", [(30, 50), (40, 40), (50, 20)])
+    def test_axis_matches_full_gram(self, R, C):
+        # eig(Y Y^H)/(T*R) from the full R x R Gram matrix, whatever side the
+        # library forms; R > C leaves R - C exact zeros
+        T = 3
+        rng = np.random.default_rng(R + C)
+        Y = rng.standard_normal((R, C)) + 1j * rng.standard_normal((R, C))
+        ev = empirical_spectrum(Y, T)
+        want = np.sort(np.linalg.eigvalsh(Y @ Y.conj().T))[::-1] / (T * R)
+        assert ev.shape == (R,)
+        assert np.max(np.abs(ev - want)) <= 1e-12 * want[0]
+        assert np.count_nonzero(ev == 0.0) == max(R - C, 0)
+
     def test_rank_bound_zeros(self):
         rng = np.random.default_rng(1)
         Y = rng.standard_normal((50, 20)) + 1j * rng.standard_normal((50, 20))
-        ev = empirical_spectrum(Y)
+        ev = empirical_spectrum(Y, 1)
         assert len(ev) == 50
         assert np.count_nonzero(ev == 0.0) >= 30
 
     def test_trace_identity(self):
         rng = np.random.default_rng(2)
         Y = rng.standard_normal((40, 60)) + 1j * rng.standard_normal((40, 60))
-        ev = empirical_spectrum(Y)
+        ev = empirical_spectrum(Y, 1)
         assert np.isclose(np.sum(ev), np.linalg.norm(Y) ** 2 / 40, rtol=1e-8)
 
     def test_descending(self):
         rng = np.random.default_rng(3)
-        ev = empirical_spectrum(rng.standard_normal((30, 30)))
+        ev = empirical_spectrum(rng.standard_normal((30, 30)), 1)
         assert np.all(np.diff(ev) <= 0)
 
     def test_fig1_histogram_overlaps_asymptotic(self):
@@ -376,13 +390,13 @@ class TestEmpiricalSpectrum:
         pooled = []
         for i in range(10):
             rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=[100, i])
-            ev = empirical_spectrum(assemble_received(rz)) * sys.R / scale
+            ev = empirical_spectrum(assemble_received(rz), sys.T)
             pooled.append(ev[ev > 1e-9])
         pooled = np.sort(np.concatenate(pooled))
         grid = np.linspace(0.25 * pooled[0], 1.1 * pooled[-1], 400)
         density = density_from_stieltjes(grid, fp, y_offset=2e-5)
-        cdf = density.cdf()
-        F = np.interp(pooled, grid, cdf / cdf[-1])
+        cum = cdf(density)
+        F = np.interp(pooled, grid, cum / cum[-1])
         n = len(pooled)
         ks = max(np.max(np.abs(np.arange(1, n + 1) / n - F)),
                  np.max(np.abs(np.arange(0, n) / n - F)))
@@ -442,13 +456,13 @@ class TestOracleEquivalenceFiniteSize:
         pooled = []
         for i in range(20):
             rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=[5, i])
-            ev = empirical_spectrum(assemble_received(rz)) * sys.R / scale
+            ev = empirical_spectrum(assemble_received(rz), sys.T)
             pooled.append(ev[ev > 1e-9])
         pooled = np.sort(np.concatenate(pooled))
         grid = np.linspace(0.25 * pooled[0], 1.1 * pooled[-1], 350)
         density = density_from_stieltjes(grid, fp, y_offset=1e-5 * (grid[-1] - grid[0]))
-        cdf = density.cdf()
-        F = np.interp(pooled, grid, cdf / cdf[-1])
+        cum = cdf(density)
+        F = np.interp(pooled, grid, cum / cum[-1])
         n = len(pooled)
         ks = max(np.max(np.abs(np.arange(1, n + 1) / n - F)),
                  np.max(np.abs(np.arange(0, n) / n - F)))
