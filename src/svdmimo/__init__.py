@@ -16,9 +16,8 @@ from .rmt_spectrum import (FixedPointParams, SpectralDensity, StieltjesSolverErr
 from .subspace_receiver import (SubspaceBasis, conventional_receiver, count_bit_errors,
                                 detect_subspace, estimate_projected_channel, project,
                                 signal_subspace, slice_qpsk)
-from .system_model import (LIGHT_SPEED, ChannelRealization, DerivedParams,
-                           InterferenceProfile, PilotConfig, RadioParams, SystemParams,
-                           assemble_received, coherence_symbols, derive_params,
+from .system_model import (LIGHT_SPEED, ChannelRealization, InterferenceProfile, PilotConfig,
+                           RadioParams, SystemParams, assemble_received, coherence_symbols,
                            interference_profile, make_pilots, sample_realization)
 
 __version__ = "0.1.0"

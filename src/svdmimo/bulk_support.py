@@ -1,8 +1,8 @@
 """Analytic approximations to the supports of the signal and interference bulks.
 
-Three families, all in the (r, t, zeta) parameterization of DerivedParams,
-which also carries the source values L, P and W: every estimate reads the one
-system it was derived from, and support_estimates returns all four estimates.
+Three families, all in the (r, t, zeta) parameterization. Every method reads
+one SystemParams `sys`, which holds the ratios, the source values L, P and W,
+and every interference power; support_estimates(sys) returns all four.
 
 * unilateral: each bulk computed alone, then rescaled by noise and
   interference repulsion factors; separability by a closed-form threshold.
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import bisect, poly_roots
-from .system_model import DerivedParams
+from .system_model import SystemParams
 
 
 class RegimeError(ValueError):
@@ -85,16 +85,16 @@ class SupportEstimate:
 # unilateral approximation
 # ---------------------------------------------------------------------------
 
-def _unilateral_endpoints(dp):
+def _unilateral_endpoints(sys):
     """Signal and interference (lower, upper) before clamping at zero."""
-    a, k, P, L = dp.alpha, dp.kappa, dp.P, dp.L
-    I = dp.beta_ratio * P
+    a, k, P, L = sys.alpha, sys.kappa, sys.P, sys.L
+    I = sys.beta_ratio * P
     root = math.sqrt((k ** 2 + k) / a)
     return ((k * P / a - 2 * P * root, k * P / a + 2 * P * root),
             (k * I / a - 2 * I * math.sqrt(L) * root, k * I / a + 2 * I * math.sqrt(L) * root))
 
 
-def unilateral_intervals(dp: DerivedParams):
+def unilateral_intervals(sys: SystemParams):
     """Unscaled single-bulk supports on the T*R axis.
 
     Signal: kappa*P/alpha -+ 2P*sqrt((kappa^2+kappa)/alpha); interference the
@@ -102,7 +102,7 @@ def unilateral_intervals(dp: DerivedParams):
     lower endpoints are clamped to zero. Valid for small load;
     unilateral_supports flags a clamped endpoint and alpha > 0.1.
     """
-    (p_lo, p_hi), (i_lo, i_hi) = _unilateral_endpoints(dp)
+    (p_lo, p_hi), (i_lo, i_hi) = _unilateral_endpoints(sys)
     return (BulkInterval(max(p_lo, 0.0), p_hi), BulkInterval(max(i_lo, 0.0), max(i_hi, 0.0)))
 
 
@@ -129,7 +129,7 @@ def interference_scale_factors(P, I, alpha, kappa, L):
     return i_P, i_I
 
 
-def unilateral_separable(dp: DerivedParams):
+def unilateral_separable(sys: SystemParams):
     """Separability verdict and threshold ratio I/P under the unilateral rule.
 
     The threshold solves P/I = (n_I i_I)/(n_P i_P) * edge ratio by bisection,
@@ -141,7 +141,7 @@ def unilateral_separable(dp: DerivedParams):
     RegimeError when the signal-bulk edge factor 1 - 2 sqrt(alpha (1 + 1/kappa))
     is not positive (no separation predicted at any ratio).
     """
-    a, k, L, P = dp.alpha, dp.kappa, dp.L, dp.P
+    a, k, L, P = sys.alpha, sys.kappa, sys.L, sys.P
     lower_edge = 1 - 2 * math.sqrt(a * (1 + 1 / k))
     if lower_edge <= 0:
         raise RegimeError("1 - 2 sqrt(alpha (1 + 1/kappa)) <= 0: no separation predicted")
@@ -150,7 +150,7 @@ def unilateral_separable(dp: DerivedParams):
     def margin(x):
         # P/I minus the right-hand side of the inequality at trial ratio x = I/P
         I = x * P
-        n_P, n_I = noise_scale_factors(P, I, dp.W, dp.R, dp.C)
+        n_P, n_I = noise_scale_factors(P, I, sys.W, sys.R, sys.C)
         i_P, i_I = interference_scale_factors(P, I, a, k, L)
         return 1.0 / x - (n_I * i_I) / (n_P * i_P) * edge_ratio
 
@@ -171,10 +171,10 @@ def unilateral_separable(dp: DerivedParams):
     else:
         if seen_separable:
             threshold = x_max
-    return bool(dp.beta_ratio <= threshold), float(threshold)
+    return bool(sys.beta_ratio <= threshold), float(threshold)
 
 
-def unilateral_supports(dp: DerivedParams) -> SupportEstimate:
+def unilateral_supports(sys: SystemParams) -> SupportEstimate:
     """Unilateral SupportEstimate: single-bulk intervals rescaled by the
     repulsion factors; `separable` says whether the scaled intervals are
     disjoint.
@@ -193,20 +193,20 @@ def unilateral_supports(dp: DerivedParams) -> SupportEstimate:
     I > P the signal interval). At P = I the repulsion factors are singular
     and the estimate is merged.
     """
-    P = dp.P
-    I = dp.beta_ratio * P
+    P = sys.P
+    I = sys.beta_ratio * P
     if I == P:
         return _merged_estimate("unilateral", ("interference scale factors singular at P = I",))
     flags = []
-    if dp.alpha > 0.1:
-        flags.append(f"unilateral approximation assumes small load (alpha={dp.alpha:.3f} > 0.1)")
-    (p_lo, _), (i_lo, _) = _unilateral_endpoints(dp)
+    if sys.alpha > 0.1:
+        flags.append(f"unilateral approximation assumes small load (alpha={sys.alpha:.3f} > 0.1)")
+    (p_lo, _), (i_lo, _) = _unilateral_endpoints(sys)
     if p_lo < 0 or i_lo < 0:
         flags.append("unilateral interval lower endpoint clamped at 0")
-    p_int, i_int = unilateral_intervals(dp)
+    p_int, i_int = unilateral_intervals(sys)
     if I > 0:
-        n_P, n_I = noise_scale_factors(P, I, dp.W, dp.R, dp.C)
-        i_P, i_I = interference_scale_factors(P, I, dp.alpha, dp.kappa, dp.L)
+        n_P, n_I = noise_scale_factors(P, I, sys.W, sys.R, sys.C)
+        i_P, i_I = interference_scale_factors(P, I, sys.alpha, sys.kappa, sys.L)
         if P / I < 2:
             flags.append("interference scale factors are only accurate for P >> I (P/I < 2)")
         p_int = p_int.scaled(n_P * i_P)
@@ -218,11 +218,11 @@ def unilateral_supports(dp: DerivedParams) -> SupportEstimate:
 # bilateral high-SNR approximation (W = 0)
 # ---------------------------------------------------------------------------
 
-def s1_inverse(G, dp: DerivedParams):
+def s1_inverse(G, sys: SystemParams):
     """First-order rational approximation of the inverse Stieltjes transform
     (raw axis). Reduces exactly to -1/G at alpha = 0; +-inf at a pole of the
     rational function. s1_supports evaluates it only at the quartic extremes."""
-    a, k, r, t, L = dp.alpha, dp.kappa, dp.r, dp.t, dp.L
+    a, k, r, t, L = sys.alpha, sys.kappa, sys.r, sys.t, sys.L
     num = (((L + 1) * (k - 2) * a - k) * G ** 2
            + ((L * r + t) * (k - 1) * a - k * (r + t)) * G - k * r * t)
     den = G * ((k + 2 * (L + 1) * a) * G ** 2
@@ -232,11 +232,11 @@ def s1_inverse(G, dp: DerivedParams):
     return num / den
 
 
-def quartic_extremes(dp: DerivedParams):
+def quartic_extremes(sys: SystemParams):
     """Real solutions G1 <= G2 <= G3 <= G4 of the quartic locating the extremes
     of s1_inverse, or None when complex pairs appear (no first-order
     separation). Roots found via the companion-matrix method."""
-    a, k, r, t, L = dp.alpha, dp.kappa, dp.r, dp.t, dp.L
+    a, k, r, t, L = sys.alpha, sys.kappa, sys.r, sys.t, sys.L
     c4 = 2 * (L + 1) ** 2 * (k - 2) * a ** 2 + (L + 1) * (k - 4) * k * a - k ** 2
     c3 = 2 * (2 * (L * r + t) * (L + 1) * (k - 1) * a ** 2
               + ((L * r + t) * (k - 1) - 2 * (L + 1) * (t + r)) * a * k - (t + r) * k ** 2)
@@ -250,15 +250,15 @@ def quartic_extremes(dp: DerivedParams):
     return np.sort(roots.real)
 
 
-def s1_supports(dp: DerivedParams) -> SupportEstimate:
+def s1_supports(sys: SystemParams) -> SupportEstimate:
     """First-order bulk intervals [s1(G1), s1(G2)] and [s1(G3), s1(G4)] on the
     T*R axis; 'bulks merged' when the quartic has complex roots or the
     ordering s1(G2) < s1(G3) fails, flagged when an interval starts below 0."""
-    TR = dp.T * dp.R
-    Gs = quartic_extremes(dp)
+    TR = sys.T * sys.R
+    Gs = quartic_extremes(sys)
     if Gs is None:
         return _merged_estimate("bilateral_highSNR_1", ("complex quartic roots",))
-    s_vals = [s1_inverse(g, dp) / TR for g in Gs]
+    s_vals = [s1_inverse(g, sys) / TR for g in Gs]
     if not s_vals[1] < s_vals[2]:
         return _merged_estimate("bilateral_highSNR_1", ("extreme ordering violated",))
     return _estimate(BulkInterval(*sorted(s_vals[2:4])), BulkInterval(*sorted(s_vals[0:2])),
@@ -281,10 +281,10 @@ def _merged_estimate(method, flags):
                            separable=False, flags=("merged",) + tuple(flags))
 
 
-def bilateral_supports_highsnr(dp: DerivedParams) -> SupportEstimate:
+def bilateral_supports_highsnr(sys: SystemParams) -> SupportEstimate:
     """Second-order high-SNR enclosures of the noiseless bulks on the T*R axis:
     the zeta = 0 case of bilateral_supports_general."""
-    return _bilateral(dp, 0.0, "bilateral_highSNR_2")
+    return _bilateral(sys, 0.0, "bilateral_highSNR_2")
 
 
 def separability_boundary(beta, L):
@@ -314,24 +314,24 @@ def separability_boundary_ratio(alpha_over_kappa, L):
 # bilateral general-SNR approximation (zeta = W*C retained)
 # ---------------------------------------------------------------------------
 
-def _varsigma_P(G, dp, zeta):
-    a, k, r, t, L = dp.alpha, dp.kappa, dp.r, dp.t, dp.L
+def _varsigma_P(G, sys, zeta):
+    a, k, r, t, L = sys.alpha, sys.kappa, sys.r, sys.t, sys.L
     s0 = ((k - 1) * G + k * r) / G ** 2
     b = a * ((L + 2) * r - t) + (k + zeta * r) * (t - r)
     E = ((L + 1) * a - k + zeta * (t - 2 * r)) * G + k * (t - 2 * r)
     return s0 - (k / 2) * (G * b + k * r * (t - r)) / (G ** 2 * E)
 
 
-def _varsigma_I(G, dp, zeta):
-    a, k, r, t, L = dp.alpha, dp.kappa, dp.r, dp.t, dp.L
+def _varsigma_I(G, sys, zeta):
+    a, k, r, t, L = sys.alpha, sys.kappa, sys.r, sys.t, sys.L
     s0 = ((k - 1) * G + k * t) / G ** 2
     b = a * ((2 * L + 1) * t - L * r) + (k + zeta * t) * (r - t)
     E = ((L + 1) * a - k - zeta * (2 * t - r)) * G - k * (2 * t - r)
     return s0 - (k / 2) * (G * b + k * t * (r - t)) / (G ** 2 * E)
 
 
-def _gamma_P(dp, zeta):
-    a, k, r, t, L = dp.alpha, dp.kappa, dp.r, dp.t, dp.L
+def _gamma_P(sys, zeta):
+    a, k, r, t, L = sys.alpha, sys.kappa, sys.r, sys.t, sys.L
     rad2 = a * k * (t - r) ** 2 - a ** 2 * r * (t + (L - 1) * r)
     if rad2 < 0:
         return None
@@ -344,8 +344,8 @@ def _gamma_P(dp, zeta):
             -k * r * (t - r) * (bracket - 2 * rad) / den)
 
 
-def _gamma_I(dp, zeta):
-    a, k, r, t, L = dp.alpha, dp.kappa, dp.r, dp.t, dp.L
+def _gamma_I(sys, zeta):
+    a, k, r, t, L = sys.alpha, sys.kappa, sys.r, sys.t, sys.L
     rad2 = a * k * L * (t - r) ** 2 + a ** 2 * L * t * ((L - 1) * t - L * r)
     if rad2 < 0:
         return None
@@ -357,41 +357,41 @@ def _gamma_I(dp, zeta):
             -k * t * (t - r) * (bracket - 2 * rad) / den)
 
 
-def _bilateral(dp, zeta, method):
+def _bilateral(sys, zeta, method):
     """Per-bulk second-order enclosures: the rational parts of the expansions
     evaluated at the zeros Gamma of the respective discriminants. Negative
     radicands mean the bulks cannot be resolved (merged).
 
     Flags, in this order: the G-domain ordering Gamma_Iu < Gamma_Pl disagrees
     with the disjointness of the intervals, and a lower endpoint below 0."""
-    TR = dp.T * dp.R
-    gp, gi = _gamma_P(dp, zeta), _gamma_I(dp, zeta)
+    TR = sys.T * sys.R
+    gp, gi = _gamma_P(sys, zeta), _gamma_I(sys, zeta)
     if gp is None or gi is None:
         return _merged_estimate(method, ("negative radicand",))
-    sig = BulkInterval(*sorted(_varsigma_P(g, dp, zeta) / TR for g in gp))
-    intf = BulkInterval(*sorted(_varsigma_I(g, dp, zeta) / TR for g in gi))
+    sig = BulkInterval(*sorted(_varsigma_P(g, sys, zeta) / TR for g in gp))
+    intf = BulkInterval(*sorted(_varsigma_I(g, sys, zeta) / TR for g in gi))
     separable = intf.disjoint_below(sig)
     disagree = (gi[1] < gp[0]) != separable
     flags = ("gamma ordering and interval disjointness disagree",) if disagree else ()
     return _estimate(sig, intf, method, separable, flags)
 
 
-def bilateral_supports_general(dp: DerivedParams) -> SupportEstimate:
+def bilateral_supports_general(sys: SystemParams) -> SupportEstimate:
     """General-SNR enclosures of the noisy bulks on the T*R axis, at the noise
-    term zeta = W*C of dp.
+    term zeta = W*C of sys.
 
     At zeta = 0 these are the high-SNR enclosures. The printed interference
     expansion in the source carries a typo in its zeta term; this implements
     the expansion re-derived from the stated recipe (second-order Taylor
     expansion of the cleared fixed point around the per-bulk zeros)."""
-    return _bilateral(dp, dp.zeta, "bilateral_general")
+    return _bilateral(sys, sys.zeta, "bilateral_general")
 
 
-def support_estimates(dp: DerivedParams):
+def support_estimates(sys: SystemParams):
     """The four support estimates of one system: unilateral, first-order,
     high-SNR and general-SNR, in that order. Raises ValueError without
     interference power (t = inf)."""
-    if math.isinf(dp.t):
+    if math.isinf(sys.t):
         raise ValueError("the support estimates need interference power > 0")
-    return (unilateral_supports(dp), s1_supports(dp), bilateral_supports_highsnr(dp),
-            bilateral_supports_general(dp))
+    return (unilateral_supports(sys), s1_supports(sys), bilateral_supports_highsnr(sys),
+            bilateral_supports_general(sys))

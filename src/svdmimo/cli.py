@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bulk_support, montecarlo
-from .system_model import (InterferenceProfile, RadioParams, SystemParams,
-                           coherence_symbols, derive_params)
+from .system_model import InterferenceProfile, RadioParams, SystemParams, coherence_symbols
 
 # the keys of one system and its master seed, read by every command but `coherence`
 _SYSTEM_KEYS = frozenset({"R", "T", "C", "L", "P_dB", "W_dB", "profile", "I_over_P", "delta",
@@ -96,15 +95,14 @@ def _cmd_spectrum(args):
 def _cmd_support(args):
     cfg = _load_config(args.config, _SPECTRUM_KEYS)
     sys_params = _system_from_config(cfg)
-    dp = derive_params(sys_params)
-    estimates = bulk_support.support_estimates(dp)
+    estimates = bulk_support.support_estimates(sys_params)
     try:
-        sep, threshold = bulk_support.unilateral_separable(dp)
+        sep, threshold = bulk_support.unilateral_separable(sys_params)
         thresholds = {"unilateral_I_over_P": threshold, "unilateral_separable": sep}
     except bulk_support.RegimeError as err:
         thresholds = {"unilateral_error": str(err)}
     thresholds["bilateral_boundary_I_over_P"] = bulk_support.separability_boundary_ratio(
-        dp.alpha / dp.kappa, dp.L)
+        sys_params.alpha / sys_params.kappa, sys_params.L)
     uni, bil = estimates[0], estimates[2]
     consistency = {
         "signal_lower_ratio": bil.signal.lower / uni.signal.lower if uni.signal.lower else None,

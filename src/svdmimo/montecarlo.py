@@ -20,8 +20,7 @@ from .rmt_spectrum import FixedPointParams, SpectralDensity, density_from_stielt
 from .subspace_receiver import (conventional_receiver, count_bit_errors, detect_subspace,
                                 estimate_projected_channel, project, signal_subspace)
 from .system_model import (InterferenceProfile, PilotConfig, SystemParams, assemble_received,
-                           derive_params, interference_profile, make_pilots,
-                           sample_realization)
+                           interference_profile, make_pilots, sample_realization)
 
 RECEIVERS = ("svd", "conventional")
 
@@ -81,6 +80,8 @@ class ExperimentConfig:
             raise ValueError("sweep must be 'R' or 'I_over_P'")
         if len(self.values) < 1:
             raise ValueError("need at least one sweep value")
+        if len(self.taus) < 1 or any(tau < 1 for tau in self.taus):
+            raise ValueError(f"taus must list at least one tau, each >= 1: {list(self.taus)}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.min_symbols < 1:
@@ -196,6 +197,8 @@ def spectrum_experiment(sys: SystemParams, n_seeds=20, grid_points=600, seed=0) 
     offset is 1e-5 of the grid span (density_from_stieltjes), small enough
     that the zero-eigenvalue atom does not leak into the continuous part.
     """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1: {n_seeds}")
     pilots = PilotConfig(tau_blocks=0)
     pooled = []
     for i in range(n_seeds):
@@ -208,7 +211,7 @@ def spectrum_experiment(sys: SystemParams, n_seeds=20, grid_points=600, seed=0) 
 
     supports = ()
     if sys.P > 0 and max(sys.interference_powers, default=0.0) > 0:
-        supports = bulk_support.support_estimates(derive_params(sys))
+        supports = bulk_support.support_estimates(sys)
     return SpectrumResult(eigenvalues=pooled, density=density, supports=supports)
 
 

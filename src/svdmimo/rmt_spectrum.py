@@ -72,10 +72,9 @@ class FixedPointParams:
 
     @classmethod
     def from_system(cls, sys: SystemParams, scale=1.0):
-        kappa, alpha = sys.C / sys.R, sys.T / sys.R
         rhos, a2s, wgts = [], [], []
         if sys.P > 0:
-            rhos.append(alpha / kappa)
+            rhos.append(sys.alpha / sys.kappa)
             a2s.append(sys.P * sys.T * sys.C)
             wgts.append(1.0)
         powers = np.asarray(sys.interference_powers, dtype=float)
@@ -85,8 +84,8 @@ class FixedPointParams:
             rhos.extend([1.0 / sys.C] * len(vals))
             a2s.extend(list(vals * sys.C))
             wgts.extend(list(counts.astype(float)))
-        return cls(kappa=kappa, rhos=np.array(rhos), a2s=np.array(a2s),
-                   weights=np.array(wgts), noise_a2=sys.W * sys.C, scale=float(scale))
+        return cls(kappa=sys.kappa, rhos=np.array(rhos), a2s=np.array(a2s),
+                   weights=np.array(wgts), noise_a2=sys.zeta, scale=float(scale))
 
     @cached_property
     def terms(self):

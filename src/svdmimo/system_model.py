@@ -68,7 +68,10 @@ def interference_profile(profile: InterferenceProfile, T: int, L: int, P: float)
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Cell geometry and powers of the multi-cell uplink (all powers linear)."""
+    """Cell geometry and powers of the multi-cell uplink (all powers linear), and
+    the ratios that the support analysis and the fixed point read: kappa = C/R,
+    alpha = T/R, r = 1/(P R C), zeta = W C, and t = 1/(I R C) and beta_ratio =
+    I/P at the largest interference power I. r and beta_ratio raise at P = 0."""
 
     R: int
     T: int
@@ -97,43 +100,35 @@ class SystemParams:
         return cls(R=R, T=T, C=C, L=L, P=P, W=W,
                    interference_powers=interference_profile(profile, T, L, P))
 
+    @property
+    def kappa(self):
+        return self.C / self.R
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Dimensionless parameters derived once from SystemParams.
+    @property
+    def alpha(self):
+        return self.T / self.R
 
-    r = 1/(P R C), t = 1/(I R C) for flat interference at level I, zeta = W C.
-    For non-flat profiles t is computed from max I_k (worst case). The source
-    dimensions and powers are kept, so the support analysis reads one system:
-    R, T, C for axis rescaling, and L, P, W for the unilateral rule.
-    """
+    @property
+    def zeta(self):
+        return self.W * self.C
 
-    kappa: float
-    alpha: float
-    r: float
-    t: float
-    zeta: float
-    beta_ratio: float
-    R: int
-    T: int
-    C: int
-    L: int
-    P: float
-    W: float
+    def _positive_P(self):
+        if self.P == 0:
+            raise ValueError("P must be > 0 to derive r = 1/(P R C)")
+        return self.P
 
+    @property
+    def r(self):
+        return 1.0 / (self._positive_P() * self.R * self.C)
 
-def derive_params(sys: SystemParams) -> DerivedParams:
-    """Exact derived ratios; raises on P = 0 since r = 1/(P R C) is required."""
-    if sys.P == 0:
-        raise ValueError("P must be > 0 to derive r = 1/(P R C)")
-    kappa = sys.C / sys.R
-    alpha = sys.T / sys.R
-    r = 1.0 / (sys.P * sys.R * sys.C)
-    I = max(sys.interference_powers, default=0.0)
-    t = math.inf if I == 0 else 1.0 / (I * sys.R * sys.C)
-    return DerivedParams(kappa=kappa, alpha=alpha, r=r, t=t, zeta=sys.W * sys.C,
-                         beta_ratio=I / sys.P, R=sys.R, T=sys.T, C=sys.C, L=sys.L, P=sys.P,
-                         W=sys.W)
+    @property
+    def t(self):
+        I = max(self.interference_powers, default=0.0)
+        return math.inf if I == 0 else 1.0 / (I * self.R * self.C)
+
+    @property
+    def beta_ratio(self):
+        return max(self.interference_powers, default=0.0) / self._positive_P()
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import pytest
 import svdmimo as sm
 
 from highsnr_oracle import bilateral_validity, highsnr_supports
+from ratio_params import RatioParams
 from spectrum_oracle import gap_mass, kolmogorov_distance, mp_density
 
 
@@ -48,7 +49,7 @@ def test_criterion_1_coherence_formula():
 
 def test_criterion_2_threshold_reproduction():
     with criterion("criterion 2: thresholds I/P = 0.61 +- 0.02 and 0.78 +- 0.01"):
-        dp = sm.derive_params(fig2_system(W=1.0))
+        dp = fig2_system(W=1.0)
         _, unilateral = sm.unilateral_separable(dp)
         assert abs(unilateral - 0.61) <= 0.02, unilateral
         bilateral = sm.separability_boundary_ratio(dp.alpha / dp.kappa, 2)
@@ -90,7 +91,7 @@ def _pooled_bulk_eigenvalues(sys, n_seeds, seed):
 
 def test_criterion_5_support_containment():
     with criterion("criterion 5: Fig.-2 bilateral intervals contain >= 99% of the bulks"):
-        dp0 = sm.derive_params(fig2_system(W=0.0))
+        dp0 = fig2_system(W=0.0)
         high = sm.bilateral_supports_highsnr(dp0)
         general0 = sm.bilateral_supports_general(dp0)
         # zeta = 0 general formulas equal the printed high-SNR formulas to 1e-10
@@ -106,7 +107,7 @@ def test_criterion_5_support_containment():
             assert np.mean(est.interference.contains(intf0)) >= 0.99
 
         noisy = fig2_system(W=1.0)
-        dpW = sm.derive_params(noisy)
+        dpW = noisy
         generalW = sm.bilateral_supports_general(dpW)
         sigW, intfW = _pooled_bulk_eigenvalues(noisy, n_seeds=20, seed=78)
         assert np.mean(generalW.signal.contains(sigW)) >= 0.99
@@ -186,9 +187,9 @@ def test_criterion_8_invariant_suites():
             assert np.max(np.abs(gram - np.eye(k))) <= 1e-10
 
         # alpha = 0 collapse: s1(G) = -1/G to 1e-12 (relative), on a grid
-        dp0 = sm.DerivedParams(kappa=10 / 3, alpha=0.0, r=3.3333e-5, t=1.3333e-4,
-                               zeta=0.0, beta_ratio=0.25, R=300, T=1, C=1000, L=2, P=0.1,
-                               W=0.0)
+        dp0 = RatioParams(kappa=10 / 3, alpha=0.0, r=3.3333e-5, t=1.3333e-4,
+                          zeta=0.0, beta_ratio=0.25, R=300, T=1, C=1000, L=2, P=0.1,
+                          W=0.0)
         for G in np.linspace(-3e-4, -1e-5, 200):
             assert abs(sm.s1_inverse(G, dp0) * G + 1.0) <= 1e-12
 
@@ -203,9 +204,9 @@ def test_criterion_8_invariant_suites():
             kappa = 10 ** rng.uniform(-0.5, 0.7)
             alpha = rng.uniform(0.0, limit) * kappa
             t = 10 ** rng.uniform(-5, -3)
-            dp = sm.DerivedParams(kappa=kappa, alpha=alpha, r=beta * t, t=t, zeta=0.0,
-                                  beta_ratio=beta, R=300, T=3, C=int(round(300 * kappa)),
-                                  L=L, P=0.1, W=0.0)
+            dp = RatioParams(kappa=kappa, alpha=alpha, r=beta * t, t=t, zeta=0.0,
+                             beta_ratio=beta, R=300, T=3, C=int(round(300 * kappa)),
+                             L=L, P=0.1, W=0.0)
             assert bilateral_validity(dp), (beta, alpha / kappa, L)
             count += 1
 

@@ -13,11 +13,12 @@ from svdmimo.bulk_support import (RegimeError, _gamma_I, _gamma_P, bilateral_sup
                                   support_estimates, unilateral_intervals,
                                   unilateral_separable, unilateral_supports)
 from svdmimo.rmt_spectrum import empirical_spectrum
-from svdmimo.system_model import (DerivedParams, InterferenceProfile, PilotConfig, SystemParams,
-                                  assemble_received, derive_params, sample_realization)
+from svdmimo.system_model import (InterferenceProfile, PilotConfig, SystemParams,
+                                  assemble_received, sample_realization)
 
 from highsnr_oracle import (appendixB_scale_verification, bilateral_validity, highsnr_supports,
                             rho0_zero_supports, s0_explicit)
+from ratio_params import RatioParams
 
 
 def fig2_system(W=0.0, I_over_P=0.25):
@@ -26,22 +27,22 @@ def fig2_system(W=0.0, I_over_P=0.25):
 
 
 def fig2_dp(W=0.0, I_over_P=0.25):
-    return derive_params(fig2_system(W=W, I_over_P=I_over_P))
+    return fig2_system(W=W, I_over_P=I_over_P)
 
 
 def dp_from_ratios(alpha, kappa, r, t, L, zeta=0.0, R=300, P=None, W=None):
-    """DerivedParams built from the ratios; P and W default to the source
+    """RatioParams built from the ratios; P and W default to the source
     values that r = 1/(P R C) and zeta = W C imply."""
     C = int(round(kappa * R))
-    return DerivedParams(kappa=kappa, alpha=alpha, r=r, t=t, zeta=zeta,
-                         beta_ratio=r / t, R=R, T=max(int(round(alpha * R)), 1), C=C,
-                         L=L, P=1.0 / (r * R * C) if P is None else P,
-                         W=zeta / C if W is None else W)
+    return RatioParams(kappa=kappa, alpha=alpha, r=r, t=t, zeta=zeta,
+                       beta_ratio=r / t, R=R, T=max(int(round(alpha * R)), 1), C=C,
+                       L=L, P=1.0 / (r * R * C) if P is None else P,
+                       W=zeta / C if W is None else W)
 
 
 def flat_dp(R, T, C, L, I_over_P):
-    return derive_params(SystemParams.from_profile(
-        R, T, C, L, 0.1, 1.0, InterferenceProfile(kind="flat", I=I_over_P * 0.1)))
+    return SystemParams.from_profile(
+        R, T, C, L, 0.1, 1.0, InterferenceProfile(kind="flat", I=I_over_P * 0.1))
 
 
 SMALL_LOAD = "unilateral approximation assumes small load (alpha={:.3f} > 0.1)"
@@ -53,7 +54,7 @@ class TestUnilateralIntervals:
     def test_center_and_halfwidth(self):
         sys = SystemParams.from_profile(300, 10, 100, 2, 0.1, 1.0,
                                         InterferenceProfile(kind="flat", I=0.025))
-        dp = derive_params(sys)
+        dp = sys
         p_int, _ = unilateral_intervals(dp)
         center = 0.5 * (p_int.lower + p_int.upper)
         halfwidth = 0.5 * (p_int.upper - p_int.lower)
@@ -75,7 +76,7 @@ class TestUnilateralIntervals:
     def test_negative_lower_clamped_flagged(self):
         sys = SystemParams.from_profile(300, 30, 100, 2, 0.1, 1.0,
                                         InterferenceProfile(kind="flat", I=0.025))
-        dp = derive_params(sys)
+        dp = sys
         p_int, i_int = unilateral_intervals(dp)
         assert p_int.lower == 0 and i_int.lower == 0
         assert CLAMPED in unilateral_supports(dp).flags
@@ -139,7 +140,7 @@ class TestUnilateralThreshold:
         dps = [fig2_dp(W=1.0)]
         sys = SystemParams.from_profile(R=300, T=6, C=1000, L=2, P=0.1, W=1.0,
                                         profile=InterferenceProfile(kind="flat", I=0.025))
-        dps.append(derive_params(sys))
+        dps.append(sys)
         t1 = unilateral_separable(dps[0])[1]
         t2 = unilateral_separable(dps[1])[1]
         assert t2 < t1
@@ -290,7 +291,7 @@ class TestBilateralHighSnr:
 
     def test_empirical_containment(self):
         sys = fig2_system(W=0.0)
-        est = bilateral_supports_highsnr(derive_params(sys))
+        est = bilateral_supports_highsnr(sys)
         sig, intf = [], []
         for i in range(10):
             rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=[77, i])
@@ -353,8 +354,8 @@ class TestBilateralValidity:
         assert checked > 800
 
     def test_validity_is_nonnegative_radicand(self):
-        # the library reports the condition as data: on the systems that
-        # derive_params gives (L >= 1, 0 < r <= t) it holds exactly when the
+        # the library reports the condition as data: on the ratios that a
+        # SystemParams gives (L >= 1, 0 < r <= t) it holds exactly when the
         # radicand of _gamma_P is >= 0, and both second-order estimates are
         # merged with `negative radicand` where it fails
         rng = np.random.default_rng(11)
@@ -415,7 +416,7 @@ class TestBilateralGeneral:
 
     def test_noisy_empirical_containment(self):
         sys = fig2_system(W=1.0)
-        est = bilateral_supports_general(derive_params(sys))
+        est = bilateral_supports_general(sys)
         sig, intf = [], []
         for i in range(10):
             rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=[78, i])

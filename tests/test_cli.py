@@ -80,6 +80,21 @@ class TestSupport:
         assert uni["method"] == "unilateral" and not uni["separable"]
         assert uni["flags"] == ["merged", "interference scale factors singular at P = I"]
 
+    @pytest.mark.parametrize("cfg, digest", [
+        ({"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0,
+          "profile": "flat", "I_over_P": 0.25},
+         "a5b9c710bb0240c899243ef203df7139407e5b87773fc24819eecbb7b4c32126"),
+        # unequal interference powers: t is taken at the largest of them
+        ({"R": 100, "T": 5, "C": 100, "L": 6, "P_dB": -10, "W_dB": 0,
+          "profile": "modulo", "delta": 2},
+         "696af55369141f94c44458b87fb07c9d05adb2f531bfff296c257b8b720dc6f6"),
+    ], ids=["fig2_flat", "fig4_modulo"])
+    def test_frozen_json_digest(self, tmp_path, cfg, digest):
+        # every byte of support.json: estimates, thresholds and the echoed system
+        assert main(["support", "--config", write_cfg(tmp_path, "s.json", cfg),
+                     "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "support.json").read_bytes()).hexdigest() == digest
+
 
 class TestSpectrum:
     def test_writes_csv(self, tmp_path):
@@ -222,6 +237,19 @@ class TestErrors:
                      "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and "'deltas'" in err["message"], err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("ber", "taus", []), ("ber", "taus", [0]), ("spectrum", "n_seeds", 0)])
+    def test_rejects_counts_below_one(self, tmp_path, capsys, command, key, value):
+        cfg = {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0, "profile": "flat",
+               key: value}
+        if command == "ber":
+            cfg.update(sweep="I_over_P", values=[0.2], min_symbols=400)
+        assert main([command, "--config", write_cfg(tmp_path, "k.json", cfg),
+                     "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and key in err["message"], err
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command, key, value", [
         *((cmd, key, value) for cmd in ("support", "spectrum")

@@ -58,6 +58,14 @@ class TestConfig:
             ExperimentConfig(system=small_system(), sweep="I_over_P", values=(0.1,),
                              **{field: value})
 
+    @pytest.mark.parametrize("sweep, taus", [("I_over_P", ()), ("I_over_P", (0,)),
+                                             ("I_over_P", (2, 0)), ("R", ()), ("R", (0,))])
+    def test_taus_without_pilots_rejected(self, sweep, taus):
+        # an empty list would write a table without rows, and tau = 0 fails
+        # only inside the first block, where pilots estimate the channel
+        with pytest.raises(ValueError, match="taus"):
+            ExperimentConfig(system=small_system(), sweep=sweep, values=(40,), taus=taus)
+
     def test_deltas_on_IP_sweep_rejected(self):
         # the I/P sweep uses a flat profile, so deltas would be ignored
         with pytest.raises(ValueError, match="deltas"):
@@ -204,6 +212,11 @@ class TestSpectrumExperiment:
         result = spectrum_experiment(sys, n_seeds=3, grid_points=150, seed=6)
         methods = {s.method for s in result.supports}
         assert "bilateral_general" in methods and "unilateral" in methods
+
+    @pytest.mark.parametrize("n_seeds", [0, -2])
+    def test_no_seeds_rejected(self, n_seeds):
+        with pytest.raises(ValueError, match="n_seeds"):
+            spectrum_experiment(small_system(), n_seeds=n_seeds)
 
     def test_density_mass_accounts_for_rank(self):
         sys = SystemParams(R=200, T=1, C=100, L=0, P=0.0, W=1.0)

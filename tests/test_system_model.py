@@ -1,15 +1,16 @@
 import dataclasses
 import hashlib
+import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from svdmimo.rmt_spectrum import FixedPointParams
 from svdmimo.system_model import (InterferenceProfile, PilotConfig, RadioParams, SystemParams,
                                   _draw_noise, assemble_received, coherence_symbols,
-                                  derive_params, interference_profile, make_pilots,
-                                  sample_realization)
+                                  interference_profile, make_pilots, sample_realization)
 
 
 def bullet_train():
@@ -49,36 +50,58 @@ def flat_system(R=300, T=10, C=100, L=2, P=0.1, W=1.0, I=0.025):
 
 class TestDerivedParams:
     def test_kappa(self):
-        assert derive_params(flat_system(R=300, C=100)).kappa == 100 / 300
+        assert flat_system(R=300, C=100).kappa == 100 / 300
 
     def test_alpha(self):
-        assert derive_params(flat_system(T=10, R=300)).alpha == 10 / 300
+        assert flat_system(T=10, R=300).alpha == 10 / 300
 
     def test_r(self):
-        dp = derive_params(flat_system(P=0.1, R=300, C=1000))
+        dp = flat_system(P=0.1, R=300, C=1000)
         assert np.isclose(dp.r, 1.0 / (0.1 * 300 * 1000))
 
     def test_zero_p_rejected(self):
         with pytest.raises(ValueError):
-            derive_params(flat_system(P=0.0))
+            flat_system(P=0.0).r
 
     def test_scaling_dimensions_preserves_ratios(self):
-        dp1 = derive_params(flat_system(R=300, T=10, C=100))
-        dp2 = derive_params(flat_system(R=900, T=30, C=300))
+        dp1 = flat_system(R=300, T=10, C=100)
+        dp2 = flat_system(R=900, T=30, C=300)
         assert dp1.kappa == dp2.kappa
         assert dp1.alpha == dp2.alpha
 
     def test_nonflat_uses_max(self):
         sys = SystemParams.from_profile(300, 10, 100, 2, 0.1, 1.0,
                                         InterferenceProfile(kind="modulo", delta=4))
-        dp = derive_params(sys)
+        dp = sys
         Imax = max(sys.interference_powers)
         assert np.isclose(dp.t, 1.0 / (Imax * 300 * 100))
 
     def test_beta_ratio_r_over_t(self):
-        dp = derive_params(flat_system(P=0.1, I=0.025))
+        dp = flat_system(P=0.1, I=0.025)
         assert np.isclose(dp.beta_ratio, 0.25)
         assert np.isclose(dp.r / dp.t, 0.25)
+
+    @pytest.mark.parametrize("sys", [
+        flat_system(),
+        SystemParams.from_profile(100, 5, 100, 6, 0.1, 1.0,
+                                  InterferenceProfile(kind="modulo", delta=2)),
+    ], ids=["flat", "modulo"])
+    def test_fixed_point_reads_the_ratios(self, sys):
+        # one definition of each ratio: the fixed point takes them from the system
+        fp = FixedPointParams.from_system(sys, scale=sys.T * sys.R)
+        assert fp.kappa == sys.kappa
+        assert fp.rhos[0] == sys.alpha / sys.kappa
+        assert fp.noise_a2 == sys.zeta
+
+    def test_zero_p_fixed_point_still_builds(self):
+        # the noise-only system of the Marchenko-Pastur reduction
+        sys = SystemParams(R=300, T=1, C=900, L=0, P=0.0, W=1.0)
+        for name in ("r", "beta_ratio"):
+            with pytest.raises(ValueError, match="P must be > 0"):
+                getattr(sys, name)
+        fp = FixedPointParams.from_system(sys, scale=sys.C * sys.W)
+        assert fp.kappa == sys.kappa == 3.0 and fp.noise_a2 == sys.zeta == 900.0
+        assert len(fp.rhos) == 0 and math.isinf(sys.t)
 
 
 class TestInterferenceProfile:
