@@ -139,14 +139,16 @@ def _cmd_separability(args):
 def _sweep_base(cfg, sweep):
     """The base system of a `ber` sweep. The I/P sweep runs the flat profile at
     each listed I/P and the R sweep with `deltas` the modulo profile of each
-    listed delta, built here at the first; both raise ValueError naming the
-    profile keys they would replace."""
+    listed delta, built here at the first I/P or delta, the first point's
+    system; both raise ValueError naming the profile keys they would replace."""
     if sweep == "R" and "deltas" in cfg:
         if not cfg["deltas"]:
             raise ValueError("config key 'deltas' lists no delta")
-        profile = "modulo"
+        profile, first = "modulo", {"delta": cfg["deltas"][0]}
     elif sweep == "I_over_P":
-        profile = "flat"
+        profile, first = "flat", {}
+        if cfg["values"]:  # ExperimentConfig rejects an empty `values`
+            first = {"I_over_P": cfg["values"][0]}
     else:
         return _system_from_config(cfg)
     replaced = sorted({"I_over_P", "delta"} & set(cfg))
@@ -155,9 +157,7 @@ def _sweep_base(cfg, sweep):
     if replaced:
         raise ValueError(f"config keys {replaced} do not apply to the {sweep} sweep: "
                          f"it sets the {profile} profile itself")
-    if profile == "modulo":
-        cfg = dict(cfg, profile="modulo", delta=cfg["deltas"][0])
-    return _system_from_config(cfg)
+    return _system_from_config(dict(cfg, profile=profile, **first))
 
 
 def _cmd_ber(args):

@@ -82,6 +82,11 @@ class ExperimentConfig:
             raise ValueError("need at least one sweep value")
         if len(self.taus) < 1 or any(tau < 1 for tau in self.taus):
             raise ValueError(f"taus must list at least one tau, each >= 1: {list(self.taus)}")
+        pilot_len = max(self.taus) * self.system.T
+        if pilot_len >= self.system.C:
+            # no sweep changes T or C, so this covers every point
+            raise ValueError(f"no data columns left after pilots: tau*T = {pilot_len} "
+                             f">= C = {self.system.C}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.min_symbols < 1:
@@ -92,6 +97,8 @@ class ExperimentConfig:
             if len(self.taus) != 1:
                 # per-seed BERs are keyed by (R, delta, receiver), without tau
                 raise ValueError("the R sweep takes exactly one tau")
+            if self.deltas is not None and len(self.deltas) < 1:
+                raise ValueError("deltas must list at least one delta")
         elif self.deltas is not None:
             raise ValueError("deltas apply only to the R sweep")
 
@@ -134,10 +141,7 @@ def _sweep(cfg, points):
         run = pool.map if cfg.threads > 1 else map
         for index, (value, delta, tau, sys, key) in enumerate(points):
             pilots = make_pilots(sys.T, sys.P, tau, rng=[cfg.seed, index])
-            sym_per_rep = sys.T * (sys.C - tau * sys.T)
-            if sym_per_rep <= 0:
-                raise ValueError("no data columns left after pilots")
-            reps = -(-cfg.min_symbols // sym_per_rep)
+            reps = -(-cfg.min_symbols // (sys.T * (sys.C - tau * sys.T)))
             blocks = list(run(partial(_run_realization, sys, pilots),
                               ([cfg.seed, index, rep] for rep in range(reps))))
             bits = sum(block[-1] for block in blocks)

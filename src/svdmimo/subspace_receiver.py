@@ -125,15 +125,16 @@ def estimate_projected_channel(Y_tilde, pilots: PilotConfig) -> np.ndarray:
     Applied to the unprojected block Y it gives the full R x T channel estimate
     of the conventional receiver.
 
-    H_tilde = Y_tilde[:, :tau*T] X_p^+ where X_p^+ is the pseudo-inverse of the
-    pilot matrix, computed once per PilotConfig (``pilot_pinv``). With
-    orthogonal pilot blocks X_p X_p^H = tau*T*P*I this is the zero-forcing
-    estimate Y_p X_p^H / (tau*T*P).
+    H_tilde = Y_p X_p^H / (tau*T*P), with Y_p the first tau*T columns and X_p the
+    pilot matrix. PilotConfig makes X_p X_p^H = tau*T*P*I, so this is the
+    least-squares (zero-forcing) estimate Y_p X_p^+, in closed form: tau*T*P
+    is the squared norm of a pilot row.
     """
     if pilots.tau_blocks < 1:
         raise ValueError("pilot columns required for channel estimation")
-    Yp = np.asarray(Y_tilde)[:, : pilots.tau_blocks * pilots.T]
-    return Yp @ pilots.pilot_pinv
+    Xp = pilots.pilot_matrix
+    Yp = np.asarray(Y_tilde)[:, : Xp.shape[1]]
+    return (Yp @ Xp.conj().T) / np.linalg.norm(Xp[0]) ** 2
 
 
 def detect_subspace(Y_tilde_data, H_tilde, noise_power, symbol_power) -> np.ndarray:

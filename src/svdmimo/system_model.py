@@ -8,9 +8,9 @@ variance I_k / P, and noise entries have variance W.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.blas import zgemm
@@ -154,6 +154,8 @@ class PilotConfig:
         if M.shape[1] != self.tau_blocks * T:
             raise ValueError("pilot_matrix must be T x (tau*T)")
         norm2 = np.linalg.norm(M[0]) ** 2 / self.tau_blocks
+        if norm2 == 0:
+            raise ValueError("pilot blocks must have nonzero power")
         for b in range(self.tau_blocks):
             B = M[:, b * T:(b + 1) * T]
             gram = B @ B.conj().T
@@ -171,20 +173,6 @@ class PilotConfig:
             return 0.0
         T = self.T
         return float(np.linalg.norm(self.pilot_matrix[0]) ** 2 / (self.tau_blocks * T))
-
-    @cached_property
-    def pilot_pinv(self):
-        """Read-only pseudo-inverse X_p^+ of the pilot matrix, (tau*T) x T.
-
-        Computed on first use and kept, since every block of a sweep point
-        shares its pilots. Raises ValueError for a rank-deficient pilot block.
-        """
-        Xp = self.pilot_matrix
-        if np.linalg.matrix_rank(Xp) < Xp.shape[0]:
-            raise ValueError("rank-deficient pilot block")
-        pinv = np.linalg.pinv(Xp)
-        pinv.flags.writeable = False
-        return pinv
 
 
 def _haar_unitary(n, rng):
@@ -297,24 +285,15 @@ def sample_realization(sys: SystemParams, pilots: PilotConfig, seed,
 
     LT = sys.L * sys.T
     H_I = _complex_gaussian(rng, (sys.R, LT))
-    if LT:
-        col_var = np.asarray(sys.interference_powers) / sys.P
-        H_I *= np.sqrt(col_var)
-        if tau == 1:
-            XIp = np.concatenate([pilots.pilot_matrix] * sys.L, axis=0)
-            X_I = np.concatenate([XIp, data((LT, n_data))], axis=1)
-        elif tau > 1:
-            blocks = [np.sqrt(sys.T * sys.P) * _haar_unitary(sys.T, rng)
-                      for _ in range(sys.L * tau)]
-            XIp = np.zeros((LT, tau * sys.T), dtype=complex)
-            for cell in range(sys.L):
-                row = slice(cell * sys.T, (cell + 1) * sys.T)
-                XIp[row] = np.concatenate(blocks[cell * tau:(cell + 1) * tau], axis=1)
-            X_I = np.concatenate([XIp, data((LT, n_data))], axis=1)
-        else:
-            X_I = data((LT, sys.C))
-    else:
-        X_I = np.zeros((0, sys.C), dtype=complex)
+    H_I *= np.sqrt(np.asarray(sys.interference_powers) / sys.P)
+    # interferer pilot columns: every cell reuses the block at tau = 1, and
+    # draws its own Haar blocks, cell by cell, at tau > 1
+    T = sys.T
+    XIp = np.empty((LT, tau * T), dtype=complex)
+    for cell, b in itertools.product(range(sys.L), range(tau)):
+        XIp[cell * T:(cell + 1) * T, b * T:(b + 1) * T] = (
+            pilots.pilot_matrix if tau == 1 else np.sqrt(T * sys.P) * _haar_unitary(T, rng))
+    X_I = np.concatenate([XIp, data((LT, n_data))], axis=1)
 
     noise_state = rng.bit_generator.state if sys.W else None
     return ChannelRealization(H=H, X=X, H_I=H_I, X_I=X_I, noise_var=sys.W,

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from svdmimo import montecarlo
 from svdmimo.cli import main
 from svdmimo.montecarlo import spectrum_experiment
 from svdmimo.system_model import InterferenceProfile, SystemParams
@@ -172,6 +173,17 @@ class TestBer:
         system = json.loads(header.removeprefix("# config: "))["system"]
         assert system["interference_powers"] == pytest.approx([0.1 / 8, 0.0])
 
+    def test_ip_sweep_echoes_first_point_system(self, tmp_path):
+        # the echoed system is the flat profile at values[0], not the default I/P
+        cfg = write_cfg(tmp_path, "b.json",
+                        {"R": 20, "T": 2, "C": 30, "L": 1, "P_dB": -10, "W_dB": 0,
+                         "sweep": "I_over_P", "values": [0.6, 0.2],
+                         "min_symbols": 50, "seed": 1})
+        assert main(["ber", "--config", cfg, "--out", str(tmp_path)]) == 0
+        header = (tmp_path / "ber.csv").read_text().splitlines()[0]
+        system = json.loads(header.removeprefix("# config: "))["system"]
+        assert system["interference_powers"] == pytest.approx([0.06, 0.06])
+
 
 class TestErrors:
     def test_missing_config_exits_nonzero_with_json(self, tmp_path, capsys):
@@ -237,6 +249,27 @@ class TestErrors:
                      "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and "'deltas'" in err["message"], err
+
+    def test_ber_rejects_empty_values(self, tmp_path, capsys):
+        cfg = {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
+               "sweep": "I_over_P", "values": []}
+        assert main(["ber", "--config", write_cfg(tmp_path, "b.json", cfg),
+                     "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "sweep value" in err["message"], err
+
+    def test_ber_rejects_pilots_filling_the_block_before_any_block(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        def no_block(*args):
+            raise AssertionError("a block ran")
+        monkeypatch.setattr(montecarlo, "_run_realization", no_block)
+        cfg = {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
+               "sweep": "I_over_P", "values": [0.2], "taus": [1, 20]}
+        assert main(["ber", "--config", write_cfg(tmp_path, "b.json", cfg),
+                     "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "no data columns" in err["message"], err
+        assert not (tmp_path / "ber.csv").exists()
 
     @pytest.mark.parametrize("command, key, value", [
         ("ber", "taus", []), ("ber", "taus", [0]), ("spectrum", "n_seeds", 0)])

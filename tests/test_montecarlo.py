@@ -66,6 +66,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="taus"):
             ExperimentConfig(system=small_system(), sweep=sweep, values=(40,), taus=taus)
 
+    @pytest.mark.parametrize("sweep, C, taus", [("I_over_P", 40, (1, 20)),
+                                                ("I_over_P", 39, (13,)), ("R", 40, (14,))])
+    def test_pilots_filling_the_block_rejected(self, sweep, C, taus):
+        # tau*T >= C leaves no data column; caught before any point runs
+        with pytest.raises(ValueError, match="no data columns"):
+            ExperimentConfig(system=small_system(C=C), sweep=sweep, values=(40,), taus=taus)
+
+    def test_empty_deltas_rejected(self):
+        # would return no points and no error
+        with pytest.raises(ValueError, match="deltas"):
+            ExperimentConfig(system=small_system(), sweep="R", values=(40,), deltas=())
+
     def test_deltas_on_IP_sweep_rejected(self):
         # the I/P sweep uses a flat profile, so deltas would be ignored
         with pytest.raises(ValueError, match="deltas"):

@@ -217,12 +217,18 @@ class TestChannelEstimation:
         ratio = errs[2.0] / errs[1.0]
         assert 0.4 < ratio < 0.6
 
-    def test_rank_deficient_pilots_rejected(self):
-        bad = PilotConfig.__new__(PilotConfig)
-        object.__setattr__(bad, "tau_blocks", 1)
-        object.__setattr__(bad, "pilot_matrix", np.ones((3, 3), dtype=complex))
-        with pytest.raises(ValueError):
-            estimate_projected_channel(np.ones((3, 3), dtype=complex), bad)
+    @pytest.mark.parametrize("tau", [1, 3], ids=["tau1_dft", "tau3_haar"])
+    def test_closed_form_matches_least_squares(self, tau):
+        # Y_p X_p^H / (tau*T*P) against the numerical pseudo-inverse and lstsq
+        T, P = 4, 0.2
+        pilots = make_pilots(T, P, tau, rng=7)
+        Xp = pilots.pilot_matrix
+        Yt = cgauss(np.random.default_rng(3), (6, tau * T + 9))
+        Ht = estimate_projected_channel(Yt, pilots)
+        Yp = Yt[:, :tau * T]
+        assert np.allclose(Ht, Yp @ np.linalg.pinv(Xp), rtol=0, atol=1e-12)
+        ls = np.linalg.lstsq(Xp.T, Yp.T, rcond=None)[0].T
+        assert np.allclose(Ht, ls, rtol=0, atol=1e-12)
 
 
 class TestDetection:

@@ -136,15 +136,11 @@ class TestPilots:
         with pytest.raises(ValueError):
             PilotConfig(tau_blocks=1, pilot_matrix=np.ones((3, 3)))
 
-    def test_pilot_pinv_cached_right_inverse(self):
-        p = make_pilots(T=4, P=0.2, tau_blocks=3, rng=7)
-        pinv = p.pilot_pinv
-        assert pinv.shape == (12, 4)
-        assert np.allclose(p.pilot_matrix @ pinv, np.eye(4), atol=1e-12)
-        # orthogonal blocks: X_p^+ = X_p^H / (tau*T*P)
-        assert np.allclose(pinv, p.pilot_matrix.conj().T / (3 * 4 * 0.2), atol=1e-12)
-        assert p.pilot_pinv is pinv
-        assert not pinv.flags.writeable
+    @pytest.mark.parametrize("tau", [1, 3])
+    def test_zero_power_pilots_rejected(self, tau):
+        # orthogonal with equal norms, trivially, but nothing to estimate from
+        with pytest.raises(ValueError, match="nonzero power"):
+            make_pilots(4, 0.0, tau, rng=7)
 
 
 class TestRealization:
@@ -309,6 +305,7 @@ class TestFrozenStream:
         "tau2_gaussian": (2, "gaussian", 0.1, 0.5, 2, "modulo"),
         "tau2_qpsk": (2, "qpsk", 0.1, 1.0, 1, "flat"),
         "fig5_tau1_qpsk": (1, "qpsk", 0.1, 1.0, 2, "flat", 300, 1000),
+        "tau1_qpsk_L0": (1, "qpsk", 0.1, 1.0, 0, "flat"),
     }
     DIGESTS = {
         "tau0_gaussian": {
@@ -359,6 +356,13 @@ class TestFrozenStream:
             "H_I": "aa24c1a3ade9677e8e0b43e4218bade9",
             "X_I_data": "cb651889fd353b2fd8d9c9383d050759",
             "noise": "7d5c0112b6a61502e04a6bdee7fb031f",
+        },
+        "tau1_qpsk_L0": {
+            "H": "2ffd21187fbaf6349945bcfa3a741bb5",
+            "X_data": "c202dced822110684afee75b8e4bfb44",
+            "H_I": "e3b0c44298fc1c149afbf4c8996fb924",
+            "X_I_data": "e3b0c44298fc1c149afbf4c8996fb924",
+            "noise": "319763fa69326a32c92bf65ac7fbdf4b",
         },
     }
 
