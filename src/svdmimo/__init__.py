@@ -13,9 +13,8 @@ from .numerics import bisect, poly_roots
 from .rmt_spectrum import (FixedPointParams, SpectralDensity, StieltjesSolverError,
                            StieltjesValue, density_from_stieltjes, empirical_spectrum,
                            stieltjes_solve)
-from .subspace_receiver import (SubspaceBasis, conventional_receiver, count_bit_errors,
-                                detect_subspace, estimate_projected_channel, project,
-                                signal_subspace, slice_qpsk)
+from .subspace_receiver import (conventional_receiver, count_bit_errors, detect_subspace,
+                                estimate_projected_channel, project, signal_subspace)
 from .system_model import (LIGHT_SPEED, ChannelRealization, InterferenceProfile, PilotConfig,
                            RadioParams, SystemParams, assemble_received, coherence_symbols,
                            interference_profile, make_pilots, sample_realization)

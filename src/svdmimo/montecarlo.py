@@ -159,6 +159,8 @@ def ber_vs_R(cfg: ExperimentConfig):
     Returns (points, per_seed_bers) where per_seed_bers[(R, delta, receiver)]
     is the list of per-realization BERs (for median-trend checks).
     """
+    if cfg.sweep != "R":
+        raise ValueError(f"ber_vs_R needs sweep 'R', not the config's {cfg.sweep!r}")
     base = cfg.system
     (tau,) = cfg.taus
     points = []
@@ -173,6 +175,8 @@ def ber_vs_R(cfg: ExperimentConfig):
 
 def ber_vs_IP(cfg: ExperimentConfig):
     """BER versus relative interference strength I/P (flat profile)."""
+    if cfg.sweep != "I_over_P":
+        raise ValueError(f"ber_vs_IP needs sweep 'I_over_P', not the config's {cfg.sweep!r}")
     base = cfg.system
     points = []
     for tau in cfg.taus:

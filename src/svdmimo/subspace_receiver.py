@@ -4,12 +4,11 @@ The blind receiver computes the T_sel strongest left-singular directions of the
 received block Y, projects Y onto that subspace, estimates the small projected
 channel from the projected pilots by least squares, and equalizes the data. The
 conventional baseline estimates the full R x T channel by least squares from
-the pilot columns and applies maximum-ratio combining.
+the pilot columns and applies maximum-ratio combining. Both return soft symbol
+estimates; count_bit_errors decides each bit once, by its sign (Gray QPSK).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
@@ -24,16 +23,8 @@ from .system_model import PilotConfig
 _GRAM_MAX_DIM = 200
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal basis of the estimated signal subspace with singular values."""
-
-    S: np.ndarray                 # R x T_sel, orthonormal columns; see signal_subspace for phases
-    singular_values: np.ndarray   # T_sel leading singular values, non-increasing
-
-
-def signal_subspace(Y, T_sel) -> SubspaceBasis:
-    """Basis of the T_sel leading left-singular directions of Y.
+def signal_subspace(Y, T_sel) -> np.ndarray:
+    """R x T_sel orthonormal basis S of the T_sel leading left-singular directions of Y.
 
     Two paths give the same subspace; the shape of Y picks one. Both find
     orthonormal eigenvectors V of the top T_sel eigenvalues of the smaller
@@ -49,14 +40,13 @@ def signal_subspace(Y, T_sel) -> SubspaceBasis:
       vector is fixed so identical inputs give identical bases.
 
     Then one Rayleigh-Ritz step, a thin SVD of V^H Y (T_sel x C) or of Y V
-    (R x T_sel), makes S orthonormal to machine precision and takes the
-    singular values from Y itself rather than from its squared spectrum, so
-    they stay accurate, also when Y is rank-deficient. Last, each column of
-    S is scaled by a unit phase that makes its largest-magnitude entry real
-    and positive. The SVD would otherwise pick the phases from last-bit
-    rounding, so they would change with the path, the BLAS build or the
-    thread count; with this rule S is fixed wherever the singular values
-    are distinct.
+    (R x T_sel), makes S orthonormal to machine precision, also when Y is
+    rank-deficient, and orders its columns by the energy of Y along them,
+    strongest first. Last, each column of S is scaled by a unit phase that
+    makes its largest-magnitude entry real and positive. The SVD would
+    otherwise pick the phases from last-bit rounding, so they would change
+    with the path, the BLAS build or the thread count; with this rule S is
+    fixed wherever the singular values are distinct.
 
     The Gram side costs about min(R, C)^2 max(R, C) per call; ARPACK costs a
     number of restarts times min(R, C) max(R, C) plus a fixed overhead of a
@@ -105,18 +95,17 @@ def signal_subspace(Y, T_sel) -> SubspaceBasis:
         V = eigh(_gram_lower(Y), lower=True, overwrite_a=True, check_finite=False,
                  subset_by_index=[mn - T_sel, mn - 1])[1].conj()
     if R <= C:
-        U, sv, _ = np.linalg.svd(V.conj().T @ Y, full_matrices=False)
-        S = V @ U
+        S = V @ np.linalg.svd(V.conj().T @ Y, full_matrices=False)[0]
     else:
-        S, sv, _ = np.linalg.svd(Y @ V, full_matrices=False)
+        S = np.linalg.svd(Y @ V, full_matrices=False)[0]
     peak = S[np.argmax(np.abs(S), axis=0), np.arange(T_sel)]
     S *= peak.conj() / np.abs(peak)
-    return SubspaceBasis(S=S, singular_values=sv)
+    return S
 
 
-def project(basis: SubspaceBasis, Y):
+def project(S, Y):
     """Projected block Y_tilde = S^H Y."""
-    return basis.S.conj().T @ np.asarray(Y)
+    return S.conj().T @ np.asarray(Y)
 
 
 def estimate_projected_channel(Y_tilde, pilots: PilotConfig) -> np.ndarray:
@@ -138,43 +127,32 @@ def estimate_projected_channel(Y_tilde, pilots: PilotConfig) -> np.ndarray:
 
 
 def detect_subspace(Y_tilde_data, H_tilde, noise_power, symbol_power) -> np.ndarray:
-    """MMSE-equalize the projected data columns and slice to QPSK.
+    """MMSE-equalized projected data columns, the T x (C - tau*T) symbol estimates.
 
     The projected noise is approximately white with per-entry power W, so the
-    equalizer regularizer is (W/P) I. A singular equalizer matrix (possible at
-    W = 0) falls back to the pseudo-inverse.
+    estimates solve (H^H H + (W/P) I) X = H^H Y_tilde_data. A singular
+    equalizer matrix (possible at W = 0) falls back to the pseudo-inverse.
     """
-    Ht = np.asarray(H_tilde)
-    T = Ht.shape[1]
-    A = Ht.conj().T @ Ht + (noise_power / symbol_power) * np.eye(T)
-    rhs = Ht.conj().T @ np.asarray(Y_tilde_data)
+    Ht, Yd = np.asarray(H_tilde), np.asarray(Y_tilde_data)
+    A = Ht.conj().T @ Ht + (noise_power / symbol_power) * np.eye(Ht.shape[1])
     try:
-        est = np.linalg.solve(A, rhs)
+        return np.linalg.solve(A, Ht.conj().T @ Yd)
     except np.linalg.LinAlgError:
-        est = np.linalg.pinv(Ht) @ np.asarray(Y_tilde_data)
-    return slice_qpsk(est, symbol_power)
+        return np.linalg.pinv(Ht) @ Yd
 
 
 def conventional_receiver(Y, pilots: PilotConfig) -> np.ndarray:
-    """Linear baseline: LS (zero-forcing) estimate of the full channel from the
-    pilot columns of Y, then maximum-ratio combining and QPSK slicing."""
+    """Linear baseline: LS (zero-forcing) estimate H_hat of the full channel from the
+    pilot columns of Y, then maximum-ratio combining of the data columns Y_d: H_hat^H Y_d."""
     Y = np.asarray(Y)
     H_hat = estimate_projected_channel(Y, pilots)
-    return slice_qpsk(H_hat.conj().T @ Y[:, pilots.tau_blocks * pilots.T:],
-                      pilots.symbol_power)
+    return H_hat.conj().T @ Y[:, pilots.tau_blocks * pilots.T:]
 
 
-# QPSK helpers (Gray mapping: bits are the signs of real and imaginary parts)
-
-def slice_qpsk(values, power):
-    """Nearest QPSK constellation point of the given power, per entry."""
-    v = np.asarray(values)
-    return np.sqrt(power / 2.0) * (np.where(v.real >= 0, 1.0, -1.0)
-                                   + 1j * np.where(v.imag >= 0, 1.0, -1.0))
-
-
-def count_bit_errors(decisions, reference):
-    """Exact bit-error count between two QPSK symbol arrays (2 bits/symbol)."""
-    d, x = np.asarray(decisions), np.asarray(reference)
+def count_bit_errors(estimates, reference):
+    """Exact bit-error count between symbol estimates and the sent QPSK symbols
+    (2 bits/symbol). Gray mapping makes each bit the sign of a real or an
+    imaginary part (>= 0 or < 0), so this is the one place bits are decided."""
+    d, x = np.asarray(estimates), np.asarray(reference)
     return int(np.count_nonzero((d.real >= 0) != (x.real >= 0))
                + np.count_nonzero((d.imag >= 0) != (x.imag >= 0)))

@@ -166,14 +166,6 @@ class PilotConfig:
     def T(self):
         return self.pilot_matrix.shape[0]
 
-    @property
-    def symbol_power(self):
-        """Per-symbol pilot power P, recovered from row norms (norm^2 = tau*T*P)."""
-        if self.tau_blocks == 0:
-            return 0.0
-        T = self.T
-        return float(np.linalg.norm(self.pilot_matrix[0]) ** 2 / (self.tau_blocks * T))
-
 
 def _haar_unitary(n, rng):
     Z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
@@ -270,6 +262,8 @@ def sample_realization(sys: SystemParams, pilots: PilotConfig, seed,
         raise ValueError(f"pilot length tau*T = {tau * sys.T} exceeds coherence time C = {sys.C}")
     if tau > 0 and pilots.T != sys.T:
         raise ValueError("pilot_matrix row count must equal T")
+    if sys.P == 0 and sys.interference_powers:
+        raise ValueError("P must be > 0 with interferers: H_I column k has variance I_k / P")
     rng = np.random.default_rng(seed)
     draw = _qpsk if data_law == "qpsk" else _complex_gaussian
 

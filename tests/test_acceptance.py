@@ -182,8 +182,8 @@ def test_criterion_8_invariant_suites():
             C = int(rng.integers(8, 60))
             k = int(rng.integers(1, min(R, C) + 1))
             Y = rng.standard_normal((R, C)) + 1j * rng.standard_normal((R, C))
-            basis = sm.signal_subspace(Y, k)
-            gram = basis.S.conj().T @ basis.S
+            S = sm.signal_subspace(Y, k)
+            gram = S.conj().T @ S
             assert np.max(np.abs(gram - np.eye(k))) <= 1e-10
 
         # alpha = 0 collapse: s1(G) = -1/G to 1e-12 (relative), on a grid

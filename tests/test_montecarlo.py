@@ -86,6 +86,16 @@ class TestConfig:
 
 
 class TestBerSweeps:
+    @pytest.mark.parametrize("run, sweep, values", [(ber_vs_IP, "R", (40, 80)),
+                                                    (ber_vs_R, "I_over_P", (0.3,))],
+                             ids=["ber_vs_IP_on_R", "ber_vs_R_on_IP"])
+    def test_sweep_of_the_other_function_rejected(self, run, sweep, values):
+        # ber_vs_IP would run an R config at I/P = 40 and 80; ber_vs_R would
+        # fail on an I/P config with an unrelated antenna-count error
+        cfg = ExperimentConfig(system=small_system(), sweep=sweep, values=values)
+        with pytest.raises(ValueError, match=f"config's '{sweep}'"):
+            run(cfg)
+
     def test_clean_channel_zero_errors_svd(self):
         sys = SystemParams(R=60, T=3, C=40, L=0, P=0.1, W=0.0)
         cfg = ExperimentConfig(system=sys, sweep="I_over_P", values=(0.0,),

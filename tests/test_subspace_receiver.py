@@ -6,9 +6,8 @@ from scipy.sparse.linalg import eigsh
 
 from svdmimo import subspace_receiver
 from svdmimo.subspace_receiver import (conventional_receiver, count_bit_errors, detect_subspace,
-                                       estimate_projected_channel, project, signal_subspace,
-                                       slice_qpsk)
-from svdmimo.system_model import (InterferenceProfile, PilotConfig, SystemParams,
+                                       estimate_projected_channel, project, signal_subspace)
+from svdmimo.system_model import (InterferenceProfile, PilotConfig, SystemParams, _qpsk,
                                   assemble_received, make_pilots, sample_realization)
 
 
@@ -16,56 +15,60 @@ def cgauss(rng, shape, var=1.0):
     return np.sqrt(var / 2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def captured(S, Y):
+    # singular values of Y along the columns of S: the row norms of S^H Y
+    return np.linalg.norm(project(S, Y), axis=1)
+
+
 class TestSignalSubspace:
     def test_rank_one(self):
         rng = np.random.default_rng(0)
         u, v = cgauss(rng, (40, 1)), cgauss(rng, (25, 1))
-        basis = signal_subspace(u @ v.conj().T, 1)
-        assert abs(np.vdot(basis.S[:, 0], u[:, 0])) / np.linalg.norm(u) > 1 - 1e-10
+        S = signal_subspace(u @ v.conj().T, 1)
+        assert abs(np.vdot(S[:, 0], u[:, 0])) / np.linalg.norm(u) > 1 - 1e-10
 
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(1)
-        basis = signal_subspace(cgauss(rng, (60, 40)), 5)
-        assert np.allclose(basis.S.conj().T @ basis.S, np.eye(5), atol=1e-10)
+        S = signal_subspace(cgauss(rng, (60, 40)), 5)
+        assert np.allclose(S.conj().T @ S, np.eye(5), atol=1e-10)
 
     def test_matches_span_of_H_noise_free(self):
         # independent oracle: projector from a QR factorization of H itself
         rng = np.random.default_rng(2)
         H, X = cgauss(rng, (80, 4)), cgauss(rng, (4, 50), 0.1)
-        basis = signal_subspace(H @ X, 4)
+        S = signal_subspace(H @ X, 4)
         Q, _ = np.linalg.qr(H)
-        P_S = basis.S @ basis.S.conj().T
+        P_S = S @ S.conj().T
         P_H = Q @ Q.conj().T
         assert np.linalg.norm(P_S - P_H, 2) < 1e-8
 
     def test_zero_columns_leave_basis_unchanged(self):
         rng = np.random.default_rng(3)
         Y = cgauss(rng, (30, 20))
-        b1 = signal_subspace(Y, 3)
-        b2 = signal_subspace(np.concatenate([Y, np.zeros((30, 10))], axis=1), 3)
+        S1 = signal_subspace(Y, 3)
+        S2 = signal_subspace(np.concatenate([Y, np.zeros((30, 10))], axis=1), 3)
         # compare projectors (phase-free)
-        assert np.linalg.norm(b1.S @ b1.S.conj().T - b2.S @ b2.S.conj().T, 2) < 1e-8
+        assert np.linalg.norm(S1 @ S1.conj().T - S2 @ S2.conj().T, 2) < 1e-8
 
     def test_singular_values_sorted(self):
         rng = np.random.default_rng(4)
-        basis = signal_subspace(cgauss(rng, (50, 200)), 6)
-        assert np.all(np.diff(basis.singular_values) <= 0)
+        Y = cgauss(rng, (50, 200))
+        assert np.all(np.diff(captured(signal_subspace(Y, 6), Y)) <= 0)
 
     def test_partial_matches_full(self):
         rng = np.random.default_rng(5)
         Y = cgauss(rng, (300, 100))
         sv_full = np.linalg.svd(Y, compute_uv=False)[:3]
-        basis = signal_subspace(Y, 3)
-        assert np.allclose(basis.singular_values, sv_full, rtol=1e-10)
+        assert np.allclose(captured(signal_subspace(Y, 3), Y), sv_full, rtol=1e-10)
 
     def test_arpack_partial_matches_full(self):
         # Fig.-5-sized block, above the Gram-side crossover
         rng = np.random.default_rng(19)
         Y = cgauss(rng, (300, 1000))
         sv_full = np.linalg.svd(Y, compute_uv=False)[:3]
-        basis = signal_subspace(Y, 3)
-        assert np.allclose(basis.singular_values, sv_full, rtol=1e-10)
-        assert np.allclose(basis.S.conj().T @ basis.S, np.eye(3), atol=1e-10)
+        S = signal_subspace(Y, 3)
+        assert np.allclose(captured(S, Y), sv_full, rtol=1e-10)
+        assert np.allclose(S.conj().T @ S, np.eye(3), atol=1e-10)
 
     def test_paths_agree_at_crossover(self, monkeypatch):
         n = subspace_receiver._GRAM_MAX_DIM
@@ -84,8 +87,8 @@ class TestSignalSubspace:
         monkeypatch.setattr(subspace_receiver, "_GRAM_MAX_DIM", n - 1)
         arpack = signal_subspace(Y[:n], 3)
         assert calls[1:] == [(n, n)]
-        assert np.allclose(arpack.singular_values, gram.singular_values, rtol=1e-10)
-        assert np.linalg.norm(arpack.S @ arpack.S.conj().T - gram.S @ gram.S.conj().T, 2) < 1e-10
+        assert np.allclose(captured(arpack, Y[:n]), captured(gram, Y[:n]), rtol=1e-10)
+        assert np.linalg.norm(arpack @ arpack.conj().T - gram @ gram.conj().T, 2) < 1e-10
 
     @pytest.mark.parametrize("shape", [(40, 60), (60, 40), (300, 500), (500, 300)],
                              ids=["gram_wide", "gram_tall", "arpack_wide", "arpack_tall"])
@@ -104,11 +107,11 @@ class TestSignalSubspace:
             Y = cgauss(rng, (R, 3)) @ cgauss(rng, (3, C)) + 0.1 * cgauss(rng, (R, C))
             Y = np.asfortranarray(Y) if layout == "fortran" else Y.real.copy()
         assert Y.shape == shape
-        basis = signal_subspace(Y, T_sel)
+        S = signal_subspace(Y, T_sel)
         U, s, _ = np.linalg.svd(Y, full_matrices=False)
         P_full = U[:, :T_sel] @ U[:, :T_sel].conj().T
-        assert np.abs(basis.S @ basis.S.conj().T - P_full).max() <= 1e-10
-        assert np.abs(basis.singular_values - s[:T_sel]).max() <= 1e-10 * s[0]
+        assert np.abs(S @ S.conj().T - P_full).max() <= 1e-10
+        assert np.abs(captured(S, Y) - s[:T_sel]).max() <= 1e-10 * s[0]
 
     @pytest.mark.parametrize("shape", [(40, 60), (60, 40), (300, 500), (500, 300)],
                              ids=["gram_wide", "gram_tall", "arpack_wide", "arpack_tall"])
@@ -119,7 +122,7 @@ class TestSignalSubspace:
         R, C = shape
         T_sel = 4
         Y = cgauss(rng, (R, 3)) @ cgauss(rng, (3, C)) + 0.1 * cgauss(rng, (R, C))
-        S = signal_subspace(Y, T_sel).S
+        S = signal_subspace(Y, T_sel)
         U, s, _ = np.linalg.svd(Y, full_matrices=False)
         U = U[:, :T_sel]
         peak = U[np.argmax(np.abs(U), axis=0), np.arange(T_sel)]
@@ -140,13 +143,13 @@ class TestSignalSubspace:
         rank = data.draw(st.integers(0, T_sel - 1), label="rank (0: full)")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         Y = cgauss(rng, (R, rank)) @ cgauss(rng, (rank, C)) if rank else cgauss(rng, (R, C))
-        basis = signal_subspace(Y, T_sel)
+        S = signal_subspace(Y, T_sel)
         U, s, _ = np.linalg.svd(Y, full_matrices=False)
-        assert np.abs(basis.S.conj().T @ basis.S - np.eye(T_sel)).max() <= 1e-10
-        assert np.abs(basis.singular_values - s[:T_sel]).max() <= 1e-10 * s[0]
+        assert np.abs(S.conj().T @ S - np.eye(T_sel)).max() <= 1e-10
+        assert np.abs(captured(S, Y) - s[:T_sel]).max() <= 1e-10 * s[0]
         if s[T_sel - 1] - (s[T_sel] if T_sel < mn else 0.0) > 1e-6 * s[0]:
             P_full = U[:, :T_sel] @ U[:, :T_sel].conj().T
-            assert np.linalg.norm(basis.S @ basis.S.conj().T - P_full, 2) <= 1e-8
+            assert np.linalg.norm(S @ S.conj().T - P_full, 2) <= 1e-8
 
     def test_range_check(self):
         with pytest.raises(ValueError):
@@ -157,27 +160,27 @@ class TestProject:
     def test_norm_never_grows(self):
         rng = np.random.default_rng(6)
         Y = cgauss(rng, (40, 30))
-        basis = signal_subspace(Y, 4)
-        assert np.linalg.norm(project(basis, Y)) <= np.linalg.norm(Y) + 1e-12
+        S = signal_subspace(Y, 4)
+        assert np.linalg.norm(project(S, Y)) <= np.linalg.norm(Y) + 1e-12
 
     def test_norm_preserved_noise_free_single_cell(self):
         rng = np.random.default_rng(7)
         Y = cgauss(rng, (60, 3)) @ cgauss(rng, (3, 40), 0.1)
-        basis = signal_subspace(Y, 3)
-        assert abs(np.linalg.norm(project(basis, Y)) - np.linalg.norm(Y)) < 1e-8
+        S = signal_subspace(Y, 3)
+        assert abs(np.linalg.norm(project(S, Y)) - np.linalg.norm(Y)) < 1e-8
 
     def test_projected_energy_is_top_singular_values(self):
         rng = np.random.default_rng(8)
         Y = cgauss(rng, (50, 35))
-        basis = signal_subspace(Y, 4)
-        assert np.isclose(np.linalg.norm(project(basis, Y)) ** 2,
-                          np.sum(basis.singular_values ** 2), rtol=1e-10)
+        S = signal_subspace(Y, 4)
+        assert np.isclose(np.linalg.norm(project(S, Y)) ** 2,
+                          np.sum(np.linalg.svd(Y, compute_uv=False)[:4] ** 2), rtol=1e-10)
 
     def test_reconstruction_residual_bound(self):
         rng = np.random.default_rng(9)
         Y = cgauss(rng, (30, 40))
-        basis = signal_subspace(Y, 5)
-        assert np.linalg.norm(basis.S @ project(basis, Y) - Y) <= np.linalg.norm(Y)
+        S = signal_subspace(Y, 5)
+        assert np.linalg.norm(S @ project(S, Y) - Y) <= np.linalg.norm(Y)
 
 
 class TestChannelEstimation:
@@ -188,9 +191,9 @@ class TestChannelEstimation:
         sys = SystemParams(R=60, T=T, C=40, L=0, P=P, W=0.0)
         rz = sample_realization(sys, pilots, seed=0, data_law="qpsk")
         Y = assemble_received(rz)
-        basis = signal_subspace(Y, T)
-        Ht = estimate_projected_channel(project(basis, Y), pilots)
-        assert np.allclose(Ht, basis.S.conj().T @ rz.H, atol=1e-8)
+        S = signal_subspace(Y, T)
+        Ht = estimate_projected_channel(project(S, Y), pilots)
+        assert np.allclose(Ht, S.conj().T @ rz.H, atol=1e-8)
 
     def test_tau1_scaled_identity_pilots(self):
         T, P = 3, 0.25
@@ -243,8 +246,7 @@ class TestDetection:
 
     def test_noise_free_zero_errors(self):
         sys, pilots, rz, Y = self._clean_system()
-        basis = signal_subspace(Y, sys.T)
-        Yt = project(basis, Y)
+        Yt = project(signal_subspace(Y, sys.T), Y)
         ch = estimate_projected_channel(Yt, pilots)
         dec = detect_subspace(Yt[:, sys.T:], ch, noise_power=0.0, symbol_power=sys.P)
         assert count_bit_errors(dec, rz.data_symbols) == 0
@@ -252,16 +254,28 @@ class TestDetection:
 
     def test_identity_channel_no_noise(self):
         rng = np.random.default_rng(12)
-        tx = slice_qpsk(cgauss(rng, (4, 20)), 0.1)
+        tx = _qpsk(rng, (4, 20), 0.1)
         dec = detect_subspace(tx, np.eye(4, dtype=complex), noise_power=0.0, symbol_power=0.1)
         assert count_bit_errors(dec, tx) == 0
+
+    def test_returns_regularised_normal_equation_solution(self):
+        # the MMSE estimates themselves, not sliced points: they minimise
+        # |Ht x - y|^2 + (W/P) |x|^2, the least-squares solution of the stacked
+        # system [Ht; sqrt(W/P) I] x = [y; 0]
+        sys, pilots, rz, Y = self._clean_system(W=1.0, I=0.02, L=2, seed=3)
+        Yt = project(signal_subspace(Y, sys.T), Y)
+        Ht = estimate_projected_channel(Yt, pilots)
+        est = detect_subspace(Yt[:, sys.T:], Ht, noise_power=sys.W, symbol_power=sys.P)
+        stacked = np.vstack([Ht, np.sqrt(sys.W / sys.P) * np.eye(sys.T)])
+        rhs = np.vstack([Yt[:, sys.T:], np.zeros((sys.T, sys.C - sys.T))])
+        ref = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
+        assert np.abs(est - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_snr_to_zero_gives_half_ber(self):
         errors = bits = 0
         for seed in range(10):
             sys, pilots, rz, Y = self._clean_system(W=1e6, seed=seed)
-            basis = signal_subspace(Y, sys.T)
-            Yt = project(basis, Y)
+            Yt = project(signal_subspace(Y, sys.T), Y)
             ch = estimate_projected_channel(Yt, pilots)
             dec = detect_subspace(Yt[:, sys.T:], ch, noise_power=1e6, symbol_power=sys.P)
             errors += count_bit_errors(dec, rz.data_symbols)
@@ -282,6 +296,17 @@ class TestConventional:
         dec = conventional_receiver(Y, pilots)
         assert count_bit_errors(dec, rz.data_symbols) == 0
         assert dec.shape == (T, sys.C - T)
+
+    def test_returns_mrc_outputs(self):
+        # H_hat^H Y_d with the least-squares estimate from the pilot columns
+        T, P = 4, 0.1
+        sys = SystemParams.from_profile(60, T, 50, 2, P, 1.0,
+                                        InterferenceProfile(kind="flat", I=0.02))
+        pilots = make_pilots(T, P, 1)
+        Y = assemble_received(sample_realization(sys, pilots, seed=2, data_law="qpsk"))
+        Hhat = np.linalg.lstsq(pilots.pilot_matrix.conj().T, Y[:, :T].conj().T, rcond=None)[0].conj().T
+        ref = Hhat.conj().T @ Y[:, T:]
+        assert np.abs(conventional_receiver(Y, pilots) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_pilot_contamination_signature(self):
         # identical pilots in all cells: the LS estimate converges to
@@ -319,10 +344,31 @@ class TestConventional:
 
 
 class TestQpskHelpers:
-    def test_slice_idempotent_on_constellation(self):
-        rng = np.random.default_rng(18)
-        tx = slice_qpsk(cgauss(rng, (5, 100)), 0.3)
-        assert np.allclose(slice_qpsk(tx, 0.3), tx)
+    def test_count_matches_slicer_on_receiver_outputs(self):
+        # the receivers return soft estimates and count_bit_errors decides each
+        # bit by its sign; a slicer to the nearest QPSK point gives the same
+        # count, also on parts that are exactly +0.0 or -0.0 (both >= 0)
+        def slicer(v):
+            return np.where(v.real >= 0, 1.0, -1.0) + 1j * np.where(v.imag >= 0, 1.0, -1.0)
+
+        T, P = 4, 0.1
+        sys = SystemParams.from_profile(60, T, 50, 2, P, 1.0,
+                                        InterferenceProfile(kind="flat", I=0.05))
+        pilots = make_pilots(T, P, 1)
+        rz = sample_realization(sys, pilots, seed=6, data_law="qpsk")
+        Y = assemble_received(rz)
+        Yt = project(signal_subspace(Y, T), Y)
+        outputs = [detect_subspace(Yt[:, T:], estimate_projected_channel(Yt, pilots),
+                                   noise_power=sys.W, symbol_power=P),
+                   conventional_receiver(Y, pilots)]
+        tx = rz.data_symbols
+        for est in outputs:
+            est.real[0, :4] = [0.0, -0.0, 0.0, -0.0]
+            est.imag[1, :4] = [-0.0, 0.0, -0.0, 0.0]
+            assert np.signbit(est.real[0, :4]).sum() == np.signbit(est.imag[1, :4]).sum() == 2
+            d, x = slicer(est), slicer(tx)
+            expected = np.count_nonzero(d.real != x.real) + np.count_nonzero(d.imag != x.imag)
+            assert 0 < count_bit_errors(est, tx) == expected
 
     def test_count_bit_errors_known(self):
         P = 2.0

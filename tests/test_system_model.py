@@ -130,7 +130,6 @@ class TestPilots:
         for b in range(3):
             B = p.pilot_matrix[:, 4 * b:4 * (b + 1)]
             assert np.allclose(B @ B.conj().T, 0.8 * np.eye(4), atol=1e-12)
-        assert np.isclose(p.symbol_power, 0.2)
 
     def test_invalid_block_rejected(self):
         with pytest.raises(ValueError):
@@ -180,6 +179,17 @@ class TestRealization:
         sys = flat_system(R=50, T=4, C=30, P=0.4)
         rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=2, data_law="qpsk")
         assert np.allclose(np.abs(rz.X), np.sqrt(0.4))
+
+    @pytest.mark.parametrize("powers", [(0.025,) * 4, (0.0,) * 4], ids=["positive", "zero"])
+    def test_zero_p_with_interferers_rejected(self, powers):
+        # H_I column k has variance I_k / P: at P = 0 it would be infinite or
+        # NaN, and so would Y; the check comes before the first draw
+        sys = SystemParams(R=20, T=2, C=10, L=2, P=0.0, W=1.0, interference_powers=powers)
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="P must be > 0"):
+            sample_realization(sys, PilotConfig(tau_blocks=0), seed=rng)
+        assert rng.bit_generator.state == state
 
     def test_pilot_overflow_rejected(self):
         sys = flat_system(R=50, T=10, C=25)
