@@ -49,9 +49,6 @@ class BulkInterval:
         if self.lower > self.upper:
             raise ValueError(f"interval endpoints out of order: [{self.lower}, {self.upper}]")
 
-    def contains(self, x):
-        return (self.lower <= np.asarray(x)) & (np.asarray(x) <= self.upper)
-
     def scaled(self, factor):
         """This interval times `factor`; a negative factor flips it below 0."""
         return BulkInterval(*sorted((self.lower * factor, self.upper * factor)))

@@ -3,10 +3,12 @@
 `spectrum` and `support` read _SPECTRUM_KEYS, `ber` reads _BER_KEYS and
 `coherence` reads _COHERENCE_KEYS; any other key raises ValueError, and so
 does a profile key given with the other profile (`delta` applies to `modulo`,
-`I_over_P` to `flat`) or a profile key that a `ber` sweep replaces. Powers
-are given in dB (`P_dB`, `W_dB`) and converted to linear exactly once here;
-all internal math is linear. Unit conversions (GHz, us, km/h) also happen only
-at this boundary. Every output embeds the resolved configuration and seed.
+`I_over_P` to `flat`) or a list given to a key that takes one value. A `ber`
+config sweeps the key it lists: `I_over_P`, `R`, or `R` with one curve per
+listed `delta`. Powers are given in dB (`P_dB`, `W_dB`) and converted to
+linear exactly once here; all internal math is linear. Unit conversions (GHz,
+us, km/h) also happen only at this boundary. Every output embeds the resolved
+configuration and seed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ _SYSTEM_KEYS = frozenset({"R", "T", "C", "L", "P_dB", "W_dB", "profile", "I_over
                           "seed"})
 # `support` reads no `n_seeds` but shares its config file with `spectrum`
 _SPECTRUM_KEYS = _SYSTEM_KEYS | {"n_seeds"}
-_BER_KEYS = _SYSTEM_KEYS | {"sweep", "values", "taus", "deltas", "min_symbols"}
+_BER_KEYS = _SYSTEM_KEYS | {"taus", "min_symbols"}
 _COHERENCE_KEYS = frozenset({"f0_GHz", "delay_spread_us", "speed_kmh"})
 
 
@@ -47,6 +49,9 @@ def _load_config(path, keys):
 
 
 def _system_from_config(cfg):
+    listed = sorted(k for k, v in cfg.items() if isinstance(v, list) and k != "taus")
+    if listed:
+        raise ValueError(f"config keys {listed} take one value, not a list")
     P, W = _db_to_linear(cfg["P_dB"]), _db_to_linear(cfg["W_dB"])
     kind = cfg.get("profile", "flat")
     other = {"flat": "delta", "modulo": "I_over_P"}.get(kind)
@@ -83,7 +88,7 @@ def _cmd_coherence(args):
 def _cmd_spectrum(args):
     cfg = _load_config(args.config, _SPECTRUM_KEYS)
     sys_params = _system_from_config(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = cfg.get("seed", 0)
     result = montecarlo.spectrum_experiment(
         sys_params, n_seeds=cfg.get("n_seeds", 20), grid_points=args.grid_points, seed=seed)
     out = Path(args.out) / "spectrum.csv"
@@ -124,6 +129,10 @@ def _cmd_support(args):
 
 def _cmd_separability(args):
     Ls = [int(x) for x in args.L.split(",")]
+    if args.points < 2:
+        raise ValueError(f"--points must be >= 2: {args.points}")
+    if min(Ls) < 1:
+        raise ValueError(f"--L entries must each be >= 1: {args.L}")
     betas = np.linspace(0.0, 1.0, args.points)
     lines = ["# config: " + json.dumps({"L": Ls, "points": args.points}),
              "L,beta,max_alpha_over_kappa"]
@@ -136,41 +145,24 @@ def _cmd_separability(args):
     return [out]
 
 
-def _sweep_base(cfg, sweep):
-    """The base system of a `ber` sweep. The I/P sweep runs the flat profile at
-    each listed I/P and the R sweep with `deltas` the modulo profile of each
-    listed delta, built here at the first I/P or delta, the first point's
-    system; both raise ValueError naming the profile keys they would replace."""
-    if sweep == "R" and "deltas" in cfg:
-        if not cfg["deltas"]:
-            raise ValueError("config key 'deltas' lists no delta")
-        profile, first = "modulo", {"delta": cfg["deltas"][0]}
-    elif sweep == "I_over_P":
-        profile, first = "flat", {}
-        if cfg["values"]:  # ExperimentConfig rejects an empty `values`
-            first = {"I_over_P": cfg["values"][0]}
-    else:
-        return _system_from_config(cfg)
-    replaced = sorted({"I_over_P", "delta"} & set(cfg))
-    if cfg.get("profile", profile) != profile:
-        replaced.append("profile")
-    if replaced:
-        raise ValueError(f"config keys {replaced} do not apply to the {sweep} sweep: "
-                         f"it sets the {profile} profile itself")
-    return _system_from_config(dict(cfg, profile=profile, **first))
-
-
 def _cmd_ber(args):
     cfg = _load_config(args.config, _BER_KEYS)
-    sweep = cfg.get("sweep", "I_over_P")
-    sys_params = _sweep_base(cfg, sweep)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    # the one sweep a config lists, swept key first; a listed `delta` draws one
+    # curve per delta
+    listed = tuple(k for k in ("I_over_P", "R", "delta") if isinstance(cfg.get(k), list))
+    if listed not in (("I_over_P",), ("R",), ("R", "delta")) or not all(map(cfg.get, listed)):
+        raise ValueError(f"config keys {list(listed)} are not one sweep: `ber` needs the "
+                         "sweep values as a nonempty list on 'I_over_P', on 'R', or on "
+                         "'R' and 'delta'")
+    # the base system is the first point's, every listed key at its first entry
+    sys_params = _system_from_config(dict(cfg, **{k: cfg[k][0] for k in listed}))
+    sweep = listed[0]
     ecfg = montecarlo.ExperimentConfig(
-        system=sys_params, sweep=sweep, values=tuple(cfg["values"]),
+        system=sys_params, sweep=sweep, values=tuple(cfg[sweep]),
         taus=tuple(cfg.get("taus", [1])),
-        deltas=tuple(cfg["deltas"]) if "deltas" in cfg else None,
+        deltas=tuple(cfg["delta"]) if "delta" in listed else None,
         min_symbols=cfg.get("min_symbols", 100_000),
-        seed=seed, threads=args.threads)
+        seed=cfg.get("seed", 0), threads=args.threads)
     if sweep == "R":
         points, _ = montecarlo.ber_vs_R(ecfg)
     else:
@@ -198,7 +190,6 @@ def build_parser():
     p = sub.add_parser("spectrum", help="empirical + asymptotic eigenvalue density CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=".")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--grid-points", type=int, default=600)
     p.set_defaults(func=_cmd_spectrum)
 
@@ -216,7 +207,6 @@ def build_parser():
     p = sub.add_parser("ber", help="Monte Carlo BER sweep CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=".")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_ber)
     return parser

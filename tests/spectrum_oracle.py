@@ -9,7 +9,8 @@ Tests compare the two through this module:
 * the cumulative mass and the bulks of a density (cdf, bulk_intervals);
 * the Kolmogorov distance between the pooled eigenvalues and the density,
   and the share of eigenvalues in the gap between its two rightmost bulks
-  (kolmogorov_distance, gap_mass).
+  (kolmogorov_distance, gap_mass);
+* which eigenvalues a support estimate's interval holds (contains).
 """
 
 import math
@@ -88,3 +89,9 @@ def gap_mass(result):
     gap_lo, gap_hi = bulks[-2][1], bulks[-1][0]
     inside = np.sum((result.eigenvalues > gap_lo) & (result.eigenvalues < gap_hi))
     return float(inside / len(result.eigenvalues))
+
+
+def contains(interval, x):
+    """Per entry of x, whether it lies in the closed `BulkInterval`."""
+    x = np.asarray(x)
+    return (interval.lower <= x) & (x <= interval.upper)

@@ -43,6 +43,18 @@ class TestSeparability:
             assert len(vals) == 60
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("args, flag", [
+        (["--points", "0"], "--points"), (["--points", "1"], "--points"),
+        (["--L", "0"], "--L"), (["--L", "-1"], "--L"), (["--L", "2,0,7"], "--L"),
+    ])
+    def test_rejects_points_below_two_and_L_below_one(self, tmp_path, capsys, args, flag):
+        # a CSV with no rows or a curve without interfering cells is no boundary
+        assert main(["separability", "--out", str(tmp_path)] + args) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and err["message"].startswith(flag + " "), err
+        assert captured.out == "" and not (tmp_path / "separability.csv").exists()
+
 
 class TestSupport:
     def test_json_all_methods(self, tmp_path):
@@ -145,7 +157,7 @@ class TestBer:
     def test_small_sweep(self, tmp_path):
         cfg = write_cfg(tmp_path, "b.json",
                         {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
-                         "profile": "flat", "sweep": "I_over_P", "values": [0.2],
+                         "profile": "flat", "I_over_P": [0.2],
                          "taus": [1], "min_symbols": 400, "seed": 4})
         assert main(["ber", "--config", cfg, "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "ber.csv").read_text().splitlines()
@@ -155,7 +167,7 @@ class TestBer:
     def test_reruns_bit_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, "b.json",
                         {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
-                         "profile": "flat", "sweep": "I_over_P", "values": [0.2],
+                         "profile": "flat", "I_over_P": [0.2],
                          "min_symbols": 400, "seed": 4})
         main(["ber", "--config", cfg, "--out", str(tmp_path)])
         first = (tmp_path / "ber.csv").read_bytes()
@@ -163,10 +175,10 @@ class TestBer:
         assert (tmp_path / "ber.csv").read_bytes() == first
 
     def test_r_sweep_base_system_at_first_delta(self, tmp_path):
-        # without `delta`, the echoed system is the modulo profile of deltas[0]
+        # the echoed system is the modulo profile of the first listed delta
         cfg = write_cfg(tmp_path, "b.json",
-                        {"R": 20, "T": 2, "C": 30, "L": 1, "P_dB": -10, "W_dB": 0,
-                         "sweep": "R", "values": [20], "deltas": [4, 2],
+                        {"R": [20], "T": 2, "C": 30, "L": 1, "P_dB": -10, "W_dB": 0,
+                         "profile": "modulo", "delta": [4, 2],
                          "min_symbols": 50, "seed": 1})
         assert main(["ber", "--config", cfg, "--out", str(tmp_path)]) == 0
         header = (tmp_path / "ber.csv").read_text().splitlines()[0]
@@ -174,15 +186,30 @@ class TestBer:
         assert system["interference_powers"] == pytest.approx([0.1 / 8, 0.0])
 
     def test_ip_sweep_echoes_first_point_system(self, tmp_path):
-        # the echoed system is the flat profile at values[0], not the default I/P
+        # the echoed system is the flat profile at the first listed I/P, not the default
         cfg = write_cfg(tmp_path, "b.json",
                         {"R": 20, "T": 2, "C": 30, "L": 1, "P_dB": -10, "W_dB": 0,
-                         "sweep": "I_over_P", "values": [0.6, 0.2],
+                         "I_over_P": [0.6, 0.2],
                          "min_symbols": 50, "seed": 1})
         assert main(["ber", "--config", cfg, "--out", str(tmp_path)]) == 0
         header = (tmp_path / "ber.csv").read_text().splitlines()[0]
         system = json.loads(header.removeprefix("# config: "))["system"]
         assert system["interference_powers"] == pytest.approx([0.06, 0.06])
+
+    def test_r_sweep_echoes_first_listed_R(self, tmp_path):
+        # the echoed system is the first point's, R included; a scalar delta
+        # is the base profile of the one curve, whose rows leave delta empty
+        cfg = write_cfg(tmp_path, "b.json",
+                        {"R": [30, 20], "T": 2, "C": 30, "L": 1, "P_dB": -10, "W_dB": 0,
+                         "profile": "modulo", "delta": 4,
+                         "min_symbols": 50, "seed": 1})
+        assert main(["ber", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "ber.csv").read_text().splitlines()
+        header = json.loads(lines[0].removeprefix("# config: "))
+        assert header["system"]["R"] == 30
+        assert header["system"]["interference_powers"] == pytest.approx([0.1 / 8, 0.0])
+        assert [row.split(",")[:4] for row in lines[2:]] == [
+            [R, rec, "1", ""] for R in ("30", "20") for rec in ("svd", "conventional")]
 
 
 class TestErrors:
@@ -194,9 +221,9 @@ class TestErrors:
         assert "error" in err and "message" in err
 
     def test_bad_values_exit_nonzero(self, tmp_path, capsys):
-        ok = {"R": 50, "sweep": "I_over_P", "values": [0.2]}
-        for bad, args in (({"R": 0, "sweep": "I_over_P", "values": [0.2]}, []),
-                          ({"R": 50, "sweep": "R", "values": [40, 60.7]}, []),
+        ok = {"R": 50, "I_over_P": [0.2]}
+        for bad, args in (({"R": 0, "I_over_P": [0.2]}, []),
+                          ({"R": [40, 60.7]}, []),
                           (ok, ["--threads", "0"]),
                           (dict(ok, min_symbols=-5), []),
                           (dict(ok, tau_blocks=2), [])):
@@ -222,41 +249,68 @@ class TestErrors:
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == "ValueError" and message in err["message"], err
 
-    @pytest.mark.parametrize("bad, keys", [
-        # the I/P sweep runs the flat profile at each listed I/P
-        ({"sweep": "I_over_P", "I_over_P": 0.7}, ["I_over_P"]),
-        ({"sweep": "I_over_P", "profile": "modulo", "delta": 3}, ["delta", "profile"]),
-        ({"profile": "modulo", "delta": 3}, ["delta", "profile"]),
-        # the R sweep with deltas runs the modulo profile of each listed delta
-        ({"sweep": "R", "profile": "modulo", "delta": 2, "deltas": [2, 3]}, ["delta"]),
-        ({"sweep": "R", "I_over_P": 0.5, "deltas": [2]}, ["I_over_P"]),
-        ({"sweep": "R", "profile": "flat", "deltas": [2]}, ["profile"]),
-    ], ids=["ip_I_over_P", "ip_modulo", "ip_default_sweep_modulo", "r_delta",
-            "r_I_over_P", "r_flat"])
-    def test_ber_rejects_keys_its_sweep_replaces(self, tmp_path, capsys, bad, keys):
+    @pytest.mark.parametrize("bad, key", [
+        # each listed key runs at its first entry, so profile exclusivity
+        # rejects a profile key next to the other profile
+        ({"I_over_P": [0.5], "profile": "modulo", "delta": 3}, "I_over_P"),
+        ({"I_over_P": [0.5], "delta": 3}, "delta"),
+        ({"R": [50], "profile": "modulo", "I_over_P": 0.5, "delta": [2]}, "I_over_P"),
+        ({"R": [50], "profile": "flat", "delta": [2]}, "delta"),
+    ], ids=["ip_modulo", "ip_default_sweep_modulo", "r_I_over_P", "r_flat"])
+    def test_ber_rejects_keys_its_sweep_replaces(self, tmp_path, capsys, bad, key):
         cfg = dict({"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
-                    "values": [50], "min_symbols": 400}, **bad)
+                    "min_symbols": 400}, **bad)
         assert main(["ber", "--config", write_cfg(tmp_path, "b.json", cfg),
                      "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError" and f"config keys {keys}" in err["message"], err
+        assert err["error"] == "ValueError", err
+        assert f"config key {key!r} does not apply to profile" in err["message"], err
         assert not (tmp_path / "ber.csv").exists()
 
     def test_ber_rejects_empty_deltas(self, tmp_path, capsys):
-        cfg = {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
-               "sweep": "R", "values": [50], "deltas": []}
+        cfg = {"R": [50], "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
+               "profile": "modulo", "delta": []}
         assert main(["ber", "--config", write_cfg(tmp_path, "b.json", cfg),
                      "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError" and "'deltas'" in err["message"], err
+        assert err["error"] == "ValueError" and "'delta'" in err["message"], err
 
     def test_ber_rejects_empty_values(self, tmp_path, capsys):
         cfg = {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
-               "sweep": "I_over_P", "values": []}
+               "I_over_P": []}
         assert main(["ber", "--config", write_cfg(tmp_path, "b.json", cfg),
                      "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and "sweep value" in err["message"], err
+
+    @pytest.mark.parametrize("listed, keys", [
+        ({"R": [50, 60], "I_over_P": [0.2]}, ["I_over_P", "R"]),
+        ({"R": []}, ["R"]),
+        ({"R": 50, "profile": "modulo", "delta": [2, 3]}, ["delta"]),
+        ({"R": 50, "I_over_P": 0.2}, []),
+    ], ids=["two_sweeps", "empty", "delta_without_R", "no_sweep"])
+    def test_ber_needs_one_nonempty_sweep(self, tmp_path, capsys, listed, keys):
+        cfg = dict({"T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0, "min_symbols": 400},
+                   **listed)
+        assert main(["ber", "--config", write_cfg(tmp_path, "b.json", cfg),
+                     "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError", err
+        assert err["message"].startswith(f"config keys {keys} are not one sweep"), err
+        assert not (tmp_path / "ber.csv").exists()
+
+    @pytest.mark.parametrize("command", ["ber", "spectrum", "support"])
+    def test_rejects_a_list_on_a_one_value_key(self, tmp_path, capsys, command):
+        cfg = {"R": 50, "T": 3, "C": 40, "L": [1, 2], "P_dB": -10, "W_dB": 0,
+               "profile": "flat", "I_over_P": [0.2] if command == "ber" else 0.2}
+        assert main([command, "--config", write_cfg(tmp_path, "l.json", cfg),
+                     "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError", err
+        assert "config keys ['L'] take one value, not a list" in err["message"], err
+        assert captured.out == ""
+        assert not any((tmp_path / f).exists() for f in ("ber.csv", "spectrum.csv", "support.json"))
 
     def test_ber_rejects_pilots_filling_the_block_before_any_block(self, tmp_path, capsys,
                                                                    monkeypatch):
@@ -264,7 +318,7 @@ class TestErrors:
             raise AssertionError("a block ran")
         monkeypatch.setattr(montecarlo, "_run_realization", no_block)
         cfg = {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
-               "sweep": "I_over_P", "values": [0.2], "taus": [1, 20]}
+               "I_over_P": [0.2], "taus": [1, 20]}
         assert main(["ber", "--config", write_cfg(tmp_path, "b.json", cfg),
                      "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().err)
@@ -277,7 +331,7 @@ class TestErrors:
         cfg = {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0, "profile": "flat",
                key: value}
         if command == "ber":
-            cfg.update(sweep="I_over_P", values=[0.2], min_symbols=400)
+            cfg.update(I_over_P=[0.2], min_symbols=400)
         assert main([command, "--config", write_cfg(tmp_path, "k.json", cfg),
                      "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().err)
@@ -289,13 +343,17 @@ class TestErrors:
           for key, value in (("sweep", "R"), ("values", [50]), ("taus", [1]),
                              ("deltas", [5]), ("min_symbols", 7))),
         ("ber", "n_seeds", 20),
+        *(("ber", key, value) for key, value in (("sweep", "R"), ("values", [50]),
+                                                 ("deltas", [5]))),
     ])
     def test_rejects_keys_of_another_command(self, tmp_path, capsys, command, key, value):
-        # a key only another command reads would be accepted and have no effect
+        # a key only another command reads, or one no command reads (`sweep`,
+        # `values`, `deltas`: a `ber` config lists the swept key itself),
+        # would be accepted and have no effect
         cfg = {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0, "profile": "flat",
                "seed": 7, key: value}
         if command == "ber":
-            cfg.update(values=[0.2], min_symbols=400)
+            cfg.update(I_over_P=[0.2], min_symbols=400)
         assert main([command, "--config", write_cfg(tmp_path, "k.json", cfg),
                      "--out", str(tmp_path)]) == 1
         captured = capsys.readouterr()
