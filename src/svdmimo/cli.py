@@ -2,13 +2,13 @@
 
 `spectrum` and `support` read _SPECTRUM_KEYS, `ber` reads _BER_KEYS and
 `coherence` reads _COHERENCE_KEYS; any other key raises ValueError, and so
-does a profile key given with the other profile (`delta` applies to `modulo`,
-`I_over_P` to `flat`) or a list given to a key that takes one value. A `ber`
-config sweeps the key it lists: `I_over_P`, `R`, or `R` with one curve per
-listed `delta`. Powers are given in dB (`P_dB`, `W_dB`) and converted to
-linear exactly once here; all internal math is linear. Unit conversions (GHz,
-us, km/h) also happen only at this boundary. Every output embeds the resolved
-configuration and seed.
+does a non-integer value of an _INTEGER_KEYS key, a profile key given with the
+other profile (`delta` applies to `modulo`, `I_over_P` to `flat`) or a list
+given to a key that takes one value. A `ber` config sweeps the key it lists:
+`I_over_P`, `R`, or `R` with one curve per listed `delta`. Powers are given
+in dB (`P_dB`, `W_dB`) and converted to linear exactly once here; all internal
+math is linear. Unit conversions (GHz, us, km/h) also happen only at this
+boundary. Every output embeds the resolved configuration and seed.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ _SYSTEM_KEYS = frozenset({"R", "T", "C", "L", "P_dB", "W_dB", "profile", "I_over
 _SPECTRUM_KEYS = _SYSTEM_KEYS | {"n_seeds"}
 _BER_KEYS = _SYSTEM_KEYS | {"taus", "min_symbols"}
 _COHERENCE_KEYS = frozenset({"f0_GHz", "delay_spread_us", "speed_kmh"})
+# keys whose values are JSON integers: `taus` is a list of them, and a `ber`
+# config may list `R`
+_INTEGER_KEYS = ("C", "L", "R", "T", "min_symbols", "n_seeds", "seed", "taus")
 
 
 def _db_to_linear(x):
@@ -39,12 +42,20 @@ def _db_to_linear(x):
 
 
 def _load_config(path, keys):
-    """The JSON config at `path`; raises ValueError naming any key outside `keys`."""
+    """The JSON config at `path`; raises ValueError naming any key outside `keys`
+    or any integer key with a value, or a list entry, that is no integer."""
     with open(path) as fh:
         cfg = json.load(fh)
     unknown = sorted(set(cfg) - keys)
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; accepted: {sorted(keys)}")
+    for key in (k for k in _INTEGER_KEYS if k in cfg):
+        value = cfg[key]
+        entries = value if isinstance(value, list) else [value]
+        # bool is an int subclass, and JSON true is no count
+        if not all(type(x) is int for x in entries) or (key == "taus" and entries is not value):
+            kind = "a list of integers" if key == "taus" else "integers"
+            raise ValueError(f"config key {key!r} takes {kind}: {value!r}")
     return cfg
 
 
@@ -74,11 +85,8 @@ def _resolved(cfg, sys_params, seed):
 
 
 def _cmd_coherence(args):
-    if args.config:
-        cfg = _load_config(args.config, _COHERENCE_KEYS)
-        f0, tau, v = cfg["f0_GHz"], cfg["delay_spread_us"], cfg["speed_kmh"]
-    else:
-        f0, tau, v = args.f0_ghz, args.delay_us, args.speed_kmh
+    cfg = _load_config(args.config, _COHERENCE_KEYS)
+    f0, tau, v = cfg["f0_GHz"], cfg["delay_spread_us"], cfg["speed_kmh"]
     radio = RadioParams(carrier_frequency=f0 * 1e9, delay_spread=tau * 1e-6,
                         mobile_speed=v / 3.6)
     print(f"{coherence_symbols(radio):.2f}")
@@ -128,7 +136,10 @@ def _cmd_support(args):
 
 
 def _cmd_separability(args):
-    Ls = [int(x) for x in args.L.split(",")]
+    try:
+        Ls = [int(x) for x in args.L.split(",")]
+    except ValueError:
+        raise ValueError(f"--L must list integers, comma-separated: {args.L}") from None
     if args.points < 2:
         raise ValueError(f"--points must be >= 2: {args.points}")
     if min(Ls) < 1:
@@ -181,10 +192,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coherence", help="coherence time in symbols")
-    p.add_argument("--config", default=None)
-    p.add_argument("--f0-ghz", type=float, default=2.6)
-    p.add_argument("--delay-us", type=float, default=5.0)
-    p.add_argument("--speed-kmh", type=float, default=350.0)
+    p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_coherence)
 
     p = sub.add_parser("spectrum", help="empirical + asymptotic eigenvalue density CSV")

@@ -121,7 +121,7 @@ def _run_realization(sys, pilots, rng_key):
     tx = rz.data_symbols
     Yt = project(signal_subspace(Y, sys.T), Y)
     H_tilde = estimate_projected_channel(Yt, pilots)
-    svd = detect_subspace(Yt[:, pilots.tau_blocks * sys.T:], H_tilde,
+    svd = detect_subspace(Yt[:, pilots.pilot_matrix.shape[1]:], H_tilde,
                           noise_power=sys.W, symbol_power=sys.P)
     svd_errors = count_bit_errors(svd, tx)
     conventional_errors = count_bit_errors(conventional_receiver(Y, pilots), tx)
@@ -207,7 +207,7 @@ def spectrum_experiment(sys: SystemParams, n_seeds=20, grid_points=600, seed=0) 
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1: {n_seeds}")
-    pilots = PilotConfig(tau_blocks=0)
+    pilots = PilotConfig()
     pooled = []
     for i in range(n_seeds):
         rz = sample_realization(sys, pilots, [seed, i])

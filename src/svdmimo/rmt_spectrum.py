@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,16 +42,17 @@ class StieltjesSolverError(RuntimeError):
 class FixedPointParams:
     """Coefficients of the fixed-point equation.
 
-    Terms are (rho_k, a_k^2) pairs with multiplicity weights: the signal
-    carries (alpha/kappa, P*T*C), interferer k carries (1/C, I_k*C), and white
-    noise enters through the rho -> infinity limit with a^2 = W*C. Equal
-    interference powers are collapsed into one weighted term.
+    `terms` holds one (rho_k, a_k^2, weight) triple of floats per term: the
+    signal carries (alpha/kappa, P*T*C, 1), interferer k carries (1/C, I_k*C),
+    and white noise enters through the rho -> infinity limit with a^2 =
+    noise_a2 = W*C. Equal interference powers are collapsed into one term
+    whose weight counts them. The solver kernel loops over the triples: on a
+    handful of terms, scalar arithmetic costs a fraction of numpy's per-call
+    overhead.
     """
 
     kappa: float
-    rhos: np.ndarray
-    a2s: np.ndarray
-    weights: np.ndarray
+    terms: tuple
     noise_a2: float
     scale: float = 1.0
 
@@ -61,46 +61,25 @@ class FixedPointParams:
             object.__setattr__(self, name, float(getattr(self, name)))
         if not self.kappa > 0:
             raise ValueError("kappa must be > 0")
-        for name in ("rhos", "a2s", "weights"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if np.any(self.weights < 0):
+        terms = tuple((float(rho), float(a2), float(w)) for rho, a2, w in self.terms)
+        if any(w < 0 for _, _, w in terms):
             raise ValueError("term weights must be non-negative")
-        if not (len(self.rhos) == len(self.a2s) == len(self.weights)):
-            raise ValueError("rhos, a2s, weights must have equal length")
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_system(cls, sys: SystemParams, scale=1.0):
-        rhos, a2s, wgts = [], [], []
-        if sys.P > 0:
-            rhos.append(sys.alpha / sys.kappa)
-            a2s.append(sys.P * sys.T * sys.C)
-            wgts.append(1.0)
+        terms = [(sys.alpha / sys.kappa, sys.P * sys.T * sys.C, 1.0)] if sys.P > 0 else []
         powers = np.asarray(sys.interference_powers, dtype=float)
-        powers = powers[powers > 0]
-        if len(powers):
-            vals, counts = np.unique(powers, return_counts=True)
-            rhos.extend([1.0 / sys.C] * len(vals))
-            a2s.extend(list(vals * sys.C))
-            wgts.extend(list(counts.astype(float)))
-        return cls(kappa=sys.kappa, rhos=np.array(rhos), a2s=np.array(a2s),
-                   weights=np.array(wgts), noise_a2=sys.zeta, scale=float(scale))
-
-    @cached_property
-    def terms(self):
-        """The (rho, a2, weight) of each term as Python floats, built on first use.
-
-        The solver kernel loops over these: on a handful of terms, scalar
-        arithmetic costs a fraction of numpy's per-call overhead.
-        """
-        return tuple(zip(self.rhos.tolist(), self.a2s.tolist(), self.weights.tolist()))
+        vals, counts = np.unique(powers[powers > 0], return_counts=True)
+        terms += [(1.0 / sys.C, I * sys.C, float(n))
+                  for I, n in zip(vals.tolist(), counts.tolist())]
+        return cls(kappa=sys.kappa, terms=terms, noise_a2=sys.zeta, scale=scale)
 
     def mean_eigenvalue(self):
         """First moment of the distribution on the chosen axis (trace identity)."""
         raw = self.noise_a2 / self.kappa
-        if len(self.a2s):
-            raw += float(np.sum(self.weights * self.a2s * self.rhos)) / self.kappa
+        if self.terms:
+            raw += float(np.sum([w * a2 * rho for rho, a2, w in self.terms])) / self.kappa
         return raw / self.scale
 
 

@@ -146,7 +146,7 @@ def conventional_receiver(Y, pilots: PilotConfig) -> np.ndarray:
     pilot columns of Y, then maximum-ratio combining of the data columns Y_d: H_hat^H Y_d."""
     Y = np.asarray(Y)
     H_hat = estimate_projected_channel(Y, pilots)
-    return H_hat.conj().T @ Y[:, pilots.tau_blocks * pilots.T:]
+    return H_hat.conj().T @ Y[:, pilots.pilot_matrix.shape[1]:]
 
 
 def count_bit_errors(estimates, reference):

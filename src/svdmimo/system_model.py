@@ -133,30 +133,28 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class PilotConfig:
-    """tau_blocks length-T pilot blocks stacked as a T x (tau*T) matrix.
+    """Length-T pilot blocks stacked as a T x (tau*T) matrix; tau, the block
+    count, is read from its width.
 
     Within each block the pilot rows are mutually orthogonal with squared norm
-    T*P. tau_blocks = 0 means no pilots (pure-data blocks, used for spectrum
-    experiments).
+    T*P. A matrix with no columns, the default, means no pilots (pure-data
+    blocks, used for spectrum experiments).
     """
 
-    tau_blocks: int
     pilot_matrix: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=complex))
 
     def __post_init__(self):
-        if self.tau_blocks < 0:
-            raise ValueError("tau_blocks must be >= 0")
         M = np.asarray(self.pilot_matrix, dtype=complex)
         object.__setattr__(self, "pilot_matrix", M)
-        if self.tau_blocks == 0:
-            return
-        T = M.shape[0]
-        if M.shape[1] != self.tau_blocks * T:
+        if M.ndim != 2 or M.shape[1] and (not M.shape[0] or M.shape[1] % M.shape[0]):
             raise ValueError("pilot_matrix must be T x (tau*T)")
-        norm2 = np.linalg.norm(M[0]) ** 2 / self.tau_blocks
+        tau, T = self.tau_blocks, self.T
+        if tau == 0:
+            return
+        norm2 = np.linalg.norm(M[0]) ** 2 / tau
         if norm2 == 0:
             raise ValueError("pilot blocks must have nonzero power")
-        for b in range(self.tau_blocks):
+        for b in range(tau):
             B = M[:, b * T:(b + 1) * T]
             gram = B @ B.conj().T
             if not np.allclose(gram, norm2 * np.eye(T), rtol=1e-8, atol=1e-10 * max(norm2, 1)):
@@ -165,6 +163,11 @@ class PilotConfig:
     @property
     def T(self):
         return self.pilot_matrix.shape[0]
+
+    @property
+    def tau_blocks(self):
+        T, width = self.pilot_matrix.shape
+        return width // T if width else 0
 
 
 def _haar_unitary(n, rng):
@@ -178,13 +181,13 @@ def make_pilots(T, P, tau_blocks, rng=None) -> PilotConfig:
     """Pilot blocks of power P: one unitary-DFT block for tau=1 (the block every
     cell reuses); independent Haar-random blocks for tau > 1."""
     if tau_blocks == 0:
-        return PilotConfig(tau_blocks=0)
+        return PilotConfig()
     if tau_blocks == 1:
         U = np.fft.fft(np.eye(T)) / np.sqrt(T)
-        return PilotConfig(tau_blocks=1, pilot_matrix=np.sqrt(T * P) * U)
+        return PilotConfig(np.sqrt(T * P) * U)
     rng = np.random.default_rng(rng)
     blocks = [np.sqrt(T * P) * _haar_unitary(T, rng) for _ in range(tau_blocks)]
-    return PilotConfig(tau_blocks=tau_blocks, pilot_matrix=np.concatenate(blocks, axis=1))
+    return PilotConfig(np.concatenate(blocks, axis=1))
 
 
 @dataclass(frozen=True)
@@ -203,14 +206,13 @@ class ChannelRealization:
     H_I: np.ndarray     # R x (L*T), column k variance I_k / P
     X_I: np.ndarray     # (L*T) x C, power P
     noise_var: float    # W, the variance of the noise entries
-    noise_state: dict | None  # bit-generator state before the noise; None at W = 0
+    noise_state: dict   # bit-generator state before the noise
     pilot_config: PilotConfig
 
     @property
     def data_symbols(self):
         """Transmitted data part of X (own cell)."""
-        off = self.pilot_config.tau_blocks * self.X.shape[0]
-        return self.X[:, off:]
+        return self.X[:, self.pilot_config.pilot_matrix.shape[1]:]
 
 
 # Normal draws per pass through _complex_gaussian's scratch buffer (32 KiB)
@@ -257,9 +259,9 @@ def sample_realization(sys: SystemParams, pilots: PilotConfig, seed,
     """
     if data_law not in ("gaussian", "qpsk"):
         raise ValueError(f"unknown data law {data_law!r}")
-    tau = pilots.tau_blocks
-    if tau * sys.T > sys.C:
-        raise ValueError(f"pilot length tau*T = {tau * sys.T} exceeds coherence time C = {sys.C}")
+    tau, n_pilot = pilots.tau_blocks, pilots.pilot_matrix.shape[1]
+    if n_pilot > sys.C:
+        raise ValueError(f"pilot length tau*T = {n_pilot} exceeds coherence time C = {sys.C}")
     if tau > 0 and pilots.T != sys.T:
         raise ValueError("pilot_matrix row count must equal T")
     if sys.P == 0 and sys.interference_powers:
@@ -271,7 +273,7 @@ def sample_realization(sys: SystemParams, pilots: PilotConfig, seed,
         return draw(rng, shape, sys.P)
 
     H = _complex_gaussian(rng, (sys.R, sys.T))
-    n_data = sys.C - tau * sys.T
+    n_data = sys.C - n_pilot
     if tau > 0:
         X = np.concatenate([pilots.pilot_matrix, data((sys.T, n_data))], axis=1)
     else:
@@ -283,22 +285,19 @@ def sample_realization(sys: SystemParams, pilots: PilotConfig, seed,
     # interferer pilot columns: every cell reuses the block at tau = 1, and
     # draws its own Haar blocks, cell by cell, at tau > 1
     T = sys.T
-    XIp = np.empty((LT, tau * T), dtype=complex)
+    XIp = np.empty((LT, n_pilot), dtype=complex)
     for cell, b in itertools.product(range(sys.L), range(tau)):
         XIp[cell * T:(cell + 1) * T, b * T:(b + 1) * T] = (
             pilots.pilot_matrix if tau == 1 else np.sqrt(T * sys.P) * _haar_unitary(T, rng))
     X_I = np.concatenate([XIp, data((LT, n_data))], axis=1)
 
-    noise_state = rng.bit_generator.state if sys.W else None
     return ChannelRealization(H=H, X=X, H_I=H_I, X_I=X_I, noise_var=sys.W,
-                              noise_state=noise_state, pilot_config=pilots)
+                              noise_state=rng.bit_generator.state, pilot_config=pilots)
 
 
 def _draw_noise(rz: ChannelRealization) -> np.ndarray:
     """A new R x C array of the block's noise; zeros, drawn from nothing, at W = 0."""
     shape = (rz.H.shape[0], rz.X.shape[1])
-    if rz.noise_state is None:
-        return np.zeros(shape, dtype=complex)
     # a seed skips gathering OS entropy; the state set next replaces it
     bit_generator = getattr(np.random, rz.noise_state["bit_generator"])(0)
     bit_generator.state = rz.noise_state

@@ -2,8 +2,8 @@
 
 The library evaluates the self-energy and the cleared equation term by term on
 plain Python scalars. self_energy and cleared_and_deriv are the same formulas
-evaluated elementwise over the term arrays of a FixedPointParams, a second
-implementation that tests compare the library against. Division by a zero
+evaluated elementwise over arrays built from the terms of a FixedPointParams,
+a second implementation that tests compare the library against. Division by a zero
 denominator gives inf or nan, as numpy does, instead of raising.
 
 continuation_reference solves the fixed point in high precision with mpmath.
@@ -13,14 +13,20 @@ import mpmath
 import numpy as np
 
 
+def term_arrays(fp):
+    """The rho, a2 and weight of every term of fp, as three float arrays."""
+    return np.array(fp.terms, dtype=float).reshape(-1, 3).T
+
+
 def self_energy(G, s, fp):
     """T(G) = G * Sigma(G); each term a2*rho*(q/kappa) / (rho - a2*(G/kappa^2)*q)."""
     q = s * G + 1.0 - fp.kappa
     total = fp.noise_a2 * q / fp.kappa
-    if len(fp.rhos):
-        num = fp.a2s * fp.rhos * q / fp.kappa
-        den = fp.rhos - fp.a2s * q * G / fp.kappa ** 2
-        total = total + np.sum(fp.weights * num / den)
+    if fp.terms:
+        rhos, a2s, weights = term_arrays(fp)
+        num = a2s * rhos * q / fp.kappa
+        den = rhos - a2s * q * G / fp.kappa ** 2
+        total = total + np.sum(weights * num / den)
     return total
 
 
@@ -29,13 +35,14 @@ def cleared_and_deriv(G, s, fp):
     q = s * G + 1.0 - fp.kappa
     sigma = fp.noise_a2 * q / fp.kappa
     dsigma = fp.noise_a2 * s / fp.kappa
-    if len(fp.rhos):
-        den = fp.rhos - fp.a2s * q * G / fp.kappa ** 2
-        num = fp.a2s * fp.rhos * q / fp.kappa
-        dden = -(fp.a2s / fp.kappa ** 2) * (s * G + q)
-        dnum = fp.a2s * fp.rhos * s / fp.kappa
-        sigma = sigma + np.sum(fp.weights * num / den)
-        dsigma = dsigma + np.sum(fp.weights * (dnum * den - num * dden) / den ** 2)
+    if fp.terms:
+        rhos, a2s, weights = term_arrays(fp)
+        den = rhos - a2s * q * G / fp.kappa ** 2
+        num = a2s * rhos * q / fp.kappa
+        dden = -(a2s / fp.kappa ** 2) * (s * G + q)
+        dnum = a2s * rhos * s / fp.kappa
+        sigma = sigma + np.sum(weights * num / den)
+        dsigma = dsigma + np.sum(weights * (dnum * den - num * dden) / den ** 2)
     F = G * (s + sigma) + 1.0
     dF = s + sigma + G * dsigma
     return F, dF

@@ -82,7 +82,7 @@ def test_criterion_4_mp_reduction(kappa):
 def _pooled_bulk_eigenvalues(sys, n_seeds, seed):
     sig, intf = [], []
     for i in range(n_seeds):
-        rz = sm.sample_realization(sys, sm.PilotConfig(tau_blocks=0), seed=[seed, i])
+        rz = sm.sample_realization(sys, sm.PilotConfig(), seed=[seed, i])
         ev = sm.empirical_spectrum(sm.assemble_received(rz), sys.T)
         sig.extend(ev[:sys.T])
         intf.extend(ev[sys.T:(sys.L + 1) * sys.T])

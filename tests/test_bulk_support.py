@@ -295,7 +295,7 @@ class TestBilateralHighSnr:
         est = bilateral_supports_highsnr(sys)
         sig, intf = [], []
         for i in range(10):
-            rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=[77, i])
+            rz = sample_realization(sys, PilotConfig(), seed=[77, i])
             ev = empirical_spectrum(assemble_received(rz), sys.T)
             sig.extend(ev[:3])
             intf.extend(ev[3:9])
@@ -420,7 +420,7 @@ class TestBilateralGeneral:
         est = bilateral_supports_general(sys)
         sig, intf = [], []
         for i in range(10):
-            rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=[78, i])
+            rz = sample_realization(sys, PilotConfig(), seed=[78, i])
             ev = empirical_spectrum(assemble_received(rz), sys.T)
             sig.extend(ev[:3])
             intf.extend(ev[3:9])

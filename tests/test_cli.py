@@ -18,17 +18,14 @@ def write_cfg(tmp_path, name, cfg):
 
 
 class TestCoherence:
-    def test_prints_paper_value(self, capsys):
-        assert main(["coherence", "--f0-ghz", "2.6", "--delay-us", "5",
-                     "--speed-kmh", "350"]) == 0
-        out = float(capsys.readouterr().out.strip())
-        assert 97 <= out <= 101
-
     def test_config_file(self, tmp_path, capsys):
+        # the paper's bullet-train point; the config is the one way to give it
         cfg = write_cfg(tmp_path, "c.json",
                         {"f0_GHz": 2.6, "delay_spread_us": 5, "speed_kmh": 350})
         assert main(["coherence", "--config", cfg]) == 0
         assert 97 <= float(capsys.readouterr().out.strip()) <= 101
+        with pytest.raises(SystemExit):
+            main(["coherence", "--f0-ghz", "2.6", "--delay-us", "5", "--speed-kmh", "350"])
 
 
 class TestSeparability:
@@ -46,6 +43,7 @@ class TestSeparability:
     @pytest.mark.parametrize("args, flag", [
         (["--points", "0"], "--points"), (["--points", "1"], "--points"),
         (["--L", "0"], "--L"), (["--L", "-1"], "--L"), (["--L", "2,0,7"], "--L"),
+        (["--L", "2,x"], "--L"),
     ])
     def test_rejects_points_below_two_and_L_below_one(self, tmp_path, capsys, args, flag):
         # a CSV with no rows or a curve without interfering cells is no boundary
@@ -361,6 +359,26 @@ class TestErrors:
         assert err["error"] == "ValueError", err
         assert f"unknown config keys [{key!r}]" in err["message"], err
         assert captured.out == "" and not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("ber", "taus", 2), ("ber", "taus", [1.5]), ("ber", "taus", [True]),
+        ("ber", "min_symbols", 50.5), ("ber", "R", [20, 40.5]), ("ber", "seed", 1.5),
+        ("spectrum", "R", 20.5), ("spectrum", "n_seeds", 2.5), ("spectrum", "T", 3.0),
+        ("support", "L", 1.5), ("support", "R", 20.5), ("support", "C", True),
+    ])
+    def test_rejects_non_integer_counts(self, tmp_path, capsys, command, key, value):
+        # a float count failed deep inside numpy, naming no key, or (`support`
+        # with a fractional R) ran for a system that cannot exist
+        cfg = {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0, "profile": "flat",
+               "I_over_P": [0.2] if command == "ber" else 0.2, key: value}
+        assert main([command, "--config", write_cfg(tmp_path, "k.json", cfg),
+                     "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError", err
+        assert err["message"].startswith(f"config key {key!r} takes"), err
+        assert captured.out == ""
+        assert not any((tmp_path / f).exists() for f in ("ber.csv", "spectrum.csv", "support.json"))
 
     def test_coherence_rejects_unknown_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {"f0_GHz": 2.6, "delay_spread_us": 5,

@@ -136,11 +136,12 @@ def kernel_inputs(draw):
     """FixedPointParams with 0 to 4 terms (0 with noise is Marchenko-Pastur),
     s with Im s > 0 and a random G."""
     n = draw(st.integers(0, 4))
+    kappa = draw(_log_uniform(-1, 1))
+    rhos = [draw(_log_uniform(-3, 1)) for _ in range(n)]
+    a2s = [draw(_log_uniform(-2, 4)) for _ in range(n)]
+    weights = [draw(st.sampled_from((1.0, 2.0, 3.0))) for _ in range(n)]
     fp = FixedPointParams(
-        kappa=draw(_log_uniform(-1, 1)),
-        rhos=[draw(_log_uniform(-3, 1)) for _ in range(n)],
-        a2s=[draw(_log_uniform(-2, 4)) for _ in range(n)],
-        weights=[draw(st.sampled_from((1.0, 2.0, 3.0))) for _ in range(n)],
+        kappa=kappa, terms=list(zip(rhos, a2s, weights)),
         noise_a2=draw(st.one_of(st.just(0.0), _log_uniform(-2, 4))) if n else
         draw(_log_uniform(-2, 4)))
     s = complex(draw(_signed(_log_uniform(-4, 4))), draw(_log_uniform(-4, 4)))
@@ -157,16 +158,17 @@ def _magnitudes(G, s, fp):
     |value| alone, two correct evaluations can differ arbitrarily where the
     summands cancel (F = G (s + Sigma) + 1 near a solution, for one).
     """
+    rhos, a2s, weights = oracle.term_arrays(fp)
     q = s * G + 1.0 - fp.kappa
-    shift = fp.a2s * q * G / fp.kappa ** 2
-    den = fp.rhos - shift
-    cond = (np.abs(fp.rhos) + np.abs(shift)) / np.abs(den)
-    num = fp.a2s * fp.rhos * q / fp.kappa
-    dden = -(fp.a2s / fp.kappa ** 2) * (s * G + q)
-    dnum = fp.a2s * fp.rhos * s / fp.kappa
-    sigma = abs(fp.noise_a2 * q / fp.kappa) + np.sum(fp.weights * np.abs(num / den) * cond)
+    shift = a2s * q * G / fp.kappa ** 2
+    den = rhos - shift
+    cond = (np.abs(rhos) + np.abs(shift)) / np.abs(den)
+    num = a2s * rhos * q / fp.kappa
+    dden = -(a2s / fp.kappa ** 2) * (s * G + q)
+    dnum = a2s * rhos * s / fp.kappa
+    sigma = abs(fp.noise_a2 * q / fp.kappa) + np.sum(weights * np.abs(num / den) * cond)
     dsigma = abs(fp.noise_a2 * s / fp.kappa) + np.sum(
-        fp.weights * (np.abs(dnum * den) + np.abs(num * dden)) / np.abs(den) ** 2 * cond)
+        weights * (np.abs(dnum * den) + np.abs(num * dden)) / np.abs(den) ** 2 * cond)
     return sigma, abs(G) * (abs(s) + sigma) + 1.0, abs(s) + sigma + abs(G) * dsigma
 
 
@@ -196,9 +198,10 @@ class TestScalarKernel:
 
     def test_zero_denominator(self):
         # kappa = 1/2, s = -2 + j/2, G = j: q = -2j and a2 q G / kappa^2 = 8 = rho exactly
-        fp = FixedPointParams(kappa=0.5, rhos=[8.0], a2s=[1.0], weights=[1.0], noise_a2=1.0)
+        fp = FixedPointParams(kappa=0.5, terms=[(8.0, 1.0, 1.0)], noise_a2=1.0)
         s, G = -2 + 0.5j, 1j
-        assert fp.rhos[0] - fp.a2s[0] * (s * G + 1.0 - fp.kappa) * G / fp.kappa ** 2 == 0
+        ((rho, a2, _),) = fp.terms
+        assert rho - a2 * (s * G + 1.0 - fp.kappa) * G / fp.kappa ** 2 == 0
         with np.errstate(all="ignore"):
             want_T = oracle.self_energy(np.complex128(G), np.complex128(s), fp)
             want_F, want_dF = oracle.cleared_and_deriv(np.complex128(G), np.complex128(s), fp)
@@ -215,12 +218,19 @@ class TestScalarKernel:
     def test_terms_cached_and_params_checked(self):
         fp = FixedPointParams.from_system(fig1_system(), scale=3000.0)
         assert fp.terms is fp.terms
-        assert fp.terms == tuple(zip(fp.rhos.tolist(), fp.a2s.tolist(), fp.weights.tolist()))
+        assert type(fp.terms) is tuple and all(type(term) is tuple for term in fp.terms)
+        assert all(len(term) == 3 for term in fp.terms)
         assert all(type(x) is float for term in fp.terms for x in term)
-        assert not fp.rhos.flags.writeable and not fp.a2s.flags.writeable
         assert type(fp.noise_a2) is float and type(fp.kappa) is float
-        with pytest.raises(ValueError):
-            FixedPointParams(kappa=0.0, rhos=[], a2s=[], weights=[], noise_a2=1.0)
+        with pytest.raises(ValueError, match="kappa"):
+            FixedPointParams(kappa=0.0, terms=(), noise_a2=1.0)
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            FixedPointParams(kappa=1.0, terms=[(1.0, 1.0, 1.0), (0.5, 2.0, -1.0)], noise_a2=1.0)
+        # integer entries become floats
+        fp = FixedPointParams(kappa=2, terms=[(1, 3, 2)], noise_a2=0)
+        assert fp.terms == ((1.0, 3.0, 2.0),) and type(fp.terms[0][1]) is float
 
 
 @st.composite
@@ -389,7 +399,7 @@ class TestEmpiricalSpectrum:
         fp = FixedPointParams.from_system(sys, scale=scale)
         pooled = []
         for i in range(10):
-            rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=[100, i])
+            rz = sample_realization(sys, PilotConfig(), seed=[100, i])
             ev = empirical_spectrum(assemble_received(rz), sys.T)
             pooled.append(ev[ev > 1e-9])
         pooled = np.sort(np.concatenate(pooled))
@@ -455,7 +465,7 @@ class TestOracleEquivalenceFiniteSize:
         fp = FixedPointParams.from_system(sys, scale=scale)
         pooled = []
         for i in range(20):
-            rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=[5, i])
+            rz = sample_realization(sys, PilotConfig(), seed=[5, i])
             ev = empirical_spectrum(assemble_received(rz), sys.T)
             pooled.append(ev[ev > 1e-9])
         pooled = np.sort(np.concatenate(pooled))

@@ -197,7 +197,7 @@ class TestChannelEstimation:
 
     def test_tau1_scaled_identity_pilots(self):
         T, P = 3, 0.25
-        pilots = PilotConfig(tau_blocks=1, pilot_matrix=np.sqrt(T * P) * np.eye(T))
+        pilots = PilotConfig(np.sqrt(T * P) * np.eye(T))
         Yt = np.arange(9, dtype=complex).reshape(3, 3) + 1j
         Ht = estimate_projected_channel(Yt, pilots)
         assert np.allclose(Ht, Yt / np.sqrt(T * P))
@@ -209,8 +209,7 @@ class TestChannelEstimation:
         trials = 1500
         errs = {1.0: 0.0, 2.0: 0.0}
         for boost in errs:
-            pilots = PilotConfig(tau_blocks=1, pilot_matrix=np.sqrt(boost * T * P)
-                                 * (np.fft.fft(np.eye(T)) / np.sqrt(T)))
+            pilots = PilotConfig(np.sqrt(boost * T * P) * (np.fft.fft(np.eye(T)) / np.sqrt(T)))
             rng = np.random.default_rng(11)
             for _ in range(trials):
                 H = cgauss(rng, (T, T))

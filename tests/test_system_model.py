@@ -90,7 +90,7 @@ class TestDerivedParams:
         # one definition of each ratio: the fixed point takes them from the system
         fp = FixedPointParams.from_system(sys, scale=sys.T * sys.R)
         assert fp.kappa == sys.kappa
-        assert fp.rhos[0] == sys.alpha / sys.kappa
+        assert fp.terms[0][0] == sys.alpha / sys.kappa
         assert fp.noise_a2 == sys.zeta
 
     def test_zero_p_fixed_point_still_builds(self):
@@ -101,7 +101,7 @@ class TestDerivedParams:
                 getattr(sys, name)
         fp = FixedPointParams.from_system(sys, scale=sys.C * sys.W)
         assert fp.kappa == sys.kappa == 3.0 and fp.noise_a2 == sys.zeta == 900.0
-        assert len(fp.rhos) == 0 and math.isinf(sys.t)
+        assert len(fp.terms) == 0 and math.isinf(sys.t)
 
 
 class TestInterferenceProfile:
@@ -133,7 +133,18 @@ class TestPilots:
 
     def test_invalid_block_rejected(self):
         with pytest.raises(ValueError):
-            PilotConfig(tau_blocks=1, pilot_matrix=np.ones((3, 3)))
+            PilotConfig(np.ones((3, 3)))
+
+    @pytest.mark.parametrize("tau", [0, 1, 3])
+    def test_tau_is_read_from_the_width(self, tau):
+        p = make_pilots(T=4, P=0.2, tau_blocks=tau, rng=7)
+        assert p.tau_blocks == tau and p.pilot_matrix.shape[1] == 4 * tau
+        assert p.T == (4 if tau else 0)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 2), (0, 3), (3,)])
+    def test_width_not_a_multiple_of_T_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"T x \(tau\*T\)"):
+            PilotConfig(np.ones(shape))
 
     @pytest.mark.parametrize("tau", [1, 3])
     def test_zero_power_pilots_rejected(self, tau):
@@ -145,7 +156,7 @@ class TestPilots:
 class TestRealization:
     def test_h_variance(self):
         sys = SystemParams(R=1000, T=10, C=50, L=0, P=0.1, W=1.0)
-        rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=1)
+        rz = sample_realization(sys, PilotConfig(), seed=1)
         n = rz.H.size
         sample_var = np.mean(np.abs(rz.H) ** 2)
         # |h|^2 is Exp(1): sample mean of n >= 1e4 draws within 3 sigma
@@ -155,17 +166,17 @@ class TestRealization:
     def test_interferer_column_variance(self):
         sys = SystemParams.from_profile(20_000, 2, 8, 1, 0.1, 0.0,
                                         InterferenceProfile(kind="flat", I=0.04))
-        rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=3)
+        rz = sample_realization(sys, PilotConfig(), seed=3)
         target = 0.04 / 0.1
         for k in range(2):
             var = np.mean(np.abs(rz.H_I[:, k]) ** 2)
             assert abs(var - target) <= 3 * target / np.sqrt(sys.R)
 
     def test_zero_noise(self):
-        # W = 0 keeps no generator state: the noise is zeros, drawn from nothing
+        # W = 0: the noise is zeros, drawn from nothing
         sys = flat_system(W=0.0)
-        rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=5)
-        assert rz.noise_state is None and not np.any(_draw_noise(rz))
+        rz = sample_realization(sys, PilotConfig(), seed=5)
+        assert not np.any(_draw_noise(rz))
         assert np.array_equal(assemble_received(rz), rz.H @ rz.X + rz.H_I @ rz.X_I)
 
     def test_pilots_occupy_first_columns(self):
@@ -177,7 +188,7 @@ class TestRealization:
 
     def test_qpsk_modulus_exact(self):
         sys = flat_system(R=50, T=4, C=30, P=0.4)
-        rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=2, data_law="qpsk")
+        rz = sample_realization(sys, PilotConfig(), seed=2, data_law="qpsk")
         assert np.allclose(np.abs(rz.X), np.sqrt(0.4))
 
     @pytest.mark.parametrize("powers", [(0.025,) * 4, (0.0,) * 4], ids=["positive", "zero"])
@@ -188,7 +199,7 @@ class TestRealization:
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="P must be > 0"):
-            sample_realization(sys, PilotConfig(tau_blocks=0), seed=rng)
+            sample_realization(sys, PilotConfig(), seed=rng)
         assert rng.bit_generator.state == state
 
     def test_pilot_overflow_rejected(self):
@@ -220,12 +231,12 @@ class TestRealization:
 class TestAssembleReceived:
     def test_no_interference_no_noise(self):
         sys = SystemParams(R=40, T=4, C=30, L=0, P=0.1, W=0.0)
-        rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=1)
+        rz = sample_realization(sys, PilotConfig(), seed=1)
         assert np.allclose(assemble_received(rz), rz.H @ rz.X)
 
     def test_single_entry_row_product(self):
         sys = SystemParams(R=3, T=3, C=3, L=0, P=1.0, W=0.0)
-        rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=1)
+        rz = sample_realization(sys, PilotConfig(), seed=1)
         H = np.zeros((3, 3), complex)
         H[1, 2] = 2.0 + 1j
         X = np.eye(3, dtype=complex)
@@ -235,7 +246,7 @@ class TestAssembleReceived:
 
     def test_real_channel_complex_noise(self):
         sys = SystemParams(R=6, T=2, C=5, L=0, P=0.1, W=1.0)
-        rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=2)
+        rz = sample_realization(sys, PilotConfig(), seed=2)
         real = dataclasses.replace(rz, H=rz.H.real.copy(), X=rz.X.real.copy())
         assert np.array_equal(assemble_received(real), real.H @ real.X + _draw_noise(rz))
 
@@ -245,13 +256,13 @@ class TestAssembleReceived:
         total = 0.0
         n_seeds = 40
         for i in range(n_seeds):
-            rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=[17, i])
+            rz = sample_realization(sys, PilotConfig(), seed=[17, i])
             total += np.linalg.norm(assemble_received(rz)) ** 2
         assert abs(total / n_seeds - expected) / expected < 0.05
 
     def test_linearity_in_summands(self):
         sys = flat_system(R=20, T=3, C=15)
-        rz = sample_realization(sys, PilotConfig(tau_blocks=0), seed=4)
+        rz = sample_realization(sys, PilotConfig(), seed=4)
         doubled = dataclasses.replace(rz, H=2 * rz.H)
         assert np.allclose(assemble_received(doubled) - assemble_received(rz), rz.H @ rz.X)
 
@@ -387,7 +398,7 @@ class TestFrozenStream:
     @pytest.mark.parametrize("name", list(CASES))
     def test_digests(self, name):
         rz = self.realization(*self.CASES[name])
-        off = rz.pilot_config.tau_blocks * rz.X.shape[0]
+        off = rz.pilot_config.pilot_matrix.shape[1]
         parts = {"H": rz.H, "X_data": rz.X[:, off:], "H_I": rz.H_I,
                  "X_I_data": rz.X_I[:, off:], "noise": _draw_noise(rz)}
         got = {k: hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest()[:32]
