@@ -2,8 +2,9 @@
 
 `spectrum` and `support` read _SPECTRUM_KEYS, `ber` reads _BER_KEYS and
 `coherence` reads _COHERENCE_KEYS; any other key raises ValueError, and so
-does a non-integer value of an _INTEGER_KEYS key, a profile key given with the
-other profile (`delta` applies to `modulo`, `I_over_P` to `flat`) or a list
+does a missing _REQUIRED_KEYS key, a non-integer value of an _INTEGER_KEYS key,
+a value of a _REAL_KEYS key that is no finite number, a profile key given with
+the other profile (`delta` applies to `modulo`, `I_over_P` to `flat`) or a list
 given to a key that takes one value. A `ber` config sweeps the key it lists:
 `I_over_P`, `R`, or `R` with one curve per listed `delta`. Powers are given
 in dB (`P_dB`, `W_dB`) and converted to linear exactly once here; all internal
@@ -17,6 +18,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys as _sys
 from pathlib import Path
 
@@ -34,7 +36,14 @@ _BER_KEYS = _SYSTEM_KEYS | {"taus", "min_symbols"}
 _COHERENCE_KEYS = frozenset({"f0_GHz", "delay_spread_us", "speed_kmh"})
 # keys whose values are JSON integers: `taus` is a list of them, and a `ber`
 # config may list `R`
-_INTEGER_KEYS = ("C", "L", "R", "T", "min_symbols", "n_seeds", "seed", "taus")
+_INTEGER_KEYS = frozenset({"C", "L", "R", "T", "min_symbols", "n_seeds", "seed", "taus"})
+# keys whose values are finite JSON numbers; a `ber` config may list `I_over_P`
+# or `delta`
+_REAL_KEYS = frozenset({"I_over_P", "P_dB", "W_dB", "delay_spread_us", "delta", "f0_GHz",
+                        "speed_kmh"})
+# keys without a default
+_REQUIRED_KEYS = frozenset({"R", "T", "C", "L", "P_dB", "W_dB", "f0_GHz", "delay_spread_us",
+                            "speed_kmh"})
 
 
 def _db_to_linear(x):
@@ -42,19 +51,29 @@ def _db_to_linear(x):
 
 
 def _load_config(path, keys):
-    """The JSON config at `path`; raises ValueError naming any key outside `keys`
-    or any integer key with a value, or a list entry, that is no integer."""
+    """The JSON config at `path`; raises ValueError naming any key outside `keys`,
+    any required key of `keys` that it lacks, and any integer or real key with a
+    value, or a list entry, that is no integer or no finite number."""
     with open(path) as fh:
         cfg = json.load(fh)
     unknown = sorted(set(cfg) - keys)
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; accepted: {sorted(keys)}")
-    for key in (k for k in _INTEGER_KEYS if k in cfg):
+    missing = sorted((keys & _REQUIRED_KEYS) - set(cfg))
+    if missing:
+        raise ValueError(f"missing config keys {missing}")
+    for key in sorted(cfg.keys() & (_INTEGER_KEYS | _REAL_KEYS)):
         value = cfg[key]
         entries = value if isinstance(value, list) else [value]
-        # bool is an int subclass, and JSON true is no count
-        if not all(type(x) is int for x in entries) or (key == "taus" and entries is not value):
+        # bool is an int subclass, and JSON true is neither a count nor a number;
+        # json reads NaN and Infinity as floats
+        if key in _INTEGER_KEYS:
+            ok = all(type(x) is int for x in entries) and (key != "taus" or entries is value)
             kind = "a list of integers" if key == "taus" else "integers"
+        else:
+            ok = all(type(x) in (int, float) and math.isfinite(x) for x in entries)
+            kind = "finite numbers"
+        if not ok:
             raise ValueError(f"config key {key!r} takes {kind}: {value!r}")
     return cfg
 
@@ -90,10 +109,11 @@ def _cmd_coherence(args):
     radio = RadioParams(carrier_frequency=f0 * 1e9, delay_spread=tau * 1e-6,
                         mobile_speed=v / 3.6)
     print(f"{coherence_symbols(radio):.2f}")
-    return []
 
 
 def _cmd_spectrum(args):
+    if args.grid_points < 2:
+        raise ValueError(f"--grid-points must be >= 2: {args.grid_points}")
     cfg = _load_config(args.config, _SPECTRUM_KEYS)
     sys_params = _system_from_config(cfg)
     seed = cfg.get("seed", 0)
@@ -102,7 +122,6 @@ def _cmd_spectrum(args):
     out = Path(args.out) / "spectrum.csv"
     montecarlo.write_spectrum_csv(result, _resolved(cfg, sys_params, seed), out)
     print(f"wrote {out}")
-    return [out]
 
 
 def _cmd_support(args):
@@ -132,7 +151,6 @@ def _cmd_support(args):
     out = Path(args.out) / "support.json"
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
-    return [out]
 
 
 def _cmd_separability(args):
@@ -153,7 +171,6 @@ def _cmd_separability(args):
     out = Path(args.out) / "separability.csv"
     out.write_text("\n".join(lines) + "\n")
     print(f"wrote {out}")
-    return [out]
 
 
 def _cmd_ber(args):
@@ -181,7 +198,6 @@ def _cmd_ber(args):
     out = Path(args.out) / "ber.csv"
     montecarlo.write_ber_csv(points, dict(ecfg.to_dict(), original_config=cfg), out)
     print(f"wrote {out}")
-    return [out]
 
 
 @functools.cache

@@ -20,21 +20,29 @@ from .rmt_spectrum import FixedPointParams, SpectralDensity, density_from_stielt
 from .subspace_receiver import (conventional_receiver, count_bit_errors, detect_subspace,
                                 estimate_projected_channel, project, signal_subspace)
 from .system_model import (InterferenceProfile, PilotConfig, SystemParams, assemble_received,
-                           interference_profile, make_pilots, sample_realization)
+                           integer_field, interference_profile, make_pilots, sample_realization)
 
 RECEIVERS = ("svd", "conventional")
 
 
 @dataclass(frozen=True)
 class BerPoint:
-    """One aggregated BER measurement."""
+    """One BER measurement, kept as the bit-error counts of its coherence blocks."""
 
     sweep_value: float
     receiver: str
     tau: int
-    errors: int
-    bits: int
+    block_errors: tuple     # one count per block, in [seed, index, rep] stream order
+    block_bits: int         # bits of one block, the same for every block of the point
     delta: float | None = None
+
+    @property
+    def errors(self):
+        return sum(self.block_errors)
+
+    @property
+    def bits(self):
+        return self.block_bits * len(self.block_errors)
 
     @property
     def symbols(self):
@@ -48,10 +56,8 @@ class BerPoint:
     @property
     def ci_halfwidth(self):
         """95% normal-approximation confidence half-width."""
-        if self.bits == 0:
-            return 0.0
         p = self.ber
-        return 1.96 * np.sqrt(max(p * (1 - p), 0.0) / self.bits)
+        return 1.96 * np.sqrt(p * (1 - p) / self.bits) if self.bits else 0.0
 
     def beats(self, other):
         """True when this receiver's BER is below `other`'s with disjoint CIs."""
@@ -78,6 +84,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.sweep not in ("R", "I_over_P"):
             raise ValueError("sweep must be 'R' or 'I_over_P'")
+        for name, least in (("min_symbols", 1), ("seed", None), ("threads", 1)):
+            object.__setattr__(self, name, integer_field(name, getattr(self, name), least))
+        object.__setattr__(self, "taus", tuple(integer_field("each tau", t) for t in self.taus))
         if len(self.values) < 1:
             raise ValueError("need at least one sweep value")
         if len(self.taus) < 1 or any(tau < 1 for tau in self.taus):
@@ -87,13 +96,8 @@ class ExperimentConfig:
             # no sweep changes T or C, so this covers every point
             raise ValueError(f"no data columns left after pilots: tau*T = {pilot_len} "
                              f">= C = {self.system.C}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.min_symbols < 1:
-            raise ValueError("min_symbols must be >= 1")
         if self.sweep == "R":
-            if any(R != int(R) for R in self.values):
-                raise ValueError("R sweep values must be integer antenna counts")
+            object.__setattr__(self, "values", tuple(integer_field("R", R) for R in self.values))
             if len(self.taus) != 1:
                 # per-seed BERs are keyed by (R, delta, receiver), without tau
                 raise ValueError("the R sweep takes exactly one tau")
@@ -115,7 +119,7 @@ class ExperimentConfig:
 
 
 def _run_realization(sys, pilots, rng_key):
-    """Bit errors of the svd and conventional receivers on one block, and its bits."""
+    """Bit errors of the svd and conventional receivers on one block."""
     rz = sample_realization(sys, pilots, rng_key, data_law="qpsk")
     Y = assemble_received(rz)
     tx = rz.data_symbols
@@ -125,40 +129,40 @@ def _run_realization(sys, pilots, rng_key):
                           noise_power=sys.W, symbol_power=sys.P)
     svd_errors = count_bit_errors(svd, tx)
     conventional_errors = count_bit_errors(conventional_receiver(Y, pilots), tx)
-    return svd_errors, conventional_errors, 2 * tx.size
+    return svd_errors, conventional_errors
 
 
 def _sweep(cfg, points):
     """Run both receivers on every point of a sweep, in order.
 
-    Each point is (sweep_value, delta, tau, system, per_seed_key). Point `index`
-    runs enough blocks for cfg.min_symbols data symbols, block `rep` drawing
-    from the RNG stream [seed, index, rep], so results do not depend on threads.
-    Returns (BerPoints, {per_seed_key + (receiver,): per-block BERs}).
-    """
-    ber_points, per_seed_map = [], {}
+    Each point is (sweep_value, delta, tau, system). Point `index` runs enough
+    blocks for cfg.min_symbols data symbols, block `rep` drawing from the RNG
+    stream [seed, index, rep], so results do not depend on threads. Returns
+    one BerPoint per point and receiver."""
+    ber_points = []
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         run = pool.map if cfg.threads > 1 else map
-        for index, (value, delta, tau, sys, key) in enumerate(points):
+        for index, (value, delta, tau, sys) in enumerate(points):
             pilots = make_pilots(sys.T, sys.P, tau, rng=[cfg.seed, index])
-            reps = -(-cfg.min_symbols // (sys.T * (sys.C - tau * sys.T)))
-            blocks = list(run(partial(_run_realization, sys, pilots),
-                              ([cfg.seed, index, rep] for rep in range(reps))))
-            bits = sum(block[-1] for block in blocks)
-            for i, rec in enumerate(RECEIVERS):
-                ber_points.append(BerPoint(sweep_value=float(value), receiver=rec, tau=tau,
-                                           errors=sum(block[i] for block in blocks),
-                                           bits=bits, delta=delta))
-                per_seed_map[key + (rec,)] = [block[i] / block[-1] for block in blocks]
-    return ber_points, per_seed_map
+            block_symbols = sys.T * (sys.C - tau * sys.T)
+            reps = -(-cfg.min_symbols // block_symbols)
+            blocks = run(partial(_run_realization, sys, pilots),
+                         ([cfg.seed, index, rep] for rep in range(reps)))
+            for rec, errors in zip(RECEIVERS, zip(*blocks)):
+                ber_points.append(BerPoint(float(value), rec, tau, block_errors=errors,
+                                           block_bits=2 * block_symbols, delta=delta))
+    return ber_points
+
+
+def _with_per_block_bers(points, key):
+    """(points, {key(point) + (receiver,): the point's per-block BERs})."""
+    return points, {key(p) + (p.receiver,): [e / p.block_bits for e in p.block_errors]
+                    for p in points}
 
 
 def ber_vs_R(cfg: ExperimentConfig):
-    """BER versus number of receive antennas, one curve per modulo-profile delta.
-
-    Returns (points, per_seed_bers) where per_seed_bers[(R, delta, receiver)]
-    is the list of per-realization BERs (for median-trend checks).
-    """
+    """BER versus number of receive antennas, one curve per modulo-profile delta;
+    per-block BERs keyed (R, delta, receiver), for median-trend checks."""
     if cfg.sweep != "R":
         raise ValueError(f"ber_vs_R needs sweep 'R', not the config's {cfg.sweep!r}")
     base = cfg.system
@@ -168,13 +172,13 @@ def ber_vs_R(cfg: ExperimentConfig):
         powers = base.interference_powers if delta is None else interference_profile(
             InterferenceProfile(kind="modulo", delta=delta), base.T, base.L, base.P)
         for R in cfg.values:
-            sys = replace(base, R=int(R), interference_powers=powers)
-            points.append((R, delta, tau, sys, (int(R), delta)))
-    return _sweep(cfg, points)
+            points.append((R, delta, tau, replace(base, R=R, interference_powers=powers)))
+    return _with_per_block_bers(_sweep(cfg, points), lambda p: (int(p.sweep_value), p.delta))
 
 
 def ber_vs_IP(cfg: ExperimentConfig):
-    """BER versus relative interference strength I/P (flat profile)."""
+    """BER versus relative interference strength I/P (flat profile); per-block
+    BERs keyed (I/P, tau, receiver)."""
     if cfg.sweep != "I_over_P":
         raise ValueError(f"ber_vs_IP needs sweep 'I_over_P', not the config's {cfg.sweep!r}")
     base = cfg.system
@@ -182,8 +186,8 @@ def ber_vs_IP(cfg: ExperimentConfig):
     for tau in cfg.taus:
         for ip in cfg.values:
             sys = replace(base, interference_powers=(ip * base.P,) * (base.L * base.T))
-            points.append((ip, None, tau, sys, (float(ip), tau)))
-    return _sweep(cfg, points)
+            points.append((ip, None, tau, sys))
+    return _with_per_block_bers(_sweep(cfg, points), lambda p: (p.sweep_value, p.tau))
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,16 @@ def interference_profile(profile: InterferenceProfile, T: int, L: int, P: float)
     return tuple(P * (k % T) / (profile.delta * T) for k in range(1, L * T + 1))
 
 
+def integer_field(name, value, least=None):
+    """`value` as an int; ValueError naming `name` unless it is an int or a numpy
+    integer (bool, an int subclass, is no count) and at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer: {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}: {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Cell geometry and powers of the multi-cell uplink (all powers linear), and
@@ -82,10 +92,8 @@ class SystemParams:
     interference_powers: tuple = ()
 
     def __post_init__(self):
-        if self.R < 1 or self.T < 1 or self.C < 1:
-            raise ValueError("R, T, C must be >= 1")
-        if self.L < 0:
-            raise ValueError("L must be >= 0")
+        for name, least in (("R", 1), ("T", 1), ("C", 1), ("L", 0)):
+            object.__setattr__(self, name, integer_field(name, getattr(self, name), least))
         if self.P < 0 or self.W < 0:
             raise ValueError("P and W must be >= 0")
         powers = tuple(float(x) for x in self.interference_powers)

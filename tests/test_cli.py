@@ -126,6 +126,18 @@ class TestSpectrum:
         assert data.shape == (120, 3)
         assert np.all(data[:, 1] >= 0)
 
+    @pytest.mark.parametrize("points", ["1", "0", "-3"])
+    def test_rejects_grid_points_below_two(self, tmp_path, capsys, points):
+        # 1 and 0 failed with the density grid's message, -3 with numpy's
+        cfg = write_cfg(tmp_path, "sp.json", {"R": 80, "T": 3, "C": 60, "L": 1, "P_dB": -10,
+                                              "W_dB": 0, "I_over_P": 0.25, "n_seeds": 1})
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path),
+                     "--grid-points", points]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err == {"error": "ValueError", "message": f"--grid-points must be >= 2: {points}"}
+        assert captured.out == "" and not (tmp_path / "spectrum.csv").exists()
+
     def test_frozen_csv_digest(self, tmp_path):
         # reruns keep every byte, header and columns, whatever the BLAS
         # thread count: the eigenvalues come from the herk Gram matrix of
@@ -379,6 +391,51 @@ class TestErrors:
         assert err["message"].startswith(f"config key {key!r} takes"), err
         assert captured.out == ""
         assert not any((tmp_path / f).exists() for f in ("ber.csv", "spectrum.csv", "support.json"))
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("support", "P_dB", True), ("support", "P_dB", "-10"), ("spectrum", "W_dB", float("inf")),
+        ("support", "I_over_P", float("nan")), ("ber", "I_over_P", [0.2, "0.4"]),
+        ("ber", "delta", ["4"]), ("spectrum", "delta", None),
+        ("coherence", "f0_GHz", "2.6"), ("coherence", "speed_kmh", float("-inf")),
+        ("coherence", "delay_spread_us", False),
+    ])
+    def test_rejects_real_keys_that_are_no_finite_number(self, tmp_path, capsys, command, key,
+                                                        value):
+        # `"P_dB": true` ran at P = 1 dB; a string, NaN or Infinity failed
+        # inside the computation with an error naming no key
+        if command == "coherence":
+            cfg = {"f0_GHz": 2.6, "delay_spread_us": 5, "speed_kmh": 350, key: value}
+        else:
+            cfg = {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
+                   "I_over_P": [0.2] if command == "ber" else 0.2, key: value}
+            if key == "delta":
+                cfg = dict({k: v for k, v in cfg.items() if k != "I_over_P"}, profile="modulo",
+                           R=[50] if command == "ber" else 50)
+        args = [command, "--config", write_cfg(tmp_path, "r.json", cfg)]
+        assert main(args + ([] if command == "coherence" else ["--out", str(tmp_path)])) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError", err
+        assert err["message"].startswith(f"config key {key!r} takes finite numbers"), err
+        assert captured.out == "" and not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command, key", [
+        ("support", "P_dB"), ("spectrum", "W_dB"), ("ber", "R"), ("support", "L"),
+        ("coherence", "speed_kmh")])
+    def test_rejects_a_missing_required_key(self, tmp_path, capsys, command, key):
+        # a missing P_dB failed with {"error": "KeyError", "message": "'P_dB'"}
+        if command == "coherence":
+            cfg = {"f0_GHz": 2.6, "delay_spread_us": 5, "speed_kmh": 350}
+        else:
+            cfg = {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
+                   "I_over_P": [0.2] if command == "ber" else 0.2}
+        del cfg[key]
+        args = [command, "--config", write_cfg(tmp_path, "m.json", cfg)]
+        assert main(args + ([] if command == "coherence" else ["--out", str(tmp_path)])) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err == {"error": "ValueError", "message": f"missing config keys [{key!r}]"}
+        assert captured.out == ""
 
     def test_coherence_rejects_unknown_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {"f0_GHz": 2.6, "delay_spread_us": 5,

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -17,19 +19,30 @@ def small_system(I_over_P=0.25, W=1.0, L=2, R=60, T=3, C=40, P=0.1):
 
 class TestBerPoint:
     def test_ber_and_integer_counts(self):
-        p = BerPoint(sweep_value=1.0, receiver="svd", tau=1, errors=25, bits=1000)
+        p = BerPoint(sweep_value=1.0, receiver="svd", tau=1, block_errors=(10, 15),
+                     block_bits=500)
         assert p.ber == 0.025
         assert p.ber * p.symbols * 2 == p.errors  # error count recoverable
         assert p.ci_halfwidth > 0
 
     def test_ci_formula(self):
-        p = BerPoint(sweep_value=1.0, receiver="svd", tau=1, errors=100, bits=10_000)
+        p = BerPoint(sweep_value=1.0, receiver="svd", tau=1, block_errors=(60, 40),
+                     block_bits=5_000)
         assert np.isclose(p.ci_halfwidth, 1.96 * np.sqrt(0.01 * 0.99 / 10_000))
 
     def test_beats(self):
-        a = BerPoint(1.0, "svd", 1, errors=10, bits=100_000)
-        b = BerPoint(1.0, "conventional", 1, errors=5_000, bits=100_000)
+        a = BerPoint(1.0, "svd", 1, block_errors=(10,), block_bits=100_000)
+        b = BerPoint(1.0, "conventional", 1, block_errors=(5_000,), block_bits=100_000)
         assert a.beats(b) and not b.beats(a)
+
+    def test_totals_read_from_block_counts(self):
+        # the per-block counts are the one record; totals are read from them
+        p = BerPoint(1.0, "svd", 1, block_errors=(3, 0, 7), block_bits=112)
+        assert (p.errors, p.bits, p.symbols) == (10, 336, 168)
+        assert [f.name for f in dataclasses.fields(BerPoint)] == [
+            "sweep_value", "receiver", "tau", "block_errors", "block_bits", "delta"]
+        empty = BerPoint(1.0, "svd", 1, block_errors=(), block_bits=112)
+        assert (empty.errors, empty.bits, empty.ber, empty.ci_halfwidth) == (0, 0, 0.0, 0.0)
 
 
 class TestConfig:
@@ -45,6 +58,26 @@ class TestConfig:
         # would simulate R = 60 but report sweep_value 60.7
         with pytest.raises(ValueError, match="integer"):
             ExperimentConfig(system=small_system(), sweep="R", values=(40, 60.7))
+
+    @pytest.mark.parametrize("field, value, name", [
+        ("min_symbols", 50.5, "min_symbols"), ("seed", True, "seed"), ("seed", 1.0, "seed"),
+        ("threads", 2.5, "threads"), ("taus", (1.0,), "tau"), ("taus", (True,), "tau"),
+        ("values", (40, True), "R"), ("values", (40.0,), "R")])
+    def test_non_integer_counts_rejected(self, field, value, name):
+        # min_symbols 50.5 and taus (1.0,) failed late with a TypeError, while
+        # threads 2.5 and seed True ran
+        sweep = "R" if field == "values" else "I_over_P"
+        kwargs = dict({"values": (40,) if sweep == "R" else (0.1,)}, **{field: value})
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ExperimentConfig(system=small_system(), sweep=sweep, **kwargs)
+
+    def test_numpy_integer_counts_stored_as_int(self):
+        cfg = ExperimentConfig(system=small_system(), sweep="R", values=(np.int64(40),),
+                               taus=(np.int32(1),), min_symbols=np.int64(50),
+                               seed=np.uint8(3), threads=np.int16(2))
+        counts = (*cfg.values, *cfg.taus, cfg.min_symbols, cfg.seed, cfg.threads)
+        assert counts == (40, 1, 50, 3, 2) and all(type(x) is int for x in counts)
+        json.dumps(cfg.to_dict())  # the ber.csv header takes no numpy scalar
 
     def test_several_taus_on_R_sweep_rejected(self):
         # per-seed BERs are keyed by (R, delta, receiver): a second tau would overwrite them
@@ -119,6 +152,17 @@ class TestBerSweeps:
                                 min_symbols=800, seed=5, threads=4)
         assert ber_vs_IP(cfg1)[0] == ber_vs_IP(cfg4)[0]
 
+    def test_threads_keep_block_errors_in_stream_order(self):
+        def sweep(threads):
+            cfg = ExperimentConfig(system=small_system(C=30, T=2, L=1), sweep="R",
+                                   values=(40, 80), deltas=(2,), min_symbols=300, seed=8,
+                                   threads=threads)
+            return ber_vs_R(cfg)
+        (points1, per_block1), (points4, per_block4) = sweep(1), sweep(4)
+        assert [p.block_errors for p in points1] == [p.block_errors for p in points4]
+        assert all(len(p.block_errors) == 6 and p.block_bits == 112 for p in points1)
+        assert per_block1 == per_block4
+
     def test_pure_noise_gives_half(self):
         cfg = ExperimentConfig(system=small_system(W=1e9), sweep="I_over_P", values=(0.1,),
                                min_symbols=4000, seed=1)
@@ -180,9 +224,9 @@ class TestFrozenOutputs:
         for key, (block_bits, *block_errors) in frozen.items():
             sweep_value, delta, tau = point_fields(key)
             for rec, errors in zip(("svd", "conventional"), block_errors):
-                bits = block_bits * len(errors)
                 expected_points.append(BerPoint(sweep_value=sweep_value, receiver=rec, tau=tau,
-                                                errors=sum(errors), bits=bits, delta=delta))
+                                                block_errors=tuple(errors),
+                                                block_bits=block_bits, delta=delta))
                 expected_per_seed[key + (rec,)] = [e / block_bits for e in errors]
         points, per_seed = result
         assert points == expected_points

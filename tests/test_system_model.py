@@ -103,6 +103,28 @@ class TestDerivedParams:
         assert fp.kappa == sys.kappa == 3.0 and fp.noise_a2 == sys.zeta == 900.0
         assert len(fp.terms) == 0 and math.isinf(sys.t)
 
+    @pytest.mark.parametrize("field, value", [("R", 20.5), ("R", True), ("T", 3.0),
+                                              ("C", "40"), ("L", False), ("L", 1.5)])
+    def test_non_integer_count_rejected(self, field, value):
+        # R = 20.5 and True built, failing later in numpy naming no field;
+        # T = 3.0 built with kappa 2.0
+        counts = dict({"R": 20, "T": 3, "C": 40, "L": 0}, **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SystemParams(**counts, P=0.1, W=1.0)
+
+    @pytest.mark.parametrize("field, value", [("R", 0), ("T", -1), ("C", 0), ("L", -1)])
+    def test_count_below_its_least_rejected(self, field, value):
+        counts = dict({"R": 20, "T": 3, "C": 40, "L": 0}, **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            SystemParams(**counts, P=0.1, W=1.0)
+
+    def test_numpy_integer_counts_stored_as_int(self):
+        sys = SystemParams(R=np.int64(20), T=np.int32(3), C=np.uint16(40), L=np.int8(1),
+                           P=0.1, W=1.0, interference_powers=(0.02,) * 3)
+        assert (sys.R, sys.T, sys.C, sys.L) == (20, 3, 40, 1)
+        assert all(type(x) is int for x in (sys.R, sys.T, sys.C, sys.L))
+        assert sys.kappa == 2.0
+
 
 class TestInterferenceProfile:
     def test_modulo_first_entry(self):
