@@ -20,7 +20,8 @@ from .rmt_spectrum import FixedPointParams, SpectralDensity, density_from_stielt
 from .subspace_receiver import (conventional_receiver, count_bit_errors, detect_subspace,
                                 estimate_projected_channel, project, signal_subspace)
 from .system_model import (InterferenceProfile, PilotConfig, SystemParams, assemble_received,
-                           integer_field, interference_profile, make_pilots, sample_realization)
+                           integer_field, interference_profile, make_pilots, real_field,
+                           sample_realization)
 
 RECEIVERS = ("svd", "conventional")
 
@@ -103,8 +104,13 @@ class ExperimentConfig:
                 raise ValueError("the R sweep takes exactly one tau")
             if self.deltas is not None and len(self.deltas) < 1:
                 raise ValueError("deltas must list at least one delta")
-        elif self.deltas is not None:
-            raise ValueError("deltas apply only to the R sweep")
+            for delta in self.deltas or ():
+                real_field("delta", delta, 0, strict=True)
+        else:
+            if self.deltas is not None:
+                raise ValueError("deltas apply only to the R sweep")
+            for ip in self.values:
+                real_field("I_over_P", ip, 0)
 
     def to_dict(self):
         d = {
@@ -209,8 +215,8 @@ def spectrum_experiment(sys: SystemParams, n_seeds=20, grid_points=600, seed=0) 
     offset is 1e-5 of the grid span (density_from_stieltjes), small enough
     that the zero-eigenvalue atom does not leak into the continuous part.
     """
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1: {n_seeds}")
+    integer_field("n_seeds", n_seeds, 1)
+    integer_field("grid_points", grid_points, 2)
     pilots = PilotConfig()
     pooled = []
     for i in range(n_seeds):

@@ -11,8 +11,7 @@ estimates; count_bit_errors decides each bit once, by its sign (Gray QPSK).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from .numerics import _gram_lower
 from .system_model import PilotConfig
@@ -34,10 +33,11 @@ def signal_subspace(Y, T_sel) -> np.ndarray:
     * Gram side, when min(R, C) <= 200 or T_sel >= min(R, C) - 1: one herk
       on Y^T forms the lower triangle of the conjugate Gram matrix, and a
       dense subset ``eigh`` of it gives the conjugates of V.
-    * ARPACK (implicitly restarted Lanczos) above that size, on the Gram
-      operator applied as Y (Y^T v*)*, or (Y^T (Y v)*)* when R > C (* is
-      the complex conjugate); a QR orthonormalises its vectors. Its start
-      vector is fixed so identical inputs give identical bases.
+    * Lanczos above that size (_lanczos), on the Gram operator applied as
+      Y (Y^T v*)*, or (Y^T (Y v)*)* when R > C (* is the complex
+      conjugate). It reorthogonalises fully, so V comes out orthonormal,
+      stops as soon as the T_sel wanted Ritz pairs converge, and starts
+      from a fixed vector, so identical inputs give identical bases.
 
     Then one Rayleigh-Ritz step, a thin SVD of V^H Y (T_sel x C) or of Y V
     (R x T_sel), makes S orthonormal to machine precision, also when Y is
@@ -48,32 +48,50 @@ def signal_subspace(Y, T_sel) -> np.ndarray:
     with the path, the BLAS build or the thread count; with this rule S is
     fixed wherever the singular values are distinct.
 
-    The Gram side costs about min(R, C)^2 max(R, C) per call; ARPACK costs a
-    number of restarts times min(R, C) max(R, C) plus a fixed overhead of a
-    few milliseconds. So the dense path wins on small blocks and ARPACK on
-    large ones. Median time per call (range over 6 blocks), single-threaded
-    OpenBLAS on a 2-vCPU Xeon VM with numpy 2.4 and scipy 1.17, on received
-    blocks of the model (P = 0.1, W = 1; the C = 100 blocks with the Fig.-4
-    modulo profile, delta = 2, L = 6; the C = 1000 blocks with L = 2 cells
-    at I = 0.05):
+    The Gram side costs about min(R, C)^2 max(R, C) per call; Lanczos costs
+    one Gram application, 2 min(R, C) max(R, C), per step, plus about 0.1 ms
+    of reorthogonalisation and tridiagonal eigensolve. So the dense path
+    wins on small blocks and Lanczos on large ones. Median time per call
+    (range over 6 blocks, best of 5 calls each), single-threaded OpenBLAS on
+    a shared 2-vCPU Xeon VM with numpy 2.4 and scipy 1.17, and Gram
+    applications per block, with those of scipy's ARPACK ``eigsh`` (tol = 0,
+    the same start vector), which this path replaced, in parentheses; on
+    received blocks of the model (P = 0.1, W = 1; the C = 100 blocks with
+    the Fig.-4 modulo profile, delta = 2, L = 6; the C = 1000 blocks with
+    L = 2 cells at I = 0.05):
 
-    ====================  ====================  ====================
-    block (R x C, T_sel)  ARPACK                Gram side
-    ====================  ====================  ====================
-    50 x 100, 5           2.5 ms (2.5-3.1)      0.5 ms (0.4-0.5)
-    400 x 100, 5          3.8 ms (2.9-3.9)      1.7 ms (1.7-1.7)
-    200 x 1000, 3         8.1 ms (7.9-12.5)     9.6 ms (9.4-9.7)
-    225 x 1000, 3         8.9 ms (8.8-14.6)     12.2 ms (11.8-12.3)
-    300 x 1000, 3         13.8 ms (11.2-13.9)   24.1 ms (19.2-26.6)
-    ====================  ====================  ====================
+    ====================  ===================  ===================  ============
+    block (R x C, T_sel)  Lanczos              Gram side            applications
+    ====================  ===================  ===================  ============
+    50 x 100, 5           4.3 ms (2.8-4.9)     0.5 ms (0.4-0.7)     33-36 (47-59)
+    400 x 100, 5          3.9 ms (3.6-4.2)     1.7 ms (1.6-1.7)     31-34 (36-47)
+    200 x 1000, 3         9.4 ms (9.1-9.5)     9.1 ms (9.0-9.1)     20-21 (21)
+    225 x 1000, 3         10.6 ms (10.4-13.2)  11.6 ms (11.4-16.7)  21 (21-36)
+    300 x 1000, 3         12.4 ms (12.0-13.2)  19.9 ms (19.8-20.0)  20-21 (21)
+    ====================  ===================  ===================  ============
 
-    With a smaller eigengap ARPACK needs more restarts and the crossover
-    moves up: at T_sel = 5 on 200 x 1000 blocks ARPACK takes 14.4 ms and the
-    Gram side 11.8 ms, and on noise-only 300 x 1000 blocks ARPACK takes
-    77 ms and the Gram side 21 ms. The crossover (_GRAM_MAX_DIM) is 200: at
-    200 x 1000 the two paths overlap with T_sel = 3 and the Gram side wins
-    with T_sel = 5. Fig.-4 blocks (C = 100) take the Gram side, Fig.-5
-    blocks (300 x 1000) ARPACK.
+    On the Fig.-5 blocks (300 x 1000, T_sel = 3, L = 2 cells at I/P times
+    P), measured the same way:
+
+    ======  ===================  ===================  ============
+    I/P     Lanczos              ARPACK               applications
+    ======  ===================  ===================  ============
+    0.1     10.8 ms (10.7-11.1)  12.1 ms (11.7-13.4)  17 (21)
+    0.3     13.7 ms (12.1-14.0)  13.8 ms (12.2-14.1)  19-20 (21)
+    0.5     12.4 ms (12.0-13.2)  11.6 ms (11.4-11.8)  20-21 (21)
+    0.95    13.9 ms (13.1-14.5)  19.4 ms (19.1-20.7)  22-23 (36-38)
+    ======  ===================  ===================  ============
+
+    A Lanczos step costs a little more than an ARPACK one, so the two take
+    the same time where they apply the operator equally often, and Lanczos
+    wins where ARPACK restarts. With a smaller eigengap both need more
+    steps and the crossover moves up: at T_sel = 5 on 200 x 1000 blocks
+    Lanczos takes 16.9 ms (28-29 applications, ARPACK 21.5 ms and 47) and
+    the Gram side 13.0 ms, and on noise-only 300 x 1000 blocks Lanczos takes
+    61 ms (88-94, ARPACK 81 ms and 137-184) and the Gram side 20 ms. The
+    crossover (_GRAM_MAX_DIM) is 200: at 200 x 1000 the two paths overlap
+    with T_sel = 3 and the Gram side wins with T_sel = 5. Fig.-4 blocks
+    (C = 100) take the Gram side, Fig.-5 blocks (300 x 1000) Lanczos.
     """
     Y = np.asarray(Y)
     R, C = Y.shape
@@ -87,10 +105,7 @@ def signal_subspace(Y, T_sel) -> np.ndarray:
         else:
             def gram(v):          # Y^H Y v
                 return (Y.T @ (Y @ v).conj()).conj()
-        rng = np.random.default_rng(0)
-        v0 = rng.standard_normal(mn) + 1j * rng.standard_normal(mn)
-        op = LinearOperator((mn, mn), matvec=gram, dtype=complex)
-        V = np.linalg.qr(eigsh(op, k=T_sel, v0=v0, tol=0)[1])[0]
+        V = _lanczos(gram, mn, T_sel)
     else:
         V = eigh(_gram_lower(Y), lower=True, overwrite_a=True, check_finite=False,
                  subset_by_index=[mn - T_sel, mn - 1])[1].conj()
@@ -101,6 +116,63 @@ def signal_subspace(Y, T_sel) -> np.ndarray:
     peak = S[np.argmax(np.abs(S), axis=0), np.arange(T_sel)]
     S *= peak.conj() / np.abs(peak)
     return S
+
+
+def _orthogonalise(Q, w):
+    """w minus its components along the orthonormal rows of Q, in place, and
+    its norm: classical Gram-Schmidt, repeated while a pass shrinks w below
+    1/sqrt(2) of its norm, since the rounding error a pass leaves is relative
+    to the norm before it."""
+    norm = np.linalg.norm(w)
+    while True:
+        w -= (Q @ w.conj()).conj() @ Q
+        before, norm = norm, np.linalg.norm(w)
+        if norm > before / np.sqrt(2) or norm == 0:
+            return w, norm
+
+
+def _lanczos(gram, n, k):
+    """n x k orthonormal Ritz vectors of the k largest eigenvalues of the
+    Hermitian positive semidefinite map `gram` on C^n.
+
+    Lanczos with full reorthogonalisation from a fixed random start vector,
+    stopped at the first step m where every wanted Ritz pair (theta_i, s_i)
+    of the m x m tridiagonal matrix has residual |beta_m s_mi| <= eps
+    theta_max, eps the machine epsilon. The Lanczos vectors are the rows of
+    one C-ordered array. A residual vector that shrinks to the rounding error
+    of one Gram application spans nothing new: the Krylov space is invariant,
+    beta_m is taken as 0 and the iteration goes on from a fresh random vector
+    orthogonal to the rows so far. At m = n the space is all of C^n.
+    """
+    rng = np.random.default_rng(0)
+    eps = np.finfo(float).eps
+
+    def fresh():
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    Q = np.empty((n, n), dtype=complex)   # only the rows in use are touched
+    alpha, beta = np.zeros(n), np.zeros(n)    # diagonal and off-diagonal of the tridiagonal
+    v = fresh()
+    Q[0] = v / np.linalg.norm(v)
+    scale = 0.0                           # largest |gram(q)|, about the operator norm
+    for m in range(1, n + 1):
+        w = gram(Q[m - 1])
+        alpha[m - 1] = np.vdot(Q[m - 1], w).real
+        scale = max(scale, np.linalg.norm(w))
+        w, norm = _orthogonalise(Q[:m], w)
+        if m == n or norm <= np.sqrt(n) * eps * scale:
+            norm = 0.0
+        if m >= k:
+            theta, s = eigh_tridiagonal(alpha[:m], beta[:m - 1], select="i",
+                                        select_range=(m - k, m - 1), check_finite=False,
+                                        lapack_driver="stemr")
+            if norm * np.abs(s[-1]).max() <= eps * theta[-1]:
+                return Q[:m].T @ s
+        if norm == 0:
+            w, norm = _orthogonalise(Q[:m], fresh())
+        else:
+            beta[m - 1] = norm
+        Q[m] = w / norm
 
 
 def project(S, Y):

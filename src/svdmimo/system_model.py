@@ -28,7 +28,7 @@ class RadioParams:
 
     def __post_init__(self):
         for name in ("carrier_frequency", "delay_spread", "mobile_speed"):
-            if getattr(self, name) <= 0:
+            if real_field(name, getattr(self, name)) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 
 
@@ -53,9 +53,9 @@ class InterferenceProfile:
     def __post_init__(self):
         if self.kind not in ("flat", "modulo"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.kind == "flat" and (self.I is None or self.I < 0):
+        if self.kind == "flat" and (self.I is None or real_field("I", self.I) < 0):
             raise ValueError("flat profile requires I >= 0")
-        if self.kind == "modulo" and (self.delta is None or self.delta <= 0):
+        if self.kind == "modulo" and (self.delta is None or real_field("delta", self.delta) <= 0):
             raise ValueError("modulo profile requires delta > 0")
 
 
@@ -76,6 +76,18 @@ def integer_field(name, value, least=None):
     return int(value)
 
 
+def real_field(name, value, least=None, strict=False):
+    """`value`, unchanged; ValueError naming `name` unless it is a finite int,
+    float or numpy real (bool is no number) and at least `least`, or above it
+    if `strict`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number: {value!r}")
+    if least is not None and (value <= least if strict else value < least):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {least}: {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Cell geometry and powers of the multi-cell uplink (all powers linear), and
@@ -94,13 +106,12 @@ class SystemParams:
     def __post_init__(self):
         for name, least in (("R", 1), ("T", 1), ("C", 1), ("L", 0)):
             object.__setattr__(self, name, integer_field(name, getattr(self, name), least))
-        if self.P < 0 or self.W < 0:
-            raise ValueError("P and W must be >= 0")
-        powers = tuple(float(x) for x in self.interference_powers)
+        real_field("P", self.P, 0)
+        real_field("W", self.W, 0)
+        powers = tuple(float(real_field("each interference power", x, 0))
+                       for x in self.interference_powers)
         if len(powers) != self.L * self.T:
             raise ValueError(f"interference_powers must have L*T = {self.L * self.T} entries")
-        if any(x < 0 for x in powers):
-            raise ValueError("interference powers must be >= 0")
         object.__setattr__(self, "interference_powers", powers)
 
     @classmethod

@@ -111,6 +111,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="deltas"):
             ExperimentConfig(system=small_system(), sweep="R", values=(40,), deltas=())
 
+    @pytest.mark.parametrize("sweep, field, value, message", [
+        ("I_over_P", "values", (True,), "I_over_P must be a finite real number"),
+        ("I_over_P", "values", (0.1, float("nan")), "I_over_P must be a finite real number"),
+        ("I_over_P", "values", (-0.5,), "I_over_P must be >= 0"),
+        ("R", "deltas", (0,), "delta must be > 0"),
+        ("R", "deltas", (2, float("nan")), "delta must be a finite real number")],
+        ids=["IP_true", "IP_nan", "IP_negative", "delta_zero", "delta_nan"])
+    def test_real_sweep_values_checked(self, sweep, field, value, message):
+        # I/P True ran at 1.0; -0.5 and delta 0 failed at their point, NaN
+        # there with an IndexError naming nothing
+        kwargs = dict({"values": (40,) if sweep == "R" else (0.1,)}, **{field: value})
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ExperimentConfig(system=small_system(), sweep=sweep, **kwargs)
+
     def test_deltas_on_IP_sweep_rejected(self):
         # the I/P sweep uses a flat profile, so deltas would be ignored
         with pytest.raises(ValueError, match="deltas"):
@@ -254,6 +268,17 @@ class TestFrozenOutputs:
         }
         self.assert_frozen(ber_vs_IP(cfg), frozen, lambda key: (key[0], None, key[1]))
 
+    def test_ber_vs_IP_krylov_path(self):
+        # min(R, C) = 210 is above the Gram-side crossover, so signal_subspace
+        # takes its Krylov path; the counts were frozen when that path was ARPACK
+        cfg = ExperimentConfig(system=small_system(R=210, C=400), sweep="I_over_P",
+                               values=(0.5, 0.95), min_symbols=3000, seed=23)
+        frozen = {
+            (0.5, 1): (2382, [127, 146, 83], [424, 512, 442]),
+            (0.95, 1): (2382, [844, 1033, 796], [618, 649, 661]),
+        }
+        self.assert_frozen(ber_vs_IP(cfg), frozen, lambda key: (key[0], None, key[1]))
+
 
 class TestSpectrumExperiment:
     def test_noise_only_matches_mp(self):
@@ -283,6 +308,14 @@ class TestSpectrumExperiment:
     def test_no_seeds_rejected(self, n_seeds):
         with pytest.raises(ValueError, match="n_seeds"):
             spectrum_experiment(small_system(), n_seeds=n_seeds)
+
+    @pytest.mark.parametrize("field, value", [("n_seeds", 2.5), ("n_seeds", True),
+                                              ("grid_points", 1), ("grid_points", 100.0)])
+    def test_counts_checked(self, field, value):
+        # n_seeds 2.5 raised a TypeError naming nothing and True ran one seed;
+        # grid_points 1 failed only after every seed was drawn
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            spectrum_experiment(small_system(), **{field: value})
 
     def test_density_mass_accounts_for_rank(self):
         sys = SystemParams(R=200, T=1, C=100, L=0, P=0.0, W=1.0)

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
+import svdmimo
 from svdmimo import subspace_receiver
 from svdmimo.subspace_receiver import (conventional_receiver, count_bit_errors, detect_subspace,
                                        estimate_projected_channel, project, signal_subspace)
@@ -76,19 +82,21 @@ class TestSignalSubspace:
         Y = cgauss(rng, (n + 1, 3)) @ cgauss(rng, (3, 2 * n)) + 0.1 * cgauss(rng, (n + 1, 2 * n))
         calls = []
 
-        def counting_eigsh(A, **kwargs):
-            calls.append(A.shape)
-            return eigsh(A, **kwargs)
+        lanczos = subspace_receiver._lanczos
 
-        monkeypatch.setattr(subspace_receiver, "eigsh", counting_eigsh)
+        def counting_lanczos(gram, n, k):
+            calls.append((n, n))
+            return lanczos(gram, n, k)
+
+        monkeypatch.setattr(subspace_receiver, "_lanczos", counting_lanczos)
         gram = signal_subspace(Y[:n], 3)
         signal_subspace(Y, 3)
-        assert calls == [(n + 1, n + 1)]          # one row more crosses over to ARPACK
+        assert calls == [(n + 1, n + 1)]          # one row more crosses over to Lanczos
         monkeypatch.setattr(subspace_receiver, "_GRAM_MAX_DIM", n - 1)
-        arpack = signal_subspace(Y[:n], 3)
+        krylov = signal_subspace(Y[:n], 3)
         assert calls[1:] == [(n, n)]
-        assert np.allclose(captured(arpack, Y[:n]), captured(gram, Y[:n]), rtol=1e-10)
-        assert np.linalg.norm(arpack @ arpack.conj().T - gram @ gram.conj().T, 2) < 1e-10
+        assert np.allclose(captured(krylov, Y[:n]), captured(gram, Y[:n]), rtol=1e-10)
+        assert np.linalg.norm(krylov @ krylov.conj().T - gram @ gram.conj().T, 2) < 1e-10
 
     @pytest.mark.parametrize("shape", [(40, 60), (60, 40), (300, 500), (500, 300)],
                              ids=["gram_wide", "gram_tall", "arpack_wide", "arpack_tall"])
@@ -154,6 +162,86 @@ class TestSignalSubspace:
     def test_range_check(self):
         with pytest.raises(ValueError):
             signal_subspace(np.ones((4, 6)), 5)
+
+
+def fig5_block(I_over_P, rep):
+    # one received block of the Fig.-5 sweep: 300 x 1000, T = 3, L = 2, P/W = -10 dB
+    sys = SystemParams(R=300, T=3, C=1000, L=2, P=0.1, W=1.0,
+                       interference_powers=(I_over_P * 0.1,) * 6)
+    rz = sample_realization(sys, make_pilots(3, 0.1, 1), [3, 0, rep], data_law="qpsk")
+    return assemble_received(rz)
+
+
+class TestLanczos:
+    """The Krylov path of signal_subspace, above the Gram-side crossover."""
+
+    @pytest.mark.parametrize("I_over_P", [0.1, 0.95])
+    def test_matches_arpack_on_fig5_blocks(self, I_over_P):
+        # ARPACK (scipy's eigsh) as an oracle, from the same start vector: the
+        # same eigenvectors of Y Y^H, from no more Gram applications
+        for rep in range(2):
+            Y = fig5_block(I_over_P, rep)
+            applied = {"lanczos": 0, "arpack": 0}
+
+            def counting(name):
+                def gram(v):
+                    applied[name] += 1
+                    return Y @ (Y.T @ v.conj()).conj()
+                return gram
+
+            rng = np.random.default_rng(0)
+            v0 = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+            op = LinearOperator((300, 300), matvec=counting("arpack"), dtype=complex)
+            w, U = eigsh(op, k=3, v0=v0, tol=0)
+            V = subspace_receiver._lanczos(counting("lanczos"), 300, 3)
+            assert 0 < applied["lanczos"] <= applied["arpack"]
+            assert np.abs(V.conj().T @ V - np.eye(3)).max() <= 1e-13
+            assert np.abs(V @ V.conj().T - U @ U.conj().T).max() <= 1e-12
+            # S itself: the eigenvectors, strongest first, under the phase rule
+            U = U[:, np.argsort(w)[::-1]]
+            peak = U[np.argmax(np.abs(U), axis=0), np.arange(3)]
+            U *= peak.conj() / np.abs(peak)
+            S = signal_subspace(Y, 3)
+            assert np.abs(S - U).max() <= 1e-12
+            assert np.allclose(captured(S, Y) ** 2, np.sort(w)[::-1], rtol=1e-13)
+
+    @pytest.mark.parametrize("T_sel", [1, 2, 3, 5, 40])
+    def test_rank_one_block(self, T_sel):
+        # 203 x 203 of rank 1: the Krylov space is invariant after two steps,
+        # and a residual of pure rounding must neither be kept nor break the
+        # orthogonality of S; plain two-pass Gram-Schmidt left it at 2.4e-7
+        rng = np.random.default_rng(31)
+        Y = cgauss(rng, (203, 1)) @ cgauss(rng, (1, 203))
+        S = signal_subspace(Y, T_sel)
+        s = np.linalg.svd(Y, compute_uv=False)
+        assert np.abs(S.conj().T @ S - np.eye(T_sel)).max() <= 1e-10
+        assert np.abs(captured(S, Y) - s[:T_sel]).max() <= 1e-10 * s[0]
+        # two steps span the invariant space, then one per fresh vector
+        applied = []
+
+        def gram(v):
+            applied.append(v)
+            return Y @ (Y.T @ v.conj()).conj()
+
+        subspace_receiver._lanczos(gram, 203, T_sel)
+        assert len(applied) == max(T_sel, 2)
+
+    def test_zero_block(self):
+        # every Krylov space is invariant: fresh vectors until T_sel of them
+        S = signal_subspace(np.zeros((300, 1000)), 3)
+        assert np.abs(S.conj().T @ S - np.eye(3)).max() <= 1e-14
+
+    def test_cli_import_loads_no_scipy_sparse(self):
+        # the receiver needs only scipy.linalg; scipy.sparse costs every
+        # process about 3.5 MB and 35 ms of imports
+        src = str(Path(svdmimo.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        code = ("import sys, svdmimo.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestProject:

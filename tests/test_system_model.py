@@ -43,6 +43,12 @@ class TestCoherence:
         with pytest.raises(ValueError):
             RadioParams(carrier_frequency=0.0, delay_spread=5e-6, mobile_speed=10.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True, "2.6e9"])
+    def test_non_finite_or_non_real_field_rejected(self, value):
+        # NaN built: nan <= 0 is false
+        with pytest.raises(ValueError, match="^carrier_frequency must be a finite real number"):
+            RadioParams(value, 5e-6, 10.0)
+
 
 def flat_system(R=300, T=10, C=100, L=2, P=0.1, W=1.0, I=0.025):
     return SystemParams.from_profile(R, T, C, L, P, W, InterferenceProfile(kind="flat", I=I))
@@ -118,6 +124,24 @@ class TestDerivedParams:
         with pytest.raises(ValueError, match=f"^{field} must be >= "):
             SystemParams(**counts, P=0.1, W=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("P", math.nan), ("W", math.inf), ("P", True), ("W", -math.inf), ("P", None),
+        ("interference_powers", (0.02, math.nan)), ("interference_powers", (False, 0.02))])
+    def test_non_finite_or_bool_power_rejected(self, field, value):
+        # P = nan, W = inf, P = True and a NaN interference power built
+        powers = dict({"P": 0.1, "W": 1.0, "interference_powers": (0.02, 0.02)}, **{field: value})
+        name = "each interference power" if field == "interference_powers" else field
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+            SystemParams(R=20, T=2, C=40, L=1, **powers)
+
+    @pytest.mark.parametrize("field, value", [("P", -0.1), ("W", -1),
+                                              ("interference_powers", (0.02, -0.01))])
+    def test_negative_power_rejected_naming_it(self, field, value):
+        powers = dict({"P": 0.1, "W": 1.0, "interference_powers": (0.02, 0.02)}, **{field: value})
+        name = "each interference power" if field == "interference_powers" else field
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+            SystemParams(R=20, T=2, C=40, L=1, **powers)
+
     def test_numpy_integer_counts_stored_as_int(self):
         sys = SystemParams(R=np.int64(20), T=np.int32(3), C=np.uint16(40), L=np.int8(1),
                            P=0.1, W=1.0, interference_powers=(0.02,) * 3)
@@ -138,6 +162,14 @@ class TestInterferenceProfile:
     def test_modulo_multiples_of_T_are_zero(self):
         powers = interference_profile(InterferenceProfile(kind="modulo", delta=4), T=10, L=2, P=0.1)
         assert powers[9] == 0.0 and powers[19] == 0.0
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("flat", "I", math.nan), ("flat", "I", True), ("modulo", "delta", math.nan),
+        ("modulo", "delta", math.inf)])
+    def test_non_finite_or_bool_value_rejected(self, kind, field, value):
+        # I = nan and delta = nan built: nan < 0 and nan <= 0 are false
+        with pytest.raises(ValueError, match=f"^{field} must be a finite real number"):
+            InterferenceProfile(kind=kind, **{field: value})
 
 
 class TestPilots:
