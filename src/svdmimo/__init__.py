@@ -8,7 +8,7 @@ from .bulk_support import (BulkInterval, RegimeError, SupportEstimate,
                            separability_boundary_ratio, support_estimates,
                            unilateral_intervals, unilateral_separable, unilateral_supports)
 from .montecarlo import (BerPoint, ExperimentConfig, SpectrumResult, ber_vs_IP, ber_vs_R,
-                         spectrum_experiment, write_ber_csv, write_spectrum_csv)
+                         spectrum_experiment)
 from .numerics import bisect, poly_roots
 from .rmt_spectrum import (FixedPointParams, SpectralDensity, StieltjesSolverError,
                            StieltjesValue, density_from_stieltjes, empirical_spectrum,

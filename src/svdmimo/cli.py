@@ -9,7 +9,8 @@ given to a key that takes one value. A `ber` config sweeps the key it lists:
 `I_over_P`, `R`, or `R` with one curve per listed `delta`. Powers are given
 in dB (`P_dB`, `W_dB`) and converted to linear exactly once here; all internal
 math is linear. Unit conversions (GHz, us, km/h) also happen only at this
-boundary. Every output embeds the resolved configuration and seed.
+boundary. Every output embeds the resolved configuration and seed, and this
+is the one module that writes files: `_write_csv` renders every CSV.
 """
 
 from __future__ import annotations
@@ -103,6 +104,25 @@ def _resolved(cfg, sys_params, seed):
     }
 
 
+def _fmt(x):
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return str(x)
+
+
+def _write_csv(path, meta, columns, rows, comments=()):
+    """A CSV at `path`: `meta` as a `# config:` JSON line, one `# ` line per
+    comment, the column line, then one line per row, floats at .17g and None
+    empty."""
+    lines = ["# config: " + json.dumps(meta, sort_keys=True)]
+    lines += ["# " + comment for comment in comments]
+    lines.append(columns)
+    lines += [",".join(map(_fmt, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _cmd_coherence(args):
     cfg = _load_config(args.config, _COHERENCE_KEYS)
     f0, tau, v = cfg["f0_GHz"], cfg["delay_spread_us"], cfg["speed_kmh"]
@@ -119,8 +139,24 @@ def _cmd_spectrum(args):
     seed = cfg.get("seed", 0)
     result = montecarlo.spectrum_experiment(
         sys_params, n_seeds=cfg.get("n_seeds", 20), grid_points=args.grid_points, seed=seed)
+    supports = ()
+    if sys_params.P > 0 and max(sys_params.interference_powers, default=0.0) > 0:
+        supports = bulk_support.support_estimates(sys_params)
+    density = result.density
+    # an 80-bin histogram of the nonzero eigenvalues, normalized to 1, then
+    # rescaled to the continuous mass so that it overlays the density
+    hist, edges = np.histogram(result.eigenvalues, bins=80,
+                               range=(density.grid[0], density.grid[-1]), density=True)
+    centers = 0.5 * (edges[1:] + edges[:-1])
+    empirical = np.interp(density.grid, centers, hist * density.continuous_mass,
+                          left=0.0, right=0.0)
+    comments = [f"kappa={density.kappa!r}", f"atom={density.atom_at_zero!r}",
+                f"scale={density.scale!r}", f"y_offset={density.y_offset!r}"]
+    comments += ["support: " + json.dumps(sup.to_dict(), sort_keys=True) for sup in supports]
     out = Path(args.out) / "spectrum.csv"
-    montecarlo.write_spectrum_csv(result, _resolved(cfg, sys_params, seed), out)
+    _write_csv(out, _resolved(cfg, sys_params, seed), "x,density,empirical",
+               zip(density.grid.tolist(), density.values.tolist(), empirical.tolist()),
+               comments)
     print(f"wrote {out}")
 
 
@@ -162,14 +198,10 @@ def _cmd_separability(args):
         raise ValueError(f"--points must be >= 2: {args.points}")
     if min(Ls) < 1:
         raise ValueError(f"--L entries must each be >= 1: {args.L}")
-    betas = np.linspace(0.0, 1.0, args.points)
-    lines = ["# config: " + json.dumps({"L": Ls, "points": args.points}),
-             "L,beta,max_alpha_over_kappa"]
-    for L in Ls:
-        for b in betas:
-            lines.append(f"{L},{b:.17g},{bulk_support.separability_boundary(float(b), L):.17g}")
+    betas = np.linspace(0.0, 1.0, args.points).tolist()
     out = Path(args.out) / "separability.csv"
-    out.write_text("\n".join(lines) + "\n")
+    _write_csv(out, {"L": Ls, "points": args.points}, "L,beta,max_alpha_over_kappa",
+               ((L, b, bulk_support.separability_boundary(b, L)) for L in Ls for b in betas))
     print(f"wrote {out}")
 
 
@@ -196,7 +228,10 @@ def _cmd_ber(args):
     else:
         points, _ = montecarlo.ber_vs_IP(ecfg)
     out = Path(args.out) / "ber.csv"
-    montecarlo.write_ber_csv(points, dict(ecfg.to_dict(), original_config=cfg), out)
+    _write_csv(out, dict(ecfg.to_dict(), original_config=cfg),
+               "sweep_value,receiver,tau,delta,ber,errors,bits,ci",
+               ((p.sweep_value, p.receiver, p.tau, p.delta, p.ber, p.errors, p.bits,
+                 p.ci_halfwidth) for p in points))
     print(f"wrote {out}")
 
 

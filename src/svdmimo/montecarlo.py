@@ -8,14 +8,12 @@ bit-identical outputs regardless of worker scheduling.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from . import bulk_support
 from .rmt_spectrum import FixedPointParams, SpectralDensity, density_from_stieltjes, empirical_spectrum
 from .subspace_receiver import (conventional_receiver, count_bit_errors, detect_subspace,
                                 estimate_projected_channel, project, signal_subspace)
@@ -198,18 +196,16 @@ def ber_vs_IP(cfg: ExperimentConfig):
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Empirical eigenvalues, asymptotic density, and support estimates on a
-    common eig(Y Y^H)/(T*R) axis."""
+    """Empirical eigenvalues and the asymptotic density on the common
+    eig(Y Y^H)/(T*R) axis."""
 
     eigenvalues: np.ndarray          # pooled nonzero eigenvalues, all seeds
     density: SpectralDensity
-    supports: tuple
 
 
 def spectrum_experiment(sys: SystemParams, n_seeds=20, grid_points=600, seed=0) -> SpectrumResult:
     """Pooled empirical spectrum of Y Y^H/(T*R) over seeds with the asymptotic
-    density on the same axis and, when there is interference power, the four
-    support estimates of bulk_support.support_estimates.
+    density on the same axis.
 
     The grid spans the pooled nonzero eigenvalues with margin; the inversion
     offset is 1e-5 of the grid span (density_from_stieltjes), small enough
@@ -226,56 +222,4 @@ def spectrum_experiment(sys: SystemParams, n_seeds=20, grid_points=600, seed=0) 
     pooled = np.sort(np.concatenate(pooled))
     grid = np.linspace(max(0.25 * pooled[0], 1e-6), 1.1 * pooled[-1], grid_points)
     density = density_from_stieltjes(grid, FixedPointParams.from_system(sys, scale=sys.T * sys.R))
-
-    supports = ()
-    if sys.P > 0 and max(sys.interference_powers, default=0.0) > 0:
-        supports = bulk_support.support_estimates(sys)
-    return SpectrumResult(eigenvalues=pooled, density=density, supports=supports)
-
-
-# ---------------------------------------------------------------------------
-# CSV output
-# ---------------------------------------------------------------------------
-
-def _fmt(x):
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
-def write_ber_csv(points, meta, path):
-    """BER table with the experiment configuration echoed as JSON header comments."""
-    lines = ["# config: " + json.dumps(meta, sort_keys=True)]
-    lines.append("sweep_value,receiver,tau,delta,ber,errors,bits,ci")
-    for p in points:
-        lines.append(",".join(_fmt(v) for v in (
-            p.sweep_value, p.receiver, p.tau, p.delta, p.ber, p.errors, p.bits, p.ci_halfwidth)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_spectrum_csv(result: SpectrumResult, meta, path):
-    """Density and an 80-bin empirical histogram on the common axis, with support
-    columns in the header metadata."""
-    density = result.density
-    hist, edges = np.histogram(result.eigenvalues, bins=80,
-                               range=(density.grid[0], density.grid[-1]), density=True)
-    # histogram of nonzero eigenvalues is normalized to 1; rescale to the
-    # continuous mass so the two columns overlay
-    hist = hist * density.continuous_mass
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    hist_interp = np.interp(density.grid, centers, hist, left=0.0, right=0.0)
-    lines = ["# config: " + json.dumps(meta, sort_keys=True),
-             f"# kappa={density.kappa!r}",
-             f"# atom={density.atom_at_zero!r}",
-             f"# scale={density.scale!r}",
-             f"# y_offset={density.y_offset!r}"]
-    for sup in result.supports:
-        lines.append("# support: " + json.dumps(sup.to_dict(), sort_keys=True))
-    lines.append("x,density,empirical")
-    for x, v, h in zip(density.grid, density.values, hist_interp):
-        lines.append(f"{_fmt(float(x))},{_fmt(float(v))},{_fmt(float(h))}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return SpectrumResult(eigenvalues=pooled, density=density)

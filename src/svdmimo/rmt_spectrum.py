@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import _gram_lower
-from .system_model import SystemParams
+from .system_model import SystemParams, real_field
 
 # damped fixed-point iteration: step weight, residual tolerance, step budget
 # (the budget also caps one Newton run), and the residual at which the damped
@@ -57,14 +57,15 @@ class FixedPointParams:
     scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("kappa", "noise_a2", "scale"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not self.kappa > 0:
-            raise ValueError("kappa must be > 0")
-        terms = tuple((float(rho), float(a2), float(w)) for rho, a2, w in self.terms)
-        if any(w < 0 for _, _, w in terms):
-            raise ValueError("term weights must be non-negative")
-        object.__setattr__(self, "terms", terms)
+        for name, strict in (("kappa", True), ("noise_a2", False), ("scale", True)):
+            object.__setattr__(self, name, float(real_field(name, getattr(self, name), 0, strict)))
+        for rho, a2, w in self.terms:
+            real_field("each term rho", rho, 0, strict=True)
+            real_field("each term a2", a2, 0)
+            if real_field("each term weight", w) < 0:
+                raise ValueError(f"term weights must be non-negative: {w}")
+        object.__setattr__(self, "terms", tuple((float(rho), float(a2), float(w))
+                                                for rho, a2, w in self.terms))
 
     @classmethod
     def from_system(cls, sys: SystemParams, scale=1.0):
@@ -282,12 +283,12 @@ def density_from_stieltjes(grid, fp: FixedPointParams, y_offset=None) -> Spectra
     Herglotz branch.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be increasing with at least two points")
+    if (grid.ndim != 1 or len(grid) < 2 or not np.isfinite(grid).all()
+            or np.any(np.diff(grid) <= 0)):
+        raise ValueError("grid must be finite and increasing with at least two points")
     if y_offset is None:
         y_offset = float(1e-5 * (grid[-1] - grid[0]))
-    if y_offset <= 0:
-        raise ValueError("y_offset must be > 0")
+    real_field("y_offset", y_offset, 0, strict=True)
     values = np.empty_like(grid)
     G = None
     for i, x in enumerate(grid):

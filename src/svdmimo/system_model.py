@@ -44,6 +44,7 @@ class InterferenceProfile:
 
     kind "flat": all L*T interferers received at power I.
     kind "modulo": I_k = P * (k mod T) / (delta * T) for k = 1..L*T.
+    Each kind takes only its own field.
     """
 
     kind: str
@@ -53,6 +54,9 @@ class InterferenceProfile:
     def __post_init__(self):
         if self.kind not in ("flat", "modulo"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
+        other = "delta" if self.kind == "flat" else "I"
+        if getattr(self, other) is not None:
+            raise ValueError(f"{other} does not apply to profile {self.kind!r}")
         if self.kind == "flat" and (self.I is None or real_field("I", self.I) < 0):
             raise ValueError("flat profile requires I >= 0")
         if self.kind == "modulo" and (self.delta is None or real_field("delta", self.delta) <= 0):
@@ -199,6 +203,9 @@ def _haar_unitary(n, rng):
 def make_pilots(T, P, tau_blocks, rng=None) -> PilotConfig:
     """Pilot blocks of power P: one unitary-DFT block for tau=1 (the block every
     cell reuses); independent Haar-random blocks for tau > 1."""
+    T, tau_blocks = integer_field("T", T, 1), integer_field("tau_blocks", tau_blocks, 0)
+    if real_field("P", P) <= 0:
+        raise ValueError(f"P must be > 0 for pilot blocks of nonzero power: {P}")
     if tau_blocks == 0:
         return PilotConfig()
     if tau_blocks == 1:

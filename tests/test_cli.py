@@ -7,7 +7,6 @@ import pytest
 
 from svdmimo import montecarlo
 from svdmimo.cli import main
-from svdmimo.montecarlo import spectrum_experiment
 from svdmimo.system_model import InterferenceProfile, SystemParams
 
 
@@ -15,6 +14,23 @@ def write_cfg(tmp_path, name, cfg):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def spectrum_lines(tmp_path, cfg, grid_points=100):
+    """The lines of the spectrum.csv that `cfg` gives."""
+    assert main(["spectrum", "--config", write_cfg(tmp_path, "sp.json", cfg),
+                 "--out", str(tmp_path), "--grid-points", str(grid_points)]) == 0
+    return (tmp_path / "spectrum.csv").read_text().splitlines()
+
+
+def support_lines(lines):
+    """The estimates of a spectrum.csv's `# support:` lines."""
+    return [json.loads(line.removeprefix("# support: "))
+            for line in lines if line.startswith("# support: ")]
 
 
 class TestCoherence:
@@ -39,6 +55,12 @@ class TestSeparability:
             vals = [float(v) for l, b, v in rows if l == L]
             assert len(vals) == 60
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_frozen_csv_digest(self, tmp_path, capsys):
+        # every byte of the header and of the rows' .17g numbers
+        assert main(["separability", "--L", "2,4,7", "--out", str(tmp_path)]) == 0
+        assert sha256(tmp_path / "separability.csv") == (
+            "8d96a806e21896b9147987ab424a8e9529470e8ea4cda5c43dc3fb4f44ae2b1a")
 
     @pytest.mark.parametrize("args, flag", [
         (["--points", "0"], "--points"), (["--points", "1"], "--points"),
@@ -153,14 +175,39 @@ class TestSpectrum:
     def test_supports_equal_support_json(self, tmp_path):
         # both commands report the same four estimates, at equal powers too
         cfg = {"R": 80, "T": 3, "C": 60, "L": 1, "P_dB": -10, "W_dB": 0,
-               "profile": "flat", "I_over_P": 1.0}
+               "profile": "flat", "I_over_P": 1.0, "n_seeds": 1, "seed": 2}
         assert main(["support", "--config", write_cfg(tmp_path, "s.json", cfg),
                      "--out", str(tmp_path)]) == 0
         estimates = json.loads((tmp_path / "support.json").read_text())["estimates"]
-        sys = SystemParams.from_profile(R=80, T=3, C=60, L=1, P=0.1, W=1.0,
-                                        profile=InterferenceProfile(kind="flat", I=0.1))
-        result = spectrum_experiment(sys, n_seeds=1, grid_points=60, seed=2)
-        assert [s.to_dict() for s in result.supports] == estimates
+        assert len(estimates) == 4
+        assert support_lines(spectrum_lines(tmp_path, cfg, grid_points=60)) == estimates
+
+    def test_csv_header_lines(self, tmp_path):
+        lines = spectrum_lines(tmp_path, {"R": 80, "T": 3, "C": 60, "L": 2, "P_dB": -10,
+                                          "W_dB": 0, "I_over_P": 0.25, "n_seeds": 2,
+                                          "seed": 12})
+        assert any(line.startswith("# kappa=") for line in lines)
+        assert any(line.startswith("# atom=") for line in lines)
+        assert any(line.startswith("# support: ") for line in lines)
+        header_idx = lines.index("x,density,empirical")
+        assert len(lines) > header_idx + 50
+
+    def test_supports_attached_when_interference_present(self, tmp_path):
+        lines = spectrum_lines(tmp_path, {"R": 100, "T": 3, "C": 120, "L": 2, "P_dB": -10,
+                                          "W_dB": 0, "I_over_P": 0.25, "n_seeds": 3,
+                                          "seed": 6}, grid_points=150)
+        methods = {e["method"] for e in support_lines(lines)}
+        assert "bilateral_general" in methods and "unilateral" in methods
+
+    @pytest.mark.parametrize("cfg", [{"L": 0}, {"L": 1, "I_over_P": 0}],
+                             ids=["no_cells", "no_power"])
+    def test_no_supports_without_interference(self, tmp_path, cfg):
+        # the estimates need an interference power; without one the file
+        # still holds the density and the empirical column
+        lines = spectrum_lines(tmp_path, dict({"R": 80, "T": 3, "C": 60, "P_dB": -10,
+                                               "W_dB": 0, "n_seeds": 2, "seed": 4}, **cfg))
+        assert support_lines(lines) == []
+        assert len(lines) == lines.index("x,density,empirical") + 1 + 100
 
 
 class TestBer:
@@ -173,6 +220,36 @@ class TestBer:
         lines = (tmp_path / "ber.csv").read_text().splitlines()
         assert len(lines) == 4  # header comment, column row, two receivers
         assert '"seed": 4' in lines[0]
+
+    def test_csv_header_and_rows(self, tmp_path):
+        cfg = {"R": 60, "T": 3, "C": 40, "L": 2, "P_dB": -10, "W_dB": 0,
+               "I_over_P": [0.2], "min_symbols": 300, "seed": 11}
+        assert main(["ber", "--config", write_cfg(tmp_path, "b.json", cfg),
+                     "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "ber.csv").read_text().splitlines()
+        sys = SystemParams.from_profile(R=60, T=3, C=40, L=2, P=0.1, W=1.0,
+                                        profile=InterferenceProfile(kind="flat", I=0.02))
+        points, _ = montecarlo.ber_vs_IP(montecarlo.ExperimentConfig(
+            system=sys, sweep="I_over_P", values=(0.2,), min_symbols=300, seed=11))
+        assert text[0].startswith("# config: ") and '"seed": 11' in text[0]
+        assert text[1] == "sweep_value,receiver,tau,delta,ber,errors,bits,ci"
+        assert len(text) == 2 + len(points)
+        assert [int(row.split(",")[5]) for row in text[2:]] == [p.errors for p in points]
+
+    @pytest.mark.parametrize("cfg, digest", [
+        ({"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0, "I_over_P": [0.2, 0.6],
+          "taus": [1, 2], "min_symbols": 400, "seed": 4},
+         "48f643d41bd204a88c2b6581a441a675c8ac325fe34223b860a20f2df20ede0d"),
+        ({"R": [20, 30], "T": 2, "C": 30, "L": 1, "P_dB": -10, "W_dB": 0,
+          "profile": "modulo", "delta": [4, 2], "min_symbols": 50, "seed": 1},
+         "ce0afe73c24ae7d160a24c4468459548d32587b0116f96b25f1769c7ebf0c54c"),
+    ], ids=["ip_two_taus", "r_two_deltas"])
+    def test_frozen_csv_digest(self, tmp_path, cfg, digest):
+        # every byte, whatever the BLAS thread count: the echoed config, the
+        # empty and the integer delta cells, and the .17g BERs and intervals
+        assert main(["ber", "--config", write_cfg(tmp_path, "b.json", cfg),
+                     "--out", str(tmp_path)]) == 0
+        assert sha256(tmp_path / "ber.csv") == digest
 
     def test_reruns_bit_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, "b.json",

@@ -7,8 +7,7 @@ import pytest
 
 from spectrum_oracle import mp_density
 from svdmimo import montecarlo
-from svdmimo.montecarlo import (BerPoint, ExperimentConfig, ber_vs_IP, ber_vs_R,
-                                spectrum_experiment, write_ber_csv, write_spectrum_csv)
+from svdmimo.montecarlo import BerPoint, ExperimentConfig, ber_vs_IP, ber_vs_R, spectrum_experiment
 from svdmimo.system_model import InterferenceProfile, SystemParams, make_pilots
 
 
@@ -298,12 +297,6 @@ class TestSpectrumExperiment:
                  np.max(np.abs(np.arange(0, n) / n - F)))
         assert ks <= 0.05
 
-    def test_supports_attached_when_interference_present(self):
-        sys = small_system(R=100, C=120, T=3)
-        result = spectrum_experiment(sys, n_seeds=3, grid_points=150, seed=6)
-        methods = {s.method for s in result.supports}
-        assert "bilateral_general" in methods and "unilateral" in methods
-
     @pytest.mark.parametrize("n_seeds", [0, -2])
     def test_no_seeds_rejected(self, n_seeds):
         with pytest.raises(ValueError, match="n_seeds"):
@@ -324,29 +317,3 @@ class TestSpectrumExperiment:
         assert abs(total - 1.0) < 0.02
         assert abs(result.density.atom_at_zero - 0.5) < 0.02  # rank C = R/2
 
-
-class TestCsvWriters:
-    def test_ber_csv_roundtrip(self, tmp_path):
-        cfg = ExperimentConfig(system=small_system(), sweep="I_over_P", values=(0.2,),
-                               min_symbols=300, seed=11)
-        points, _ = ber_vs_IP(cfg)
-        path = tmp_path / "ber.csv"
-        write_ber_csv(points, cfg.to_dict(), path)
-        text = path.read_text().splitlines()
-        assert text[0].startswith("# config: ") and '"seed": 11' in text[0]
-        assert text[1] == "sweep_value,receiver,tau,delta,ber,errors,bits,ci"
-        assert len(text) == 2 + len(points)
-        errors = int(text[2].split(",")[5])
-        assert errors == points[0].errors
-
-    def test_spectrum_csv_header(self, tmp_path):
-        sys = small_system(R=80, C=60)
-        result = spectrum_experiment(sys, n_seeds=2, grid_points=100, seed=12)
-        path = tmp_path / "spectrum.csv"
-        write_spectrum_csv(result, {"seed": 12}, path)
-        lines = path.read_text().splitlines()
-        assert any(line.startswith("# kappa=") for line in lines)
-        assert any(line.startswith("# atom=") for line in lines)
-        assert any(line.startswith("# support: ") for line in lines)
-        header_idx = lines.index("x,density,empirical")
-        assert len(lines) > header_idx + 50

@@ -232,6 +232,29 @@ class TestScalarKernel:
         fp = FixedPointParams(kappa=2, terms=[(1, 3, 2)], noise_a2=0)
         assert fp.terms == ((1.0, 3.0, 2.0),) and type(fp.terms[0][1]) is float
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("kappa", np.inf, "kappa must be a finite"), ("kappa", True, "kappa must be a finite"),
+        ("scale", 0, "scale must be > 0"), ("scale", -1.0, "scale must be > 0"),
+        ("scale", np.nan, "scale must be a finite"),
+        ("noise_a2", -1.0, "noise_a2 must be >= 0"),
+        ("noise_a2", np.inf, "noise_a2 must be a finite"),
+        ("rho", -0.1, "each term rho must be > 0"), ("rho", 0.0, "each term rho must be > 0"),
+        ("a2", -1.0, "each term a2 must be >= 0"), ("a2", np.nan, "each term a2 must be a finite"),
+        ("weight", np.nan, "each term weight must be a finite"),
+    ])
+    def test_real_fields_checked(self, field, value, message):
+        # a scale of 0, -1 or nan built and failed in the solver; a negative
+        # noise_a2, rho or a2 built a model that cannot exist, and the solver
+        # returned a G for it
+        fields = {"kappa": 1.0, "noise_a2": 1.0, "scale": 1.0}
+        term = {"rho": 0.5, "a2": 2.0, "weight": 1.0}
+        if field in fields:
+            fields[field] = value
+        else:
+            term[field] = value
+        with pytest.raises(ValueError, match=f"^{message}"):
+            FixedPointParams(terms=[(1.0, 1.0, 1.0), tuple(term.values())], **fields)
+
 
 @st.composite
 def near_bulk_edges(draw):
@@ -310,6 +333,18 @@ class TestHerglotzBranch:
 
 
 class TestDensity:
+    @pytest.mark.parametrize("grid, y_offset, message", [
+        ([0.1, np.nan, 3.0], None, "grid must be finite and increasing"),
+        ([0.1, np.inf], None, "grid must be finite and increasing"),
+        ([0.1, 3.0], np.inf, "y_offset must be a finite"),
+        ([0.1, 3.0], np.nan, "y_offset must be a finite"),
+    ])
+    def test_inputs_checked(self, grid, y_offset, message):
+        # a nan grid entry passed the increasing check; an infinite offset
+        # raised a RuntimeWarning, then a solver error
+        with pytest.raises(ValueError, match=f"^{message}"):
+            density_from_stieltjes(grid, noise_only(1.0), y_offset=y_offset)
+
     @pytest.mark.parametrize("kappa", [1 / 3, 1.0, 10 / 3])
     def test_mp_reduction_pointwise(self, kappa):
         fp = noise_only(kappa)

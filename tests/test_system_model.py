@@ -171,6 +171,13 @@ class TestInterferenceProfile:
         with pytest.raises(ValueError, match=f"^{field} must be a finite real number"):
             InterferenceProfile(kind=kind, **{field: value})
 
+    @pytest.mark.parametrize("kind, fields, other", [
+        ("flat", {"I": 0.1, "delta": 2}, "delta"), ("modulo", {"delta": 2, "I": 0.5}, "I")])
+    def test_field_of_the_other_kind_rejected(self, kind, fields, other):
+        # the other kind's field was accepted and ignored
+        with pytest.raises(ValueError, match=f"^{other} does not apply to profile '{kind}'"):
+            InterferenceProfile(kind=kind, **fields)
+
 
 class TestPilots:
     def test_tau1_block_orthogonality(self):
@@ -205,6 +212,19 @@ class TestPilots:
         # orthogonal with equal norms, trivially, but nothing to estimate from
         with pytest.raises(ValueError, match="nonzero power"):
             make_pilots(4, 0.0, tau, rng=7)
+
+    @pytest.mark.parametrize("T, P, tau, message", [
+        (3, 0.1, True, "tau_blocks must be an integer"),
+        (3, 0.1, 1.5, "tau_blocks must be an integer"),
+        (3, 0.1, -1, "tau_blocks must be >= 0"),
+        (0, 0.1, 1, "T must be >= 1"), (2.5, 0.1, 1, "T must be an integer"),
+        (3, -0.1, 2, "P must be > 0"), (3, np.nan, 1, "P must be a finite"),
+    ])
+    def test_inputs_checked(self, T, P, tau, message):
+        # tau True built one block, -1 and 1.5 failed inside numpy, and a
+        # negative P failed as pilot rows that are not orthogonal
+        with pytest.raises(ValueError, match=f"^{message}"):
+            make_pilots(T, P, tau, rng=7)
 
 
 class TestRealization:
