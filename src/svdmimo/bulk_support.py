@@ -155,19 +155,13 @@ def unilateral_separable(sys: SystemParams):
     x_max = min(0.999, 1 - 2 * a, 1 - 2 * a / k)
     # Python floats: the same IEEE arithmetic as numpy scalars, without their overhead
     xs = np.linspace(1e-3, x_max, 600).tolist()
-    vals = [margin(x) for x in xs]
-    threshold = 0.0
-    seen_separable = vals[0] > 0
-    for i in range(1, len(xs)):
-        if vals[i] > 0:
-            seen_separable = True
-            continue
-        if seen_separable:
-            threshold = bisect(margin, xs[i - 1], xs[i], tol=1e-4)
+    threshold, last_separable = 0.0, None
+    for x in xs:
+        if margin(x) > 0:
+            threshold, last_separable = x_max, x
+        elif last_separable is not None:
+            threshold = bisect(margin, last_separable, x, tol=1e-4)
             break
-    else:
-        if seen_separable:
-            threshold = x_max
     return bool(sys.beta_ratio <= threshold), float(threshold)
 
 

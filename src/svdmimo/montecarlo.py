@@ -18,8 +18,7 @@ from .rmt_spectrum import FixedPointParams, SpectralDensity, density_from_stielt
 from .subspace_receiver import (conventional_receiver, count_bit_errors, detect_subspace,
                                 estimate_projected_channel, project, signal_subspace)
 from .system_model import (InterferenceProfile, PilotConfig, SystemParams, assemble_received,
-                           integer_field, interference_profile, make_pilots, real_field,
-                           sample_realization)
+                           integer_field, make_pilots, real_field, sample_realization)
 
 RECEIVERS = ("svd", "conventional")
 
@@ -109,6 +108,10 @@ class ExperimentConfig:
                 raise ValueError("deltas apply only to the R sweep")
             for ip in self.values:
                 real_field("I_over_P", ip, 0)
+        # the subspace receiver keeps T directions of each R x C block (C > T above)
+        for R in self.values if self.sweep == "R" else (self.system.R,):
+            if R < self.system.T:
+                raise ValueError(f"R must be >= T = {self.system.T}: {R}")
 
     def to_dict(self):
         d = {
@@ -173,10 +176,11 @@ def ber_vs_R(cfg: ExperimentConfig):
     (tau,) = cfg.taus
     points = []
     for delta in cfg.deltas if cfg.deltas is not None else (None,):
-        powers = base.interference_powers if delta is None else interference_profile(
-            InterferenceProfile(kind="modulo", delta=delta), base.T, base.L, base.P)
+        sys = base if delta is None else SystemParams.from_profile(
+            base.R, base.T, base.C, base.L, base.P, base.W,
+            InterferenceProfile(kind="modulo", delta=delta))
         for R in cfg.values:
-            points.append((R, delta, tau, replace(base, R=R, interference_powers=powers)))
+            points.append((R, delta, tau, replace(sys, R=R)))
     return _with_per_block_bers(_sweep(cfg, points), lambda p: (int(p.sweep_value), p.delta))
 
 
@@ -189,7 +193,8 @@ def ber_vs_IP(cfg: ExperimentConfig):
     points = []
     for tau in cfg.taus:
         for ip in cfg.values:
-            sys = replace(base, interference_powers=(ip * base.P,) * (base.L * base.T))
+            sys = SystemParams.from_profile(base.R, base.T, base.C, base.L, base.P, base.W,
+                                            InterferenceProfile(kind="flat", I=ip * base.P))
             points.append((ip, None, tau, sys))
     return _with_per_block_bers(_sweep(cfg, points), lambda p: (p.sweep_value, p.tau))
 
@@ -220,6 +225,8 @@ def spectrum_experiment(sys: SystemParams, n_seeds=20, grid_points=600, seed=0) 
         ev = empirical_spectrum(assemble_received(rz), sys.T)
         pooled.append(ev[ev > 1e-12 * max(ev[0], 1.0)])
     pooled = np.sort(np.concatenate(pooled))
+    if not pooled.size:
+        raise ValueError(f"every eigenvalue is 0 (none above 1e-12) on all {n_seeds} seeds")
     grid = np.linspace(max(0.25 * pooled[0], 1e-6), 1.1 * pooled[-1], grid_points)
     density = density_from_stieltjes(grid, FixedPointParams.from_system(sys, scale=sys.T * sys.R))
     return SpectrumResult(eigenvalues=pooled, density=density)

@@ -63,13 +63,6 @@ class InterferenceProfile:
             raise ValueError("modulo profile requires delta > 0")
 
 
-def interference_profile(profile: InterferenceProfile, T: int, L: int, P: float):
-    """Sequence of L*T interference powers for the requested profile."""
-    if profile.kind == "flat":
-        return tuple(float(profile.I) for _ in range(L * T))
-    return tuple(P * (k % T) / (profile.delta * T) for k in range(1, L * T + 1))
-
-
 def integer_field(name, value, least=None):
     """`value` as an int; ValueError naming `name` unless it is an int or a numpy
     integer (bool, an int subclass, is no count) and at least `least`."""
@@ -120,8 +113,12 @@ class SystemParams:
 
     @classmethod
     def from_profile(cls, R, T, C, L, P, W, profile: InterferenceProfile):
-        return cls(R=R, T=T, C=C, L=L, P=P, W=W,
-                   interference_powers=interference_profile(profile, T, L, P))
+        """The system whose L*T interference powers follow `profile`."""
+        if profile.kind == "flat":
+            powers = (profile.I,) * (L * T)
+        else:
+            powers = tuple(P * (k % T) / (profile.delta * T) for k in range(1, L * T + 1))
+        return cls(R=R, T=T, C=C, L=L, P=P, W=W, interference_powers=powers)
 
     @property
     def kappa(self):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svdmimo.bulk_support import (RegimeError, _gamma_I, _gamma_P, bilateral_supports_general,
-                                  bilateral_supports_highsnr, interference_scale_factors,
-                                  noise_scale_factors, quartic_extremes, s1_inverse, s1_supports,
+from svdmimo.bulk_support import (BulkInterval, RegimeError, _gamma_I, _gamma_P,
+                                  bilateral_supports_general, bilateral_supports_highsnr,
+                                  interference_scale_factors, noise_scale_factors,
+                                  quartic_extremes, s1_inverse, s1_supports,
                                   separability_boundary, separability_boundary_ratio,
                                   support_estimates, unilateral_intervals,
                                   unilateral_separable, unilateral_supports)
@@ -95,6 +96,11 @@ class TestScaleFactors:
     def test_noise_factors_large_system_limit(self):
         n_P, n_I = noise_scale_factors(0.1, 0.025, 1.0, 3e8, 1e9)
         assert abs(n_P - 1) < 1e-6 and abs(n_I - 1) < 1e-5
+
+    @pytest.mark.parametrize("P, I", [(0.0, 0.025), (0.1, 0.0), (-0.1, 0.025), (0.1, -1.0)])
+    def test_noise_factors_need_positive_powers(self, P, I):
+        with pytest.raises(ValueError, match="^P and I must be > 0$"):
+            noise_scale_factors(P, I, 1.0, 300, 1000)
 
     def test_interference_factors_zero_load(self):
         i_P, i_I = interference_scale_factors(0.1, 0.025, 0.0, 10 / 3, 2)
@@ -310,6 +316,15 @@ class TestSeparabilityBoundary:
     def test_beta_one_gives_zero(self):
         assert separability_boundary(1.0, 2) == 0.0
 
+    def test_negative_beta_rejected(self):
+        with pytest.raises(ValueError, match="^beta must be >= 0$"):
+            separability_boundary(-0.1, 2)
+
+    @pytest.mark.parametrize("alpha_over_kappa", [1.0, 3.0])
+    def test_ratio_zero_at_load_of_one_or_more(self, alpha_over_kappa):
+        # the boundary is at most 1 (at beta = 0): no I/P keeps the bulks apart
+        assert separability_boundary_ratio(alpha_over_kappa, 2) == 0.0
+
     def test_paper_boundary_value(self):
         beta = separability_boundary_ratio(0.003, 2)
         assert abs(beta - 0.78) <= 0.01
@@ -483,6 +498,10 @@ class TestSupportEstimateInvariants:
                     bilateral_supports_general(fig2_dp(W=1.0))):
             if est.separable:
                 assert est.interference.upper < est.signal.lower
+
+    def test_reversed_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"^interval endpoints out of order: \[2.0, 1.0\]$"):
+            BulkInterval(2.0, 1.0)
 
     def test_to_dict_roundtrip_fields(self):
         d = bilateral_supports_highsnr(fig2_dp()).to_dict()

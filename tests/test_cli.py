@@ -113,6 +113,18 @@ class TestSupport:
         assert uni["method"] == "unilateral" and not uni["separable"]
         assert uni["flags"] == ["merged", "interference scale factors singular at P = I"]
 
+    def test_unilateral_regime_error_reported(self, tmp_path):
+        # alpha = 1/4: 1 - 2 sqrt(alpha (1 + 1/kappa)) < 0, so the unilateral
+        # rule gives no threshold; the rest of the document is still written
+        cfg = write_cfg(tmp_path, "s.json", {"R": 12, "T": 3, "C": 1000, "L": 2, "P_dB": -10,
+                                             "W_dB": 0, "I_over_P": 0.3})
+        assert main(["support", "--config", cfg, "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "support.json").read_text())
+        thresholds = doc["thresholds"]
+        assert set(thresholds) == {"unilateral_error", "bilateral_boundary_I_over_P"}
+        assert thresholds["unilateral_error"].startswith("1 - 2 sqrt(alpha (1 + 1/kappa)) <= 0")
+        assert len(doc["estimates"]) == 4
+
     @pytest.mark.parametrize("cfg, digest", [
         ({"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0,
           "profile": "flat", "I_over_P": 0.25},
@@ -411,6 +423,30 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and "no data columns" in err["message"], err
         assert not (tmp_path / "ber.csv").exists()
+
+    def test_ber_rejects_R_below_T_before_any_block(self, tmp_path, capsys, monkeypatch):
+        # ran every R = 400 block, then failed naming T_sel, not R
+        def no_block(*args):
+            raise AssertionError("a block ran")
+        monkeypatch.setattr(montecarlo, "_run_realization", no_block)
+        cfg = {"R": [400, 2], "T": 3, "C": 1000, "L": 1, "P_dB": -10, "W_dB": 0,
+               "I_over_P": 0.2, "min_symbols": 30_000}
+        assert main(["ber", "--config", write_cfg(tmp_path, "b.json", cfg),
+                     "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "R must be >= T = 3: 2"}, err
+        assert not (tmp_path / "ber.csv").exists()
+
+    def test_spectrum_without_power_exits_with_json(self, tmp_path, capsys):
+        # -4000 dB underflows to 0 W: every eigenvalue is 0, and the empty
+        # spectrum raised a bare IndexError
+        cfg = {"R": 20, "T": 2, "C": 30, "L": 0, "P_dB": -4000, "W_dB": -4000, "n_seeds": 2}
+        assert main(["spectrum", "--config", write_cfg(tmp_path, "sp.json", cfg),
+                     "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError", err
+        assert err["message"].startswith("every eigenvalue is 0"), err
+        assert not (tmp_path / "spectrum.csv").exists()
 
     @pytest.mark.parametrize("command, key, value", [
         ("ber", "taus", []), ("ber", "taus", [0]), ("spectrum", "n_seeds", 0)])

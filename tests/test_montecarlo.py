@@ -124,6 +124,24 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{message}"):
             ExperimentConfig(system=small_system(), sweep=sweep, **kwargs)
 
+    @pytest.mark.parametrize("sweep", ["I_over_P", "R"])
+    def test_no_sweep_values_rejected(self, sweep):
+        with pytest.raises(ValueError, match="^need at least one sweep value$"):
+            ExperimentConfig(system=small_system(), sweep=sweep, values=())
+
+    @pytest.mark.parametrize("sweep, R, values", [("I_over_P", 2, (0.1,)), ("R", 60, (40, 2))],
+                             ids=["IP_system", "R_listed"])
+    def test_fewer_antennas_than_T_rejected(self, sweep, R, values):
+        # the subspace receiver keeps T = 3 directions; R = 2 failed only when
+        # its point ran, after every earlier one, naming T_sel
+        with pytest.raises(ValueError, match=r"^R must be >= T = 3: 2$"):
+            ExperimentConfig(system=small_system(R=R), sweep=sweep, values=values)
+
+    def test_as_many_antennas_as_T_accepted(self):
+        points, _ = ber_vs_R(ExperimentConfig(system=small_system(), sweep="R", values=(3, 40),
+                                              min_symbols=100))
+        assert [p.sweep_value for p in points] == [3.0, 3.0, 40.0, 40.0]
+
     def test_deltas_on_IP_sweep_rejected(self):
         # the I/P sweep uses a flat profile, so deltas would be ignored
         with pytest.raises(ValueError, match="deltas"):
@@ -301,6 +319,13 @@ class TestSpectrumExperiment:
     def test_no_seeds_rejected(self, n_seeds):
         with pytest.raises(ValueError, match="n_seeds"):
             spectrum_experiment(small_system(), n_seeds=n_seeds)
+
+    def test_no_power_rejected(self):
+        # P = W = 0 with no cells: every eigenvalue is 0, and the empty pooled
+        # spectrum raised a bare IndexError
+        sys = SystemParams(R=20, T=2, C=30, L=0, P=0.0, W=0.0)
+        with pytest.raises(ValueError, match="^every eigenvalue is 0 .* on all 2 seeds$"):
+            spectrum_experiment(sys, n_seeds=2)
 
     @pytest.mark.parametrize("field, value", [("n_seeds", 2.5), ("n_seeds", True),
                                               ("grid_points", 1), ("grid_points", 100.0)])

@@ -59,3 +59,22 @@ def test_bisect_sqrt2():
 def test_bisect_requires_sign_change():
     with pytest.raises(ValueError):
         bisect(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("root", [1.0, 2.0])
+def test_bisect_root_at_an_endpoint(root):
+    assert bisect(lambda x: x - root, 1.0, 2.0) == root
+
+
+def test_bisect_stops_after_200_halvings():
+    # tol 0 on a step: the bracket reaches two adjacent floats, where no
+    # midpoint is a root and no width is <= 0, so the budget ends the search
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return -1.0 if x < 0.3 else 1.0
+
+    root = bisect(step, 0.0, 1.0, tol=0.0)
+    assert len(calls) == 2 + 200
+    assert np.nextafter(0.3, 0.0) <= root <= 0.3

@@ -283,6 +283,11 @@ class TestChannelEstimation:
         Ht = estimate_projected_channel(project(S, Y), pilots)
         assert np.allclose(Ht, S.conj().T @ rz.H, atol=1e-8)
 
+    def test_no_pilot_columns_rejected(self):
+        Y = cgauss(np.random.default_rng(6), (10, 20))
+        with pytest.raises(ValueError, match="^pilot columns required"):
+            estimate_projected_channel(Y, PilotConfig())
+
     def test_tau1_scaled_identity_pilots(self):
         T, P = 3, 0.25
         pilots = PilotConfig(np.sqrt(T * P) * np.eye(T))
@@ -357,6 +362,13 @@ class TestDetection:
         rhs = np.vstack([Yt[:, sys.T:], np.zeros((sys.T, sys.C - sys.T))])
         ref = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
         assert np.abs(est - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_singular_equalizer_falls_back_to_pseudo_inverse(self):
+        # W = 0 and an all-zero channel estimate leave H^H H + (W/P) I = 0
+        Yd = cgauss(np.random.default_rng(5), (4, 20))
+        est = detect_subspace(Yd, np.zeros((4, 4), dtype=complex), noise_power=0.0,
+                              symbol_power=0.1)
+        assert est.shape == (4, 20) and not np.any(est)
 
     def test_snr_to_zero_gives_half_ber(self):
         errors = bits = 0

@@ -9,8 +9,8 @@ import pytest
 
 from svdmimo.rmt_spectrum import FixedPointParams
 from svdmimo.system_model import (InterferenceProfile, PilotConfig, RadioParams, SystemParams,
-                                  _draw_noise, assemble_received, coherence_symbols,
-                                  interference_profile, make_pilots, sample_realization)
+                                  _draw_noise, assemble_received, coherence_symbols, make_pilots,
+                                  sample_realization)
 
 
 def bullet_train():
@@ -142,6 +142,11 @@ class TestDerivedParams:
         with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
             SystemParams(R=20, T=2, C=40, L=1, **powers)
 
+    @pytest.mark.parametrize("powers", [(), (0.02,), (0.02,) * 3])
+    def test_wrong_number_of_interference_powers_rejected(self, powers):
+        with pytest.raises(ValueError, match=r"^interference_powers must have L\*T = 2 entries"):
+            SystemParams(R=20, T=2, C=40, L=1, P=0.1, W=1.0, interference_powers=powers)
+
     def test_numpy_integer_counts_stored_as_int(self):
         sys = SystemParams(R=np.int64(20), T=np.int32(3), C=np.uint16(40), L=np.int8(1),
                            P=0.1, W=1.0, interference_powers=(0.02,) * 3)
@@ -150,17 +155,23 @@ class TestDerivedParams:
         assert sys.kappa == 2.0
 
 
+def profile_powers(**profile):
+    """The interference powers of `profile` at T = 10, L = 2 and P = 0.1."""
+    return SystemParams.from_profile(R=20, T=10, C=40, L=2, P=0.1, W=1.0,
+                                     profile=InterferenceProfile(**profile)).interference_powers
+
+
 class TestInterferenceProfile:
     def test_modulo_first_entry(self):
-        powers = interference_profile(InterferenceProfile(kind="modulo", delta=4), T=10, L=2, P=0.1)
+        powers = profile_powers(kind="modulo", delta=4)
         assert np.isclose(powers[0], 0.1 * 1 / 40)
 
     def test_flat(self):
-        powers = interference_profile(InterferenceProfile(kind="flat", I=0.025), T=10, L=2, P=0.1)
+        powers = profile_powers(kind="flat", I=0.025)
         assert len(powers) == 20 and all(p == 0.025 for p in powers)
 
     def test_modulo_multiples_of_T_are_zero(self):
-        powers = interference_profile(InterferenceProfile(kind="modulo", delta=4), T=10, L=2, P=0.1)
+        powers = profile_powers(kind="modulo", delta=4)
         assert powers[9] == 0.0 and powers[19] == 0.0
 
     @pytest.mark.parametrize("kind, field, value", [
@@ -170,6 +181,16 @@ class TestInterferenceProfile:
         # I = nan and delta = nan built: nan < 0 and nan <= 0 are false
         with pytest.raises(ValueError, match=f"^{field} must be a finite real number"):
             InterferenceProfile(kind=kind, **{field: value})
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("flat", {"I": -0.1}), ("flat", {}), ("modulo", {"delta": 0}),
+        ("modulo", {"delta": -2.0}), ("modulo", {})],
+        ids=["I_negative", "I_none", "delta_zero", "delta_negative", "delta_none"])
+    def test_missing_or_out_of_range_value_rejected(self, kind, fields):
+        message = "flat profile requires I >= 0" if kind == "flat" else (
+            "modulo profile requires delta > 0")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            InterferenceProfile(kind=kind, **fields)
 
     @pytest.mark.parametrize("kind, fields, other", [
         ("flat", {"I": 0.1, "delta": 2}, "delta"), ("modulo", {"delta": 2, "I": 0.5}, "I")])
@@ -212,6 +233,12 @@ class TestPilots:
         # orthogonal with equal norms, trivially, but nothing to estimate from
         with pytest.raises(ValueError, match="nonzero power"):
             make_pilots(4, 0.0, tau, rng=7)
+
+    @pytest.mark.parametrize("tau", [1, 2])
+    def test_zero_power_block_rejected(self, tau):
+        # make_pilots rejects P <= 0 before it builds one
+        with pytest.raises(ValueError, match="^pilot blocks must have nonzero power$"):
+            PilotConfig(np.zeros((3, 3 * tau)))
 
     @pytest.mark.parametrize("T, P, tau, message", [
         (3, 0.1, True, "tau_blocks must be an integer"),
@@ -275,6 +302,16 @@ class TestRealization:
         with pytest.raises(ValueError, match="P must be > 0"):
             sample_realization(sys, PilotConfig(), seed=rng)
         assert rng.bit_generator.state == state
+
+    def test_unknown_data_law_rejected(self):
+        with pytest.raises(ValueError, match="^unknown data law 'bpsk'$"):
+            sample_realization(flat_system(), PilotConfig(), seed=0, data_law="bpsk")
+
+    @pytest.mark.parametrize("pilot_T", [2, 4])
+    def test_pilot_rows_other_than_T_rejected(self, pilot_T):
+        with pytest.raises(ValueError, match="^pilot_matrix row count must equal T$"):
+            sample_realization(flat_system(R=50, T=3, C=30), make_pilots(pilot_T, 0.1, 1),
+                               seed=0)
 
     def test_pilot_overflow_rejected(self):
         sys = flat_system(R=50, T=10, C=25)
