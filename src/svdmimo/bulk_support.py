@@ -386,3 +386,32 @@ def support_estimates(sys: SystemParams):
         raise ValueError("the support estimates need interference power > 0")
     return (unilateral_supports(sys), s1_supports(sys), bilateral_supports_highsnr(sys),
             bilateral_supports_general(sys))
+
+
+def support_report(sys: SystemParams):
+    """The support report of one system, the body of `support.json`: the axis,
+    the four support estimates as dicts, the thresholds (the unilateral
+    threshold and verdict or its RegimeError text, and the closed-form
+    boundary ratio) and the ratios of the high-SNR to the unilateral signal
+    endpoints, flagged when one is undefined or outside (0.5, 2). Raises
+    ValueError without interference power, as support_estimates does."""
+    estimates = support_estimates(sys)
+    try:
+        sep, threshold = unilateral_separable(sys)
+        thresholds = {"unilateral_I_over_P": threshold, "unilateral_separable": sep}
+    except RegimeError as err:
+        thresholds = {"unilateral_error": str(err)}
+    thresholds["bilateral_boundary_I_over_P"] = separability_boundary_ratio(
+        sys.alpha / sys.kappa, sys.L)
+    uni, bil = estimates[0], estimates[2]
+    consistency = {
+        "signal_lower_ratio": bil.signal.lower / uni.signal.lower if uni.signal.lower else None,
+        "signal_upper_ratio": bil.signal.upper / uni.signal.upper if uni.signal.upper else None,
+    }
+    flagged = any(r is None or not 0.5 < r < 2.0 for r in consistency.values())
+    return {
+        "axis": "eig(YY^H)/(T*R)",
+        "estimates": [e.to_dict() for e in estimates],
+        "thresholds": thresholds,
+        "cross_method_consistency": dict(consistency, flagged=flagged),
+    }

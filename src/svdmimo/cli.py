@@ -1,16 +1,16 @@
-"""Batch command-line front end: binds JSON configs to experiments, emits CSV/JSON.
+"""Batch command-line front end: reads JSON configs and writes CSV/JSON files.
 
-`spectrum` and `support` read _SPECTRUM_KEYS, `ber` reads _BER_KEYS and
-`coherence` reads _COHERENCE_KEYS; any other key raises ValueError, and so
-does a missing _REQUIRED_KEYS key, a non-integer value of an _INTEGER_KEYS key,
-a value of a _REAL_KEYS key that is no finite number, a profile key given with
-the other profile (`delta` applies to `modulo`, `I_over_P` to `flat`) or a list
-given to a key that takes one value. A `ber` config sweeps the key it lists:
-`I_over_P`, `R`, or `R` with one curve per listed `delta`. Powers are given
-in dB (`P_dB`, `W_dB`) and converted to linear exactly once here; all internal
-math is linear. Unit conversions (GHz, us, km/h) also happen only at this
-boundary. Every output embeds the resolved configuration and seed, and this
-is the one module that writes files: `_write_csv` renders every CSV.
+A config is one JSON object. `spectrum` and `support` read _SPECTRUM_KEYS, `ber`
+reads _BER_KEYS and `coherence` reads _COHERENCE_KEYS; any other key raises
+ValueError, and so does a missing _REQUIRED_KEYS key, a non-integer value of an
+_INTEGER_KEYS key, a value of a _REAL_KEYS key that is no finite number, a
+profile key given with the other profile (`delta` applies to `modulo`,
+`I_over_P` to `flat`) or a list given to a key that takes one value. A `ber`
+config sweeps the key it lists: `I_over_P`, `R`, or `R` with one curve per
+listed `delta`. Units are converted only here, dB powers (`P_dB`, `W_dB`) to
+linear and GHz, us, km/h to SI. Every output embeds the resolved config and
+seed. The library computes every number: `support` and `spectrum` write
+`bulk_support.support_report`, the `empirical` column `SpectrumResult.empirical`.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ def _load_config(path, keys):
     value, or a list entry, that is no integer or no finite number."""
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config must be a JSON object, not {type(cfg).__name__}")
     unknown = sorted(set(cfg) - keys)
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; accepted: {sorted(keys)}")
@@ -139,23 +141,15 @@ def _cmd_spectrum(args):
     seed = cfg.get("seed", 0)
     result = montecarlo.spectrum_experiment(
         sys_params, n_seeds=cfg.get("n_seeds", 20), grid_points=args.grid_points, seed=seed)
-    supports = ()
-    if sys_params.P > 0 and max(sys_params.interference_powers, default=0.0) > 0:
-        supports = bulk_support.support_estimates(sys_params)
     density = result.density
-    # an 80-bin histogram of the nonzero eigenvalues, normalized to 1, then
-    # rescaled to the continuous mass so that it overlays the density
-    hist, edges = np.histogram(result.eigenvalues, bins=80,
-                               range=(density.grid[0], density.grid[-1]), density=True)
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    empirical = np.interp(density.grid, centers, hist * density.continuous_mass,
-                          left=0.0, right=0.0)
     comments = [f"kappa={density.kappa!r}", f"atom={density.atom_at_zero!r}",
                 f"scale={density.scale!r}", f"y_offset={density.y_offset!r}"]
-    comments += ["support: " + json.dumps(sup.to_dict(), sort_keys=True) for sup in supports]
+    if max(sys_params.interference_powers, default=0.0) > 0:
+        comments += ["support: " + json.dumps(sup, sort_keys=True)
+                     for sup in bulk_support.support_report(sys_params)["estimates"]]
     out = Path(args.out) / "spectrum.csv"
     _write_csv(out, _resolved(cfg, sys_params, seed), "x,density,empirical",
-               zip(density.grid.tolist(), density.values.tolist(), empirical.tolist()),
+               zip(density.grid.tolist(), density.values.tolist(), result.empirical.tolist()),
                comments)
     print(f"wrote {out}")
 
@@ -163,27 +157,8 @@ def _cmd_spectrum(args):
 def _cmd_support(args):
     cfg = _load_config(args.config, _SPECTRUM_KEYS)
     sys_params = _system_from_config(cfg)
-    estimates = bulk_support.support_estimates(sys_params)
-    try:
-        sep, threshold = bulk_support.unilateral_separable(sys_params)
-        thresholds = {"unilateral_I_over_P": threshold, "unilateral_separable": sep}
-    except bulk_support.RegimeError as err:
-        thresholds = {"unilateral_error": str(err)}
-    thresholds["bilateral_boundary_I_over_P"] = bulk_support.separability_boundary_ratio(
-        sys_params.alpha / sys_params.kappa, sys_params.L)
-    uni, bil = estimates[0], estimates[2]
-    consistency = {
-        "signal_lower_ratio": bil.signal.lower / uni.signal.lower if uni.signal.lower else None,
-        "signal_upper_ratio": bil.signal.upper / uni.signal.upper if uni.signal.upper else None,
-    }
-    flagged = any(r is None or not 0.5 < r < 2.0 for r in consistency.values())
     doc = _resolved(cfg, sys_params, cfg.get("seed", 0))
-    doc.update({
-        "axis": "eig(YY^H)/(T*R)",
-        "estimates": [e.to_dict() for e in estimates],
-        "thresholds": thresholds,
-        "cross_method_consistency": dict(consistency, flagged=flagged),
-    })
+    doc.update(bulk_support.support_report(sys_params))
     out = Path(args.out) / "support.json"
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")

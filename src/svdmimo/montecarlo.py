@@ -82,7 +82,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.sweep not in ("R", "I_over_P"):
             raise ValueError("sweep must be 'R' or 'I_over_P'")
-        for name, least in (("min_symbols", 1), ("seed", None), ("threads", 1)):
+        for name, least in (("min_symbols", 1), ("seed", 0), ("threads", 1)):
             object.__setattr__(self, name, integer_field(name, getattr(self, name), least))
         object.__setattr__(self, "taus", tuple(integer_field("each tau", t) for t in self.taus))
         if len(self.values) < 1:
@@ -207,6 +207,16 @@ class SpectrumResult:
     eigenvalues: np.ndarray          # pooled nonzero eigenvalues, all seeds
     density: SpectralDensity
 
+    @property
+    def empirical(self):
+        """The overlay of the density at each grid point: an 80-bin histogram of
+        the eigenvalues, normalized to 1, then rescaled to the continuous mass."""
+        grid = self.density.grid
+        hist, edges = np.histogram(self.eigenvalues, bins=80, range=(grid[0], grid[-1]),
+                                   density=True)
+        centers = 0.5 * (edges[1:] + edges[:-1])
+        return np.interp(grid, centers, hist * self.density.continuous_mass, left=0.0, right=0.0)
+
 
 def spectrum_experiment(sys: SystemParams, n_seeds=20, grid_points=600, seed=0) -> SpectrumResult:
     """Pooled empirical spectrum of Y Y^H/(T*R) over seeds with the asymptotic
@@ -217,6 +227,7 @@ def spectrum_experiment(sys: SystemParams, n_seeds=20, grid_points=600, seed=0) 
     that the zero-eigenvalue atom does not leak into the continuous part.
     """
     integer_field("n_seeds", n_seeds, 1)
+    integer_field("seed", seed, 0)
     integer_field("grid_points", grid_points, 2)
     pilots = PilotConfig()
     pooled = []

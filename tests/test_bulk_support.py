@@ -11,7 +11,7 @@ from svdmimo.bulk_support import (BulkInterval, RegimeError, _gamma_I, _gamma_P,
                                   interference_scale_factors, noise_scale_factors,
                                   quartic_extremes, s1_inverse, s1_supports,
                                   separability_boundary, separability_boundary_ratio,
-                                  support_estimates, unilateral_intervals,
+                                  support_estimates, support_report, unilateral_intervals,
                                   unilateral_separable, unilateral_supports)
 from svdmimo.rmt_spectrum import empirical_spectrum
 from svdmimo.system_model import (InterferenceProfile, PilotConfig, SystemParams,
@@ -226,8 +226,13 @@ class TestSupportEstimates:
                                          bilateral_supports_general(dp))
 
     def test_needs_interference_power(self):
-        with pytest.raises(ValueError, match="interference power > 0"):
-            support_estimates(fig2_dp(W=1.0, I_over_P=0.0))
+        # the report raises the same error as the estimates it holds
+        dp = fig2_dp(W=1.0, I_over_P=0.0)
+        with pytest.raises(ValueError, match="interference power > 0") as estimates_err:
+            support_estimates(dp)
+        with pytest.raises(ValueError) as report_err:
+            support_report(dp)
+        assert str(report_err.value) == str(estimates_err.value)
 
 
 class TestS1:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from svdmimo import montecarlo
+from svdmimo.bulk_support import support_report
 from svdmimo.cli import main
 from svdmimo.system_model import InterferenceProfile, SystemParams
 
@@ -124,6 +125,8 @@ class TestSupport:
         assert set(thresholds) == {"unilateral_error", "bilateral_boundary_I_over_P"}
         assert thresholds["unilateral_error"].startswith("1 - 2 sqrt(alpha (1 + 1/kappa)) <= 0")
         assert len(doc["estimates"]) == 4
+        report = support_report(SystemParams(**doc["resolved"]))
+        assert report["thresholds"]["unilateral_error"] == thresholds["unilateral_error"]
 
     @pytest.mark.parametrize("cfg, digest", [
         ({"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0,
@@ -135,10 +138,21 @@ class TestSupport:
          "696af55369141f94c44458b87fb07c9d05adb2f531bfff296c257b8b720dc6f6"),
     ], ids=["fig2_flat", "fig4_modulo"])
     def test_frozen_json_digest(self, tmp_path, cfg, digest):
-        # every byte of support.json: estimates, thresholds and the echoed system
+        # every byte of support.json: estimates, thresholds and the echoed system;
+        # all but the echo is the library's support report of that system
         assert main(["support", "--config", write_cfg(tmp_path, "s.json", cfg),
                      "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "support.json").read_bytes()).hexdigest() == digest
+        doc = json.loads((tmp_path / "support.json").read_text())
+        echo = {key: doc.pop(key) for key in ("config", "resolved", "seed")}
+        assert support_report(SystemParams(**echo["resolved"])) == doc
+
+    def test_echoes_a_negative_seed(self, tmp_path):
+        # `support` draws nothing, so any integer seed is only echoed
+        cfg = {"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0, "seed": -1}
+        assert main(["support", "--config", write_cfg(tmp_path, "s.json", cfg),
+                     "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "support.json").read_text())["seed"] == -1
 
 
 class TestSpectrum:
@@ -183,6 +197,16 @@ class TestSpectrum:
                      "--grid-points", "120"]) == 0
         digest = hashlib.sha256((tmp_path / "spectrum.csv").read_bytes()).hexdigest()
         assert digest == "a72b739d3aa3a3ce1a82ebdc9238a23f3715c3b3f8cdc8bfbe2b308ef8263c57"
+
+    def test_empirical_column_is_the_library_overlay(self, tmp_path):
+        cfg = {"R": 80, "T": 3, "C": 60, "L": 1, "P_dB": -10, "W_dB": 0,
+               "I_over_P": 0.25, "n_seeds": 3, "seed": 2}
+        lines = spectrum_lines(tmp_path, cfg, grid_points=120)
+        resolved = json.loads(lines[0].removeprefix("# config: "))["resolved"]
+        result = montecarlo.spectrum_experiment(SystemParams(**resolved), n_seeds=3,
+                                                grid_points=120, seed=2)
+        rows = lines[lines.index("x,density,empirical") + 1:]
+        assert [float(row.split(",")[2]) for row in rows] == result.empirical.tolist()
 
     def test_supports_equal_support_json(self, tmp_path):
         # both commands report the same four estimates, at equal powers too
@@ -312,6 +336,33 @@ class TestBer:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("cfg, kind", [
+        (5, "int"), (None, "NoneType"), ("R", "str"),
+        (["R", "T", "C", "L", "P_dB", "W_dB"], "list"), ([1, 2], "list"),
+    ], ids=["number", "null", "string", "key_list", "number_list"])
+    def test_rejects_a_config_that_is_no_json_object(self, tmp_path, capsys, cfg, kind):
+        # 5 and null raised a TypeError, a string was read as its characters
+        # and a list as its entries, naming no problem with the document
+        assert main(["support", "--config", write_cfg(tmp_path, "o.json", cfg),
+                     "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err == {"error": "ValueError",
+                       "message": f"config must be a JSON object, not {kind}"}
+        assert captured.out == "" and not (tmp_path / "support.json").exists()
+
+    @pytest.mark.parametrize("command", ["ber", "spectrum"])
+    def test_rejects_a_negative_seed(self, tmp_path, capsys, command):
+        # numpy rejected it while drawing, naming no key
+        cfg = {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0, "seed": -1,
+               "I_over_P": [0.2] if command == "ber" else 0.2}
+        assert main([command, "--config", write_cfg(tmp_path, "n.json", cfg),
+                     "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": "ValueError",
+                                            "message": "seed must be >= 0: -1"}
+        assert captured.out == "" and not list(tmp_path.glob("*.csv"))
+
     def test_missing_config_exits_nonzero_with_json(self, tmp_path, capsys):
         code = main(["spectrum", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)])

@@ -78,6 +78,11 @@ class TestConfig:
         assert counts == (40, 1, 50, 3, 2) and all(type(x) is int for x in counts)
         json.dumps(cfg.to_dict())  # the ber.csv header takes no numpy scalar
 
+    def test_negative_seed_rejected(self):
+        # numpy rejected it only when the first point drew its pilots, naming no key
+        with pytest.raises(ValueError, match="^seed must be >= 0: -1$"):
+            ExperimentConfig(system=small_system(), sweep="I_over_P", values=(0.1,), seed=-1)
+
     def test_several_taus_on_R_sweep_rejected(self):
         # per-seed BERs are keyed by (R, delta, receiver): a second tau would overwrite them
         with pytest.raises(ValueError, match="tau"):
@@ -328,10 +333,12 @@ class TestSpectrumExperiment:
             spectrum_experiment(sys, n_seeds=2)
 
     @pytest.mark.parametrize("field, value", [("n_seeds", 2.5), ("n_seeds", True),
-                                              ("grid_points", 1), ("grid_points", 100.0)])
+                                              ("grid_points", 1), ("grid_points", 100.0),
+                                              ("seed", -1), ("seed", 1.5)])
     def test_counts_checked(self, field, value):
         # n_seeds 2.5 raised a TypeError naming nothing and True ran one seed;
-        # grid_points 1 failed only after every seed was drawn
+        # grid_points 1 failed only after every seed was drawn; numpy rejected
+        # seed -1 and 1.5 while drawing, naming no key
         with pytest.raises(ValueError, match=f"^{field} must be"):
             spectrum_experiment(small_system(), **{field: value})
 
