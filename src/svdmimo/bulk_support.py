@@ -65,15 +65,19 @@ class SupportEstimate:
     signal: BulkInterval
     interference: BulkInterval
     method: str
-    separable: bool
     flags: tuple = ()
+
+    @property
+    def separable(self):
+        """True when the interference interval lies strictly below the signal interval."""
+        return self.interference.disjoint_below(self.signal)
 
     def to_dict(self):
         return {
             "method": self.method,
             "signal": [self.signal.lower, self.signal.upper],
             "interference": [self.interference.lower, self.interference.upper],
-            "separable": bool(self.separable),
+            "separable": self.separable,
             "flags": [str(f) for f in self.flags],
         }
 
@@ -184,6 +188,7 @@ def unilateral_supports(sys: SystemParams) -> SupportEstimate:
     I > P the signal interval). At P = I the repulsion factors are singular
     and the estimate is merged.
     """
+    _check_interference(sys)
     P = sys.P
     I = sys.beta_ratio * P
     if I == P:
@@ -194,15 +199,12 @@ def unilateral_supports(sys: SystemParams) -> SupportEstimate:
     (p_lo, _), (i_lo, _) = _unilateral_endpoints(sys)
     if p_lo < 0 or i_lo < 0:
         flags.append("unilateral interval lower endpoint clamped at 0")
+    n_P, n_I = noise_scale_factors(P, I, sys.W, sys.R, sys.C)
+    i_P, i_I = interference_scale_factors(P, I, sys.alpha, sys.kappa, sys.L)
+    if P / I < 2:
+        flags.append("interference scale factors are only accurate for P >> I (P/I < 2)")
     p_int, i_int = unilateral_intervals(sys)
-    if I > 0:
-        n_P, n_I = noise_scale_factors(P, I, sys.W, sys.R, sys.C)
-        i_P, i_I = interference_scale_factors(P, I, sys.alpha, sys.kappa, sys.L)
-        if P / I < 2:
-            flags.append("interference scale factors are only accurate for P >> I (P/I < 2)")
-        p_int = p_int.scaled(n_P * i_P)
-        i_int = i_int.scaled(n_I * i_I)
-    return _estimate(p_int, i_int, "unilateral", i_int.disjoint_below(p_int), flags)
+    return _estimate(p_int.scaled(n_P * i_P), i_int.scaled(n_I * i_I), "unilateral", flags)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +247,7 @@ def s1_supports(sys: SystemParams) -> SupportEstimate:
     """First-order bulk intervals [s1(G1), s1(G2)] and [s1(G3), s1(G4)] on the
     T*R axis; 'bulks merged' when the quartic has complex roots or the
     ordering s1(G2) < s1(G3) fails, flagged when an interval starts below 0."""
+    _check_interference(sys)
     TR = sys.T * sys.R
     Gs = quartic_extremes(sys)
     if Gs is None:
@@ -253,23 +256,28 @@ def s1_supports(sys: SystemParams) -> SupportEstimate:
     if not s_vals[1] < s_vals[2]:
         return _merged_estimate("bilateral_highSNR_1", ("extreme ordering violated",))
     return _estimate(BulkInterval(*sorted(s_vals[2:4])), BulkInterval(*sorted(s_vals[0:2])),
-                     "bilateral_highSNR_1", True)
+                     "bilateral_highSNR_1")
 
 
-def _estimate(signal, interference, method, separable, flags=()):
+def _check_interference(sys):
+    if math.isinf(sys.t):
+        raise ValueError("the support estimates need interference power > 0")
+
+
+def _estimate(signal, interference, method, flags=()):
     """SupportEstimate of resolved bulks. Appends the flag `negative lower
     endpoint` when either interval starts below 0: eigenvalues of Y Y^H are
     not negative, and the endpoints are reported as computed, not clamped."""
     if signal.lower < 0 or interference.lower < 0:
         flags = tuple(flags) + ("negative lower endpoint",)
     return SupportEstimate(signal=signal, interference=interference, method=method,
-                           separable=separable, flags=tuple(flags))
+                           flags=tuple(flags))
 
 
 def _merged_estimate(method, flags):
     empty = BulkInterval(0.0, 0.0)
     return SupportEstimate(signal=empty, interference=empty, method=method,
-                           separable=False, flags=("merged",) + tuple(flags))
+                           flags=("merged",) + tuple(flags))
 
 
 def bilateral_supports_highsnr(sys: SystemParams) -> SupportEstimate:
@@ -305,22 +313,17 @@ def separability_boundary_ratio(alpha_over_kappa, L):
 # bilateral general-SNR approximation (zeta = W*C retained)
 # ---------------------------------------------------------------------------
 
-def _varsigma_P(G, sys, zeta):
-    a, k, r, t, L = sys.alpha, sys.kappa, sys.r, sys.t, sys.L
-    s0 = ((k - 1) * G + k * r) / G ** 2
-    b = a * ((L + 2) * r - t) + (k + zeta * r) * (t - r)
-    E = ((L + 1) * a - k + zeta * (t - 2 * r)) * G + k * (t - 2 * r)
-    return s0 - (k / 2) * (G * b + k * r * (t - r)) / (G ** 2 * E)
+def _varsigma(G, sys, zeta, own, other, n_own, n_other):
+    """Second-order expansion of one bulk: the signal bulk is (own, other,
+    n_own, n_other) = (r, t, 1, L), the interference bulk (t, r, L, 1)."""
+    a, k, L = sys.alpha, sys.kappa, sys.L
+    s0 = ((k - 1) * G + k * own) / G ** 2
+    b = a * ((n_other + 2 * n_own) * own - n_own * other) + (k + zeta * own) * (other - own)
+    E = ((L + 1) * a - k + zeta * (other - 2 * own)) * G + k * (other - 2 * own)
+    return s0 - (k / 2) * (G * b + k * own * (other - own)) / (G ** 2 * E)
 
 
-def _varsigma_I(G, sys, zeta):
-    a, k, r, t, L = sys.alpha, sys.kappa, sys.r, sys.t, sys.L
-    s0 = ((k - 1) * G + k * t) / G ** 2
-    b = a * ((2 * L + 1) * t - L * r) + (k + zeta * t) * (r - t)
-    E = ((L + 1) * a - k - zeta * (2 * t - r)) * G - k * (2 * t - r)
-    return s0 - (k / 2) * (G * b + k * t * (r - t)) / (G ** 2 * E)
-
-
+# den of _gamma_I - den of _gamma_P = zeta (r-t)^2 (2t(k+a(2L-1)) + 2r(a(L-2)-k) + zeta(t^2-r^2))
 def _gamma_P(sys, zeta):
     a, k, r, t, L = sys.alpha, sys.kappa, sys.r, sys.t, sys.L
     rad2 = a * k * (t - r) ** 2 - a ** 2 * r * (t + (L - 1) * r)
@@ -355,16 +358,17 @@ def _bilateral(sys, zeta, method):
 
     Flags, in this order: the G-domain ordering Gamma_Iu < Gamma_Pl disagrees
     with the disjointness of the intervals, and a lower endpoint below 0."""
+    _check_interference(sys)
     TR = sys.T * sys.R
     gp, gi = _gamma_P(sys, zeta), _gamma_I(sys, zeta)
     if gp is None or gi is None:
         return _merged_estimate(method, ("negative radicand",))
-    sig = BulkInterval(*sorted(_varsigma_P(g, sys, zeta) / TR for g in gp))
-    intf = BulkInterval(*sorted(_varsigma_I(g, sys, zeta) / TR for g in gi))
-    separable = intf.disjoint_below(sig)
-    disagree = (gi[1] < gp[0]) != separable
+    r, t, L = sys.r, sys.t, sys.L
+    sig = BulkInterval(*sorted(_varsigma(g, sys, zeta, r, t, 1, L) / TR for g in gp))
+    intf = BulkInterval(*sorted(_varsigma(g, sys, zeta, t, r, L, 1) / TR for g in gi))
+    disagree = (gi[1] < gp[0]) != intf.disjoint_below(sig)
     flags = ("gamma ordering and interval disjointness disagree",) if disagree else ()
-    return _estimate(sig, intf, method, separable, flags)
+    return _estimate(sig, intf, method, flags)
 
 
 def bilateral_supports_general(sys: SystemParams) -> SupportEstimate:
@@ -381,9 +385,7 @@ def bilateral_supports_general(sys: SystemParams) -> SupportEstimate:
 def support_estimates(sys: SystemParams):
     """The four support estimates of one system: unilateral, first-order,
     high-SNR and general-SNR, in that order. Raises ValueError without
-    interference power (t = inf)."""
-    if math.isinf(sys.t):
-        raise ValueError("the support estimates need interference power > 0")
+    interference power (t = inf), as each estimate does."""
     return (unilateral_supports(sys), s1_supports(sys), bilateral_supports_highsnr(sys),
             bilateral_supports_general(sys))
 

@@ -2,14 +2,14 @@
 
 A config is one JSON object. `spectrum` and `support` read _SPECTRUM_KEYS, `ber`
 reads _BER_KEYS and `coherence` reads _COHERENCE_KEYS; any other key raises
-ValueError, and so does a missing _REQUIRED_KEYS key, a non-integer value of an
-_INTEGER_KEYS key, a value of a _REAL_KEYS key that is no finite number, a
-profile key given with the other profile (`delta` applies to `modulo`,
-`I_over_P` to `flat`) or a list given to a key that takes one value. A `ber`
-config sweeps the key it lists: `I_over_P`, `R`, or `R` with one curve per
-listed `delta`. Units are converted only here, dB powers (`P_dB`, `W_dB`) to
-linear and GHz, us, km/h to SI. Every output embeds the resolved config and
-seed. The library computes every number: `support` and `spectrum` write
+ValueError, and so does a key given twice, a missing _REQUIRED_KEYS key, a
+non-integer value of an _INTEGER_KEYS key, a value of a _REAL_KEYS key that is
+no finite number, a profile key given with the other profile (`delta` applies
+to `modulo`, `I_over_P` to `flat`) or a list given to a key that takes one
+value. A `ber` config sweeps the key it lists: `I_over_P`, `R`, or `R` with
+one curve per listed `delta`. Units are converted only here, dB powers (`P_dB`,
+`W_dB`) to linear and GHz, us, km/h to SI. Every output embeds the resolved
+config and seed. The library computes every number: `support` and `spectrum` write
 `bulk_support.support_report`, the `empirical` column `SpectrumResult.empirical`.
 """
 
@@ -51,12 +51,22 @@ def _db_to_linear(x):
     return 10.0 ** (x / 10.0)
 
 
+def _unique_keys(pairs):
+    cfg = {}
+    for key, value in pairs:
+        if key in cfg:
+            raise ValueError(f"config key {key!r} is given more than once")
+        cfg[key] = value
+    return cfg
+
+
 def _load_config(path, keys):
-    """The JSON config at `path`; raises ValueError naming any key outside `keys`,
-    any required key of `keys` that it lacks, and any integer or real key with a
-    value, or a list entry, that is no integer or no finite number."""
+    """The JSON config at `path`; raises ValueError naming any key given twice,
+    any key outside `keys`, any required key of `keys` that it lacks, and any
+    integer or real key with a value, or a list entry, that is no integer or no
+    finite number."""
     with open(path) as fh:
-        cfg = json.load(fh)
+        cfg = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(cfg, dict):
         raise ValueError(f"config must be a JSON object, not {type(cfg).__name__}")
     unknown = sorted(set(cfg) - keys)

@@ -177,7 +177,7 @@ class PilotConfig:
         for b in range(tau):
             B = M[:, b * T:(b + 1) * T]
             gram = B @ B.conj().T
-            if not np.allclose(gram, norm2 * np.eye(T), rtol=1e-8, atol=1e-10 * max(norm2, 1)):
+            if not np.allclose(gram, norm2 * np.eye(T), rtol=1e-8, atol=1e-10 * norm2):
                 raise ValueError(f"pilot block {b} rows are not orthogonal with equal norms")
 
     @property

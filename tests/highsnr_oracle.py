@@ -80,7 +80,7 @@ def highsnr_supports(dp, L):
     if sig.lower < 0 or intf.lower < 0:
         flags.append("negative lower endpoint")
     return SupportEstimate(signal=sig, interference=intf, method="bilateral_highSNR_2",
-                           separable=intf.disjoint_below(sig), flags=tuple(flags))
+                           flags=tuple(flags))
 
 
 def phi0(G, dp, L):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svdmimo.bulk_support import (BulkInterval, RegimeError, _gamma_I, _gamma_P,
+from svdmimo.bulk_support import (BulkInterval, RegimeError, SupportEstimate, _gamma_I, _gamma_P,
                                   bilateral_supports_general, bilateral_supports_highsnr,
                                   interference_scale_factors, noise_scale_factors,
                                   quartic_extremes, s1_inverse, s1_supports,
@@ -225,14 +225,19 @@ class TestSupportEstimates:
                                          bilateral_supports_highsnr(dp),
                                          bilateral_supports_general(dp))
 
-    def test_needs_interference_power(self):
-        # the report raises the same error as the estimates it holds
-        dp = fig2_dp(W=1.0, I_over_P=0.0)
-        with pytest.raises(ValueError, match="interference power > 0") as estimates_err:
-            support_estimates(dp)
-        with pytest.raises(ValueError) as report_err:
-            support_report(dp)
-        assert str(report_err.value) == str(estimates_err.value)
+    @pytest.mark.parametrize("estimator", [unilateral_supports, s1_supports,
+                                           bilateral_supports_highsnr, bilateral_supports_general])
+    @pytest.mark.parametrize("sys", [fig2_dp(W=1.0, I_over_P=0.0),
+                                     SystemParams(R=300, T=3, C=1000, L=0, P=0.1, W=1.0)],
+                             ids=["I_over_P_0", "L_0"])
+    def test_needs_interference_power(self, estimator, sys):
+        # unilateral gave a [0, 0] interference interval read as separable, s1
+        # a LinAlgError from numpy and the bilateral estimates NaN intervals;
+        # the estimate set and the report raise the same error
+        for compute in (estimator, support_estimates, support_report):
+            with pytest.raises(ValueError) as err:
+                compute(sys)
+            assert str(err.value) == "the support estimates need interference power > 0"
 
 
 class TestS1:
@@ -497,12 +502,24 @@ class TestAppendixB:
 
 class TestSupportEstimateInvariants:
     def test_separable_implies_disjoint(self):
+        # two modulo-profile systems whose first-order estimate once said
+        # separable over an interference interval inside the signal interval
+        overlapping = [SystemParams.from_profile(R, T, C, L, P, W, InterferenceProfile(
+                           kind="modulo", delta=delta)) for R, T, C, L, P, W, delta in (
+            (39, 7, 1549, 5, 699.117796285926, 285.5822847984247, 7.4678898169279675),
+            (11, 2, 1089, 6, 0.12010287000437314, 8.400192604384777, 7.42761458562769))]
         for est in (unilateral_supports(fig2_dp(W=1.0)),
                     s1_supports(fig2_dp()),
                     bilateral_supports_highsnr(fig2_dp()),
-                    bilateral_supports_general(fig2_dp(W=1.0))):
+                    bilateral_supports_general(fig2_dp(W=1.0)),
+                    *(e for sys in overlapping for e in support_estimates(sys))):
             if est.separable:
                 assert est.interference.upper < est.signal.lower
+
+    def test_fields_are_what_no_interval_derives(self):
+        # `separable` is read from the intervals, not stored beside them
+        assert [f.name for f in dataclasses.fields(SupportEstimate)] == [
+            "signal", "interference", "method", "flags"]
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError, match=r"^interval endpoints out of order: \[2.0, 1.0\]$"):

@@ -351,6 +351,21 @@ class TestErrors:
                        "message": f"config must be a JSON object, not {kind}"}
         assert captured.out == "" and not (tmp_path / "support.json").exists()
 
+    @pytest.mark.parametrize("command, extra", [
+        ("support", ""), ("ber", ', "I_over_P": [0.2], "min_symbols": 50'),
+    ], ids=["support", "ber"])
+    def test_rejects_a_repeated_key(self, tmp_path, capsys, command, extra):
+        # the last value won: R = 300 ran, and the echoed config showed only it
+        path = tmp_path / "dup.json"
+        path.write_text('{"R": 12, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0'
+                        + extra + ', "R": 300}')
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": "ValueError",
+                                            "message": "config key 'R' is given more than once"}
+        assert captured.out == "" and not list(tmp_path.glob("*.csv"))
+        assert not (tmp_path / "support.json").exists()
+
     @pytest.mark.parametrize("command", ["ber", "spectrum"])
     def test_rejects_a_negative_seed(self, tmp_path, capsys, command):
         # numpy rejected it while drawing, naming no key

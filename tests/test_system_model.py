@@ -240,6 +240,20 @@ class TestPilots:
         with pytest.raises(ValueError, match="^pilot blocks must have nonzero power$"):
             PilotConfig(np.zeros((3, 3 * tau)))
 
+    @pytest.mark.parametrize("P", [1e-13, 10.0])
+    def test_non_orthogonal_block_rejected_at_any_power(self, P):
+        # the off-diagonal tolerance scales with the row norm: an absolute
+        # floor of 1e-10 once passed this block at P = 1e-13
+        B = make_pilots(3, P, 1).pilot_matrix.copy()
+        B[1] = 0.9 * B[0] + 0.1 * B[1]
+        with pytest.raises(ValueError, match="^pilot block 0 rows are not orthogonal"):
+            PilotConfig(B)
+
+    @pytest.mark.parametrize("P", [1e-13, 1e13])
+    @pytest.mark.parametrize("tau", [1, 3])
+    def test_pilots_accepted_at_extreme_power(self, P, tau):
+        assert make_pilots(4, P, tau, rng=7).tau_blocks == tau
+
     @pytest.mark.parametrize("T, P, tau, message", [
         (3, 0.1, True, "tau_blocks must be an integer"),
         (3, 0.1, 1.5, "tau_blocks must be an integer"),
