@@ -4,8 +4,9 @@ Three families, all in the (r, t, zeta) parameterization. Every method reads
 one SystemParams `sys`, which holds the ratios, the source values L, P and W,
 and every interference power; support_estimates(sys) returns all four.
 
-* unilateral: each bulk computed alone, then rescaled by noise and
-  interference repulsion factors; separability by a closed-form threshold.
+* unilateral: one model, each bulk computed alone and then rescaled by noise
+  and interference repulsion factors; its separability threshold is the
+  interference ratio where its scaled intervals meet.
 * bilateral high-SNR (W = 0): perturbation of the inverse Stieltjes transform
   for small load, via a rational first-order approximation (quartic extremes)
   and second-order enclosures.
@@ -86,79 +87,58 @@ class SupportEstimate:
 # unilateral approximation
 # ---------------------------------------------------------------------------
 
-def _unilateral_endpoints(sys):
-    """Signal and interference (lower, upper) before clamping at zero."""
-    a, k, P, L = sys.alpha, sys.kappa, sys.P, sys.L
-    I = sys.beta_ratio * P
-    root = math.sqrt((k ** 2 + k) / a)
-    return ((k * P / a - 2 * P * root, k * P / a + 2 * P * root),
-            (k * I / a - 2 * I * math.sqrt(L) * root, k * I / a + 2 * I * math.sqrt(L) * root))
+def _unilateral(sys, x):
+    """The unilateral model at interference ratio x = I/P: the unclamped
+    (lower, upper) endpoints of the signal and interference bulks on the T*R
+    axis, and the repulsion products f_P = n_P i_P and f_I = n_I i_I.
 
-
-def unilateral_intervals(sys: SystemParams):
-    """Unscaled single-bulk supports on the T*R axis.
-
-    Signal: kappa*P/alpha -+ 2P*sqrt((kappa^2+kappa)/alpha); interference the
-    same with I = beta_ratio*P and an extra factor L under the root. Negative
-    lower endpoints are clamped to zero. Valid for small load;
-    unilateral_supports flags a clamped endpoint and alpha > 0.1.
+    Bulks (small load): kappa*P/alpha -+ 2P*sqrt((kappa^2+kappa)/alpha), and
+    the same with I = x*P and a factor L under the root. Noise repulsion:
+    n_P = (1 + W/(P R))(1 + W/(P C)), n_I with I for P; both tend to 1 as
+    W -> 0. Bulk repulsion: i_P = (1 + (L a/k)/(P/I - 1))(1 + L a/(P/I - 1)),
+    i_I with the powers swapped and no L. For P > I they push the signal bulk
+    up (i_P >= 1) and the interference bulk down (i_I <= 1), and both tend to
+    1 as alpha -> 0. They assume P >> I and are singular at P = I.
     """
-    (p_lo, p_hi), (i_lo, i_hi) = _unilateral_endpoints(sys)
-    return (BulkInterval(max(p_lo, 0.0), p_hi), BulkInterval(max(i_lo, 0.0), max(i_hi, 0.0)))
-
-
-def noise_scale_factors(P, I, W, R, C):
-    """Noise repulsion: n_P = (1 + W/(P R))(1 + W/(P C)), n_I analogously.
-    Both tend to 1 as W -> 0."""
-    if P <= 0 or I <= 0:
-        raise ValueError("P and I must be > 0")
-    n_P = (1 + W / (P * R)) * (1 + W / (P * C))
-    n_I = (1 + W / (I * R)) * (1 + W / (I * C))
-    return n_P, n_I
-
-
-def interference_scale_factors(P, I, alpha, kappa, L):
-    """Mutual bulk repulsion: i_P = (1 + (L a/k)/(P/I - 1))(1 + L a/(P/I - 1)),
-    i_I with the power roles swapped. For P > I they push the signal bulk up
-    (i_P >= 1) and the interference bulk down (i_I <= 1), and both tend to 1
-    as the load alpha -> 0. Only accurate for P >> I; unilateral_supports
-    flags P/I < 2. Singular at P = I."""
-    if P == I:
-        raise ValueError("interference scale factors are singular at P = I")
-    i_P = (1 + (L * alpha / kappa) / (P / I - 1)) * (1 + L * alpha / (P / I - 1))
-    i_I = (1 + (alpha / kappa) / (I / P - 1)) * (1 + alpha / (I / P - 1))
-    return i_P, i_I
+    a, k, L, P, W = sys.alpha, sys.kappa, sys.L, sys.P, sys.W
+    I = x * P
+    root = math.sqrt((k ** 2 + k) / a)
+    signal = (k * P / a - 2 * P * root, k * P / a + 2 * P * root)
+    interference = (k * I / a - 2 * I * math.sqrt(L) * root,
+                    k * I / a + 2 * I * math.sqrt(L) * root)
+    n_P = (1 + W / (P * sys.R)) * (1 + W / (P * sys.C))
+    n_I = (1 + W / (I * sys.R)) * (1 + W / (I * sys.C))
+    i_P = (1 + (L * a / k) / (P / I - 1)) * (1 + L * a / (P / I - 1))
+    i_I = (1 + (a / k) / (I / P - 1)) * (1 + a / (I / P - 1))
+    return signal, interference, n_P * i_P, n_I * i_I
 
 
 def unilateral_separable(sys: SystemParams):
-    """Separability verdict and threshold ratio I/P under the unilateral rule.
+    """Separability verdict and threshold ratio I/P of the unilateral model.
 
-    The threshold solves P/I = (n_I i_I)/(n_P i_P) * edge ratio by bisection,
-    with the self-referential scale factors evaluated at the trial I/P. The
-    inequality margin is scanned upward and the first separable-to-merged
-    crossing is the threshold: the repulsion factors diverge spuriously both
-    for noise-dominated interference (I -> 0) and near equal powers (I -> P),
-    corners where the first-order repulsion model is not meaningful. Raises
-    RegimeError when the signal-bulk edge factor 1 - 2 sqrt(alpha (1 + 1/kappa))
-    is not positive (no separation predicted at any ratio).
+    The threshold is where the scaled intervals of unilateral_supports meet:
+    the margin sig_lower*f_P - intf_upper*f_I of _unilateral at trial
+    x = I/P changes sign. The margin is scanned upward and the first
+    separable-to-merged crossing is bisected: the repulsion factors diverge
+    spuriously both for noise-dominated interference (I -> 0) and near
+    equal powers (I -> P), corners where the first-order repulsion model is
+    not meaningful. Raises RegimeError when the signal lower endpoint, of
+    the sign of 1 - 2 sqrt(alpha (1 + 1/kappa)), is not positive (no
+    separation predicted at any ratio).
     """
-    a, k, L, P = sys.alpha, sys.kappa, sys.L, sys.P
-    lower_edge = 1 - 2 * math.sqrt(a * (1 + 1 / k))
-    if lower_edge <= 0:
-        raise RegimeError("1 - 2 sqrt(alpha (1 + 1/kappa)) <= 0: no separation predicted")
-    edge_ratio = (1 + 2 * math.sqrt(a * L * (1 + 1 / k))) / lower_edge
-
-    def margin(x):
-        # P/I minus the right-hand side of the inequality at trial ratio x = I/P
-        I = x * P
-        n_P, n_I = noise_scale_factors(P, I, sys.W, sys.R, sys.C)
-        i_P, i_I = interference_scale_factors(P, I, a, k, L)
-        return 1.0 / x - (n_I * i_I) / (n_P * i_P) * edge_ratio
-
+    beta_ratio = sys.beta_ratio  # read first: it rejects P = 0, which the model divides by
     # keep the i-factor denominators away from the I = P singularity
-    x_max = min(0.999, 1 - 2 * a, 1 - 2 * a / k)
+    x_max = min(0.999, 1 - 2 * sys.alpha, 1 - 2 * sys.alpha / sys.kappa)
     # Python floats: the same IEEE arithmetic as numpy scalars, without their overhead
     xs = np.linspace(1e-3, x_max, 600).tolist()
+    (sig_lower, _), _, _, _ = _unilateral(sys, xs[0])
+    if sig_lower <= 0:
+        raise RegimeError("1 - 2 sqrt(alpha (1 + 1/kappa)) <= 0: no separation predicted")
+
+    def margin(x):
+        (sig_lower, _), (_, intf_upper), f_P, f_I = _unilateral(sys, x)
+        return sig_lower * f_P - intf_upper * f_I
+
     threshold, last_separable = 0.0, None
     for x in xs:
         if margin(x) > 0:
@@ -166,20 +146,17 @@ def unilateral_separable(sys: SystemParams):
         elif last_separable is not None:
             threshold = bisect(margin, last_separable, x, tol=1e-4)
             break
-    return bool(sys.beta_ratio <= threshold), float(threshold)
+    return bool(beta_ratio <= threshold), float(threshold)
 
 
 def unilateral_supports(sys: SystemParams) -> SupportEstimate:
-    """Unilateral SupportEstimate: single-bulk intervals rescaled by the
-    repulsion factors; `separable` says whether the scaled intervals are
-    disjoint.
-
-    That verdict is not the threshold rule of unilateral_separable. The two
-    agree at small I/P, but near equal powers the interference factor i_I
-    shrinks the interference interval towards 0, so the scaled intervals come
-    apart again: on the Fig.-2 system (R=300, T=3, C=1000, L=2, P=0.1, W=1)
-    `separable` is True at I/P = 0.95 and 0.99, above the unilateral
-    threshold of 0.612.
+    """Unilateral SupportEstimate: the intervals of _unilateral at the
+    system's I/P, clamped at 0 and rescaled by f_P and f_I; `separable` says
+    whether they are disjoint. unilateral_separable's threshold is the first
+    ratio, scanning up, where they meet. Above it they can come apart again:
+    near equal powers i_I shrinks the interference interval towards 0, so on
+    the Fig.-2 system (R=300, T=3, C=1000, L=2, P=0.1, W=1) `separable` is
+    True at I/P = 0.95 and 0.99, above the threshold of 0.612.
 
     Flags, in this order: load alpha > 0.1 (the approximation assumes small
     load), a negative lower endpoint clamped at 0, P/I < 2 (the repulsion
@@ -196,15 +173,13 @@ def unilateral_supports(sys: SystemParams) -> SupportEstimate:
     flags = []
     if sys.alpha > 0.1:
         flags.append(f"unilateral approximation assumes small load (alpha={sys.alpha:.3f} > 0.1)")
-    (p_lo, _), (i_lo, _) = _unilateral_endpoints(sys)
+    (p_lo, p_hi), (i_lo, i_hi), f_P, f_I = _unilateral(sys, sys.beta_ratio)
     if p_lo < 0 or i_lo < 0:
         flags.append("unilateral interval lower endpoint clamped at 0")
-    n_P, n_I = noise_scale_factors(P, I, sys.W, sys.R, sys.C)
-    i_P, i_I = interference_scale_factors(P, I, sys.alpha, sys.kappa, sys.L)
     if P / I < 2:
         flags.append("interference scale factors are only accurate for P >> I (P/I < 2)")
-    p_int, i_int = unilateral_intervals(sys)
-    return _estimate(p_int.scaled(n_P * i_P), i_int.scaled(n_I * i_I), "unilateral", flags)
+    return _estimate(BulkInterval(max(p_lo, 0.0), p_hi).scaled(f_P),
+                     BulkInterval(max(i_lo, 0.0), max(i_hi, 0.0)).scaled(f_I), "unilateral", flags)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ A config is one JSON object. `spectrum` and `support` read _SPECTRUM_KEYS, `ber`
 reads _BER_KEYS and `coherence` reads _COHERENCE_KEYS; any other key raises
 ValueError, and so does a key given twice, a missing _REQUIRED_KEYS key, a
 non-integer value of an _INTEGER_KEYS key, a value of a _REAL_KEYS key that is
-no finite number, a profile key given with the other profile (`delta` applies
-to `modulo`, `I_over_P` to `flat`) or a list given to a key that takes one
-value. A `ber` config sweeps the key it lists: `I_over_P`, `R`, or `R` with
+no finite number, a `profile` other than `flat` or `modulo`, a profile key
+given with the other profile (`delta` applies to `modulo`, `I_over_P` to
+`flat`), a dB power too large for a float or a list given to a key that takes
+one value. A `ber` config sweeps the key it lists: `I_over_P`, `R`, or `R` with
 one curve per listed `delta`. Units are converted only here, dB powers (`P_dB`,
 `W_dB`) to linear and GHz, us, km/h to SI. Every output embeds the resolved
 config and seed. The library computes every number: `support` and `spectrum` write
@@ -47,8 +48,13 @@ _REQUIRED_KEYS = frozenset({"R", "T", "C", "L", "P_dB", "W_dB", "f0_GHz", "delay
                             "speed_kmh"})
 
 
-def _db_to_linear(x):
-    return 10.0 ** (x / 10.0)
+def _db_to_linear(cfg, key):
+    """The linear power of the dB value at config key `key`; raises ValueError
+    naming the key when it overflows a float."""
+    try:
+        return 10.0 ** (cfg[key] / 10.0)
+    except OverflowError:
+        raise ValueError(f"config key {key!r} is too large a power: {cfg[key]!r} dB") from None
 
 
 def _unique_keys(pairs):
@@ -62,9 +68,9 @@ def _unique_keys(pairs):
 
 def _load_config(path, keys):
     """The JSON config at `path`; raises ValueError naming any key given twice,
-    any key outside `keys`, any required key of `keys` that it lacks, and any
+    any key outside `keys`, any required key of `keys` that it lacks, any
     integer or real key with a value, or a list entry, that is no integer or no
-    finite number."""
+    finite number, and a `profile` other than "flat" or "modulo"."""
     with open(path) as fh:
         cfg = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(cfg, dict):
@@ -88,6 +94,9 @@ def _load_config(path, keys):
             kind = "finite numbers"
         if not ok:
             raise ValueError(f"config key {key!r} takes {kind}: {value!r}")
+    if cfg.get("profile", "flat") not in ("flat", "modulo"):
+        raise ValueError(f"unknown profile kind {cfg['profile']!r}: config key 'profile' "
+                         "takes 'flat' or 'modulo'")
     return cfg
 
 
@@ -95,9 +104,9 @@ def _system_from_config(cfg):
     listed = sorted(k for k, v in cfg.items() if isinstance(v, list) and k != "taus")
     if listed:
         raise ValueError(f"config keys {listed} take one value, not a list")
-    P, W = _db_to_linear(cfg["P_dB"]), _db_to_linear(cfg["W_dB"])
+    P, W = _db_to_linear(cfg, "P_dB"), _db_to_linear(cfg, "W_dB")
     kind = cfg.get("profile", "flat")
-    other = {"flat": "delta", "modulo": "I_over_P"}.get(kind)
+    other = {"flat": "delta", "modulo": "I_over_P"}[kind]
     if other in cfg:
         raise ValueError(f"config key {other!r} does not apply to profile {kind!r}")
     if kind == "flat":

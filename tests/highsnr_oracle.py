@@ -18,9 +18,10 @@ import math
 
 import numpy as np
 
-from svdmimo.bulk_support import (BulkInterval, SupportEstimate, _merged_estimate,
-                                  interference_scale_factors)
+from svdmimo.bulk_support import BulkInterval, SupportEstimate, _merged_estimate, _unilateral
 from svdmimo.numerics import poly_roots
+
+from ratio_params import RatioParams
 
 
 def sP2(x, dp, L):
@@ -147,14 +148,21 @@ def appendixB_scale_verification(dp, L):
     With interference dimension ratio beta = L*alpha, the spike of the signal
     of interest sits at s0(G4) with G4 = r k (t - r)/(k (r - t) - beta r); its
     ratio to the unrepelled position 1/r must match the closed-form factor
-    (1 + (beta/kappa)/(t/r - 1))(1 + beta/(t/r - 1)), which is i_P.
+    (1 + (beta/kappa)/(t/r - 1))(1 + beta/(t/r - 1)), which is i_P. The
+    library's i_P is its repulsion product f_P at W = 0, where n_P = 1; its
+    model needs a load alpha > 0 (the bulks centre at kappa P/alpha), so at
+    alpha = 0 i_P is the zero-load value 1.
     """
     beta = L * dp.alpha
     k, r, t = dp.kappa, dp.r, dp.t
     G4 = r * k * (t - r) / (k * (r - t) - beta * r)
     ratio = s0_explicit(G4, beta, k, t) * r
     closed_form = (1 + (beta / k) / (t / r - 1)) * (1 + beta / (t / r - 1))
-    i_P, _ = interference_scale_factors(1.0, r / t, dp.alpha, k, L)
+    i_P = 1.0
+    if dp.alpha > 0:
+        noiseless = RatioParams(kappa=k, alpha=dp.alpha, r=r, t=t, zeta=0.0, beta_ratio=r / t,
+                                R=dp.R, T=dp.T, C=dp.C, L=L, P=1.0, W=0.0)
+        _, _, i_P, _ = _unilateral(noiseless, r / t)
     return {
         "scale_ratio": ratio,
         "closed_form_ratio": closed_form,

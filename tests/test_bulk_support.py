@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svdmimo.bulk_support import (BulkInterval, RegimeError, SupportEstimate, _gamma_I, _gamma_P,
-                                  bilateral_supports_general, bilateral_supports_highsnr,
-                                  interference_scale_factors, noise_scale_factors,
-                                  quartic_extremes, s1_inverse, s1_supports,
-                                  separability_boundary, separability_boundary_ratio,
-                                  support_estimates, support_report, unilateral_intervals,
-                                  unilateral_separable, unilateral_supports)
+                                  _unilateral, bilateral_supports_general,
+                                  bilateral_supports_highsnr, quartic_extremes, s1_inverse,
+                                  s1_supports, separability_boundary, separability_boundary_ratio,
+                                  support_estimates, support_report, unilateral_separable,
+                                  unilateral_supports)
 from svdmimo.rmt_spectrum import empirical_spectrum
 from svdmimo.system_model import (InterferenceProfile, PilotConfig, SystemParams,
                                   assemble_received, sample_realization)
@@ -52,73 +51,108 @@ CLAMPED = "unilateral interval lower endpoint clamped at 0"
 CLOSE_POWERS = "interference scale factors are only accurate for P >> I (P/I < 2)"
 
 
+def unilateral_at(sys, x=None):
+    """_unilateral of `sys` at x = I/P, by default the system's own ratio."""
+    return _unilateral(sys, sys.beta_ratio if x is None else x)
+
+
+def noise_factors(sys):
+    """n_P and n_I of `sys`: its repulsion products over those at W = 0."""
+    _, _, f_P, f_I = unilateral_at(sys)
+    _, _, g_P, g_I = unilateral_at(dataclasses.replace(sys, W=0.0))
+    return f_P / g_P, f_I / g_I
+
+
 class TestUnilateralIntervals:
     def test_center_and_halfwidth(self):
         sys = SystemParams.from_profile(300, 10, 100, 2, 0.1, 1.0,
                                         InterferenceProfile(kind="flat", I=0.025))
-        dp = sys
-        p_int, _ = unilateral_intervals(dp)
-        center = 0.5 * (p_int.lower + p_int.upper)
-        halfwidth = 0.5 * (p_int.upper - p_int.lower)
+        (lower, upper), _, _, _ = unilateral_at(sys)
+        center = 0.5 * (lower + upper)
+        halfwidth = 0.5 * (upper - lower)
         assert np.isclose(center, 1.0, rtol=1e-12)
         assert np.isclose(halfwidth, 2 * 0.1 * np.sqrt(((1 / 3) ** 2 + 1 / 3) * 30), rtol=1e-12)
         assert np.isclose(halfwidth, 0.730, atol=5e-4)
 
     def test_relative_width_vanishes_at_small_load(self):
         dp_small = dp_from_ratios(alpha=1e-6, kappa=2.0, r=1e-5, t=4e-5, L=2, R=10 ** 6, P=0.1)
-        p_int, _ = unilateral_intervals(dp_small)
-        center = 0.5 * (p_int.lower + p_int.upper)
-        assert (p_int.upper - p_int.lower) / center < 0.02
+        (lower, upper), _, _, _ = unilateral_at(dp_small)
+        center = 0.5 * (lower + upper)
+        assert (upper - lower) / center < 0.02
 
     def test_symmetry_when_equal_powers_single_cell(self):
+        # at L = 1 the interference endpoints are x times the signal ones, so
+        # they meet them as x -> 1; the repulsion factors are singular at 1 itself
         dp = flat_dp(300, 3, 1000, 1, 1.0)
-        p_int, i_int = unilateral_intervals(dp)
-        assert np.isclose(p_int.lower, i_int.lower) and np.isclose(p_int.upper, i_int.upper)
+        p_int, i_int, _, _ = unilateral_at(dp, 0.5)
+        assert np.allclose(i_int, np.multiply(0.5, p_int), rtol=1e-12)
+        p_int, i_int, _, _ = unilateral_at(dp, 1 - 1e-9)
+        assert np.isclose(p_int[0], i_int[0]) and np.isclose(p_int[1], i_int[1])
 
     def test_negative_lower_clamped_flagged(self):
         sys = SystemParams.from_profile(300, 30, 100, 2, 0.1, 1.0,
                                         InterferenceProfile(kind="flat", I=0.025))
-        dp = sys
-        p_int, i_int = unilateral_intervals(dp)
-        assert p_int.lower == 0 and i_int.lower == 0
-        assert CLAMPED in unilateral_supports(dp).flags
+        (p_lo, _), (i_lo, _), _, _ = unilateral_at(sys)
+        assert p_lo < 0 and i_lo < 0
+        est = unilateral_supports(sys)
+        assert est.signal.lower == 0 and est.interference.lower == 0
+        assert CLAMPED in est.flags
 
 
 class TestScaleFactors:
     def test_noise_factors_zero_noise(self):
-        assert noise_scale_factors(0.1, 0.025, 0.0, 300, 1000) == (1.0, 1.0)
+        # at W = 0 the products are the interference factors alone
+        _, _, f_P, f_I = unilateral_at(fig2_dp(W=0.0))
+        a, k, L = 0.01, 10 / 3, 2
+        assert np.isclose(f_P, (1 + (L * a / k) / 3) * (1 + L * a / 3), rtol=1e-12)
+        assert np.isclose(f_I, (1 + (a / k) / -0.75) * (1 + a / -0.75), rtol=1e-12)
 
     def test_noise_factor_example(self):
-        n_P, _ = noise_scale_factors(0.1, 0.025, 1.0, 300, 1000)
+        n_P, _ = noise_factors(fig2_dp(W=1.0))
         assert np.isclose(n_P, (1 + 10 / 300) * (1 + 10 / 1000), rtol=1e-12)
         assert np.isclose(n_P, 1.0437, atol=1e-4)
 
     def test_noise_factors_large_system_limit(self):
-        n_P, n_I = noise_scale_factors(0.1, 0.025, 1.0, 3e8, 1e9)
+        sys = SystemParams.from_profile(3 * 10 ** 8, 3, 10 ** 9, 2, 0.1, 1.0,
+                                        InterferenceProfile(kind="flat", I=0.025))
+        n_P, n_I = noise_factors(sys)
         assert abs(n_P - 1) < 1e-6 and abs(n_I - 1) < 1e-5
 
     @pytest.mark.parametrize("P, I", [(0.0, 0.025), (0.1, 0.0), (-0.1, 0.025), (0.1, -1.0)])
     def test_noise_factors_need_positive_powers(self, P, I):
-        with pytest.raises(ValueError, match="^P and I must be > 0$"):
-            noise_scale_factors(P, I, 1.0, 300, 1000)
+        # n_P and n_I divide by P and I, and the unilateral estimate never
+        # reaches them with a power that is not positive: a negative one fails
+        # as the system is built, P = 0 where beta_ratio is read, I = 0 in the
+        # interference guard
+        with pytest.raises(ValueError, match="^(P must be|flat profile requires I >= 0$|"
+                                             "the support estimates need interference)"):
+            unilateral_supports(SystemParams.from_profile(
+                300, 3, 1000, 2, P, 1.0, InterferenceProfile(kind="flat", I=I)))
 
     def test_interference_factors_zero_load(self):
-        i_P, i_I = interference_scale_factors(0.1, 0.025, 0.0, 10 / 3, 2)
-        assert i_P == 1.0 and i_I == 1.0
+        # alpha = 0 is no system and puts the bulk centers at infinity; at
+        # alpha = 1e-9 and W = 0 both products are within 10 alpha of 1
+        _, _, i_P, i_I = unilateral_at(dp_from_ratios(alpha=1e-9, kappa=10 / 3, r=2.5e-5,
+                                                      t=1e-4, L=2))
+        assert abs(i_P - 1) <= 1e-8 and abs(i_I - 1) <= 1e-8
 
     def test_interference_factor_example(self):
-        i_P, _ = interference_scale_factors(0.4, 0.1, 0.01, 10 / 3, 2)
+        # P/I = 4, alpha = 0.01, kappa = 10/3, L = 2, and W = 0, so f_P = i_P
+        _, _, i_P, _ = unilateral_at(fig2_dp(W=0.0))
         assert np.isclose(i_P, (1 + 0.006 / 3) * (1 + 0.02 / 3), rtol=1e-12)
         assert np.isclose(i_P, 1.00868, atol=1e-5)
 
     def test_iP_grows_as_powers_approach(self):
-        vals = [interference_scale_factors(1.0, x, 0.01, 10 / 3, 2)[0]
-                for x in (0.1, 0.25, 0.4)]
+        vals = [unilateral_at(fig2_dp(W=0.0), x)[2] for x in (0.1, 0.25, 0.4)]
         assert vals[0] < vals[1] < vals[2]
 
     def test_equal_powers_singular(self):
-        with pytest.raises(ValueError):
-            interference_scale_factors(0.1, 0.1, 0.01, 1.0, 2)
+        # the factors are singular at P = I: the estimate is merged there, and
+        # the threshold scan stops below I/P = 1 and still gives a verdict
+        dp = fig2_dp(W=1.0, I_over_P=1.0)
+        assert unilateral_supports(dp).flags == ("merged",
+                                                 "interference scale factors singular at P = I")
+        assert unilateral_separable(dp) == (False, unilateral_separable(fig2_dp(W=1.0))[1])
 
     def test_close_powers_flagged(self):
         below, above = (unilateral_supports(fig2_dp(W=1.0, I_over_P=ip))
@@ -158,10 +192,47 @@ class TestUnilateralThreshold:
             unilateral_separable(dp)
 
     def test_scaled_intervals_disjointness_matches_threshold(self):
-        # disjointness of the n*i scaled intervals is exactly the inequality
+        # on the Fig.-2 system the scaled intervals are disjoint below the
+        # threshold (0.612) and overlap above it
         for ip, expect in ((0.3, True), (0.8, False)):
             est = unilateral_supports(fig2_dp(W=1.0, I_over_P=ip))
             assert est.separable is expect
+
+    def test_threshold_is_where_the_scaled_intervals_meet(self):
+        # 400 seeded random flat systems; wherever the scan finds its crossing
+        # strictly inside (1e-3, x_max), the unilateral estimate is separable
+        # 2e-4 below the threshold and merged 2e-4 above it (bisect stops
+        # within 5e-5 of the crossing)
+        rng = np.random.default_rng(29)
+        checked = 0
+        for _ in range(400):
+            R, C = int(rng.integers(2, 1501)), int(rng.integers(10, 2001))
+            T, L = int(rng.integers(1, min(R, 10) + 1)), int(rng.integers(1, 8))
+            P, W = 10 ** rng.uniform(-3, 3, size=2)
+
+            def system(x):
+                return SystemParams.from_profile(R, T, C, L, P, W,
+                                                 InterferenceProfile(kind="flat", I=x * P))
+            sys = system(0.5)
+            try:
+                _, threshold = unilateral_separable(sys)
+            except RegimeError:
+                continue
+            x_max = min(0.999, 1 - 2 * sys.alpha, 1 - 2 * sys.alpha / sys.kappa)
+            if not 1e-3 < threshold < x_max:
+                continue
+            checked += 1
+            assert unilateral_supports(system(threshold - 2e-4)).separable
+            assert not unilateral_supports(system(threshold + 2e-4)).separable
+        assert checked >= 100
+
+    def test_zero_signal_power_rejected(self):
+        # P = 0 fails where beta_ratio is read, before the model divides by P
+        dp = SystemParams.from_profile(300, 3, 1000, 2, 0.0, 1.0,
+                                       InterferenceProfile(kind="flat", I=0.025))
+        for compute in (unilateral_separable, unilateral_supports):
+            with pytest.raises(ValueError, match=r"^P must be > 0"):
+                compute(dp)
 
 
 class TestRegimeFlags:
@@ -182,8 +253,8 @@ class TestRegimeFlags:
     @pytest.mark.filterwarnings("error")
     def test_formulas_do_not_warn(self):
         # each call meets a condition that unilateral_supports flags
-        unilateral_intervals(flat_dp(100, 30, 100, 2, 0.6))
-        interference_scale_factors(0.1, 0.06, 0.01, 1.0, 2)
+        unilateral_at(flat_dp(100, 30, 100, 2, 0.6))
+        unilateral_at(dp_from_ratios(alpha=0.01, kappa=1.0, r=1e-5, t=1e-5 / 0.6, L=2, P=0.1))
         unilateral_separable(fig2_dp(W=1.0))
 
     def test_interference_above_power_flips_signal_interval(self):

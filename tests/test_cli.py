@@ -624,3 +624,27 @@ class TestErrors:
         err = json.loads(captured.err)
         assert err["error"] == "ValueError" and "['speed_mph']" in err["message"], err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("key", ["P_dB", "W_dB"])
+    def test_rejects_a_dB_power_that_overflows(self, tmp_path, capsys, key):
+        # 10^(4000/10) raised an OverflowError naming no key
+        cfg = dict({"R": 40, "T": 2, "C": 30, "L": 1, "P_dB": 0, "W_dB": 0}, **{key: 4000})
+        assert main(["support", "--config", write_cfg(tmp_path, "p.json", cfg),
+                     "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {
+            "error": "ValueError", "message": f"config key {key!r} is too large a power: 4000 dB"}
+        assert captured.out == "" and not (tmp_path / "support.json").exists()
+
+    @pytest.mark.parametrize("profile", [{}, 5, None, "nope"],
+                             ids=["object", "number", "null", "unknown"])
+    def test_rejects_a_profile_that_is_no_kind(self, tmp_path, capsys, profile):
+        # {} raised "unhashable type: 'dict'"; 5, null and "nope" named no key
+        cfg = {"R": 40, "T": 2, "C": 30, "L": 1, "P_dB": -10, "W_dB": 0, "profile": profile}
+        assert main(["support", "--config", write_cfg(tmp_path, "p.json", cfg),
+                     "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {
+            "error": "ValueError", "message": f"unknown profile kind {profile!r}: config key "
+                                              "'profile' takes 'flat' or 'modulo'"}
+        assert captured.out == "" and not (tmp_path / "support.json").exists()
