@@ -8,10 +8,10 @@ from .bulk_support import (BulkInterval, RegimeError, SupportEstimate,
 from .montecarlo import (BerPoint, ExperimentConfig, SpectrumResult, ber_vs_IP, ber_vs_R,
                          spectrum_experiment)
 from .rmt_spectrum import (FixedPointParams, SpectralDensity, StieltjesSolverError,
-                           StieltjesValue, density_from_stieltjes, empirical_spectrum,
-                           stieltjes_solve)
+                           StieltjesValue, density_from_stieltjes, stieltjes_solve)
 from .subspace_receiver import (conventional_receiver, count_bit_errors, detect_subspace,
-                                estimate_projected_channel, project, signal_subspace)
+                                empirical_spectrum, estimate_projected_channel, project,
+                                signal_subspace)
 from .system_model import (ChannelRealization, InterferenceProfile, PilotConfig, RadioParams,
                            SystemParams, assemble_received, coherence_symbols, make_pilots,
                            sample_realization)

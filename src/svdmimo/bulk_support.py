@@ -18,8 +18,9 @@ regime checks, merged bulks) are returned as strings in SupportEstimate.flags,
 not raised as Python warnings.
 
 All SupportEstimate intervals are reported on the eig(Y Y^H)/(T*R) axis, where
-the signal bulk centers near kappa*P/alpha. G-domain helpers (s1_inverse,
-quartic_extremes) work on the raw eig(Y Y^H) axis.
+the signal bulk centers near kappa*P/alpha; G-domain helpers (s1_inverse, and
+quartic_extremes with its root finder poly_roots) work on the raw axis. Both
+thresholds are roots that the module's own bisect finds.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import bisect, poly_roots
 from .system_model import SystemParams
+
+_PP = np.polynomial.polynomial
 
 
 class RegimeError(ValueError):
@@ -84,6 +86,54 @@ class SupportEstimate:
 
 
 # ---------------------------------------------------------------------------
+# root finders
+# ---------------------------------------------------------------------------
+
+def poly_roots(coeffs):
+    """All complex roots of a polynomial given by ascending coefficients.
+
+    Trailing zero coefficients are trimmed so the leading one is nonzero.
+    Uses the balanced companion-matrix eigenvalue method (via numpy), followed
+    by one Newton polish per root to tighten residuals.
+    """
+    c = np.trim_zeros(np.asarray(coeffs), "b")
+    if len(c) < 2:
+        raise ValueError("polynomial must have degree >= 1")
+    roots = np.roots(c[::-1])
+    vals = _PP.polyval(roots, c)
+    dvals = _PP.polyval(roots, _PP.polyder(c))
+    ok = np.abs(dvals) > 0
+    polished = roots.copy()
+    polished[ok] = roots[ok] - vals[ok] / dvals[ok]
+    # keep the polish only where it actually reduced the residual
+    better = np.abs(_PP.polyval(polished, c)) < np.abs(vals)
+    roots[better] = polished[better]
+    return roots
+
+
+def bisect(f, lo, hi, tol=1e-12):
+    """Root of f on [lo, hi] by bisection, in at most 200 halvings; requires a
+    sign change on the bracket."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0:
+        return lo
+    if fhi == 0:
+        return hi
+    if flo * fhi > 0:
+        raise ValueError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0 or (hi - lo) <= tol:
+            return mid
+        if flo * fmid < 0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
 # unilateral approximation
 # ---------------------------------------------------------------------------
 
@@ -126,7 +176,8 @@ def unilateral_separable(sys: SystemParams):
     the sign of 1 - 2 sqrt(alpha (1 + 1/kappa)), is not positive (no
     separation predicted at any ratio).
     """
-    beta_ratio = sys.beta_ratio  # read first: it rejects P = 0, which the model divides by
+    _check_interference(sys)
+    beta_ratio = sys.beta_ratio  # read before the model: it rejects P = 0, which it divides by
     # keep the i-factor denominators away from the I = P singularity
     x_max = min(0.999, 1 - 2 * sys.alpha, 1 - 2 * sys.alpha / sys.kappa)
     # Python floats: the same IEEE arithmetic as numpy scalars, without their overhead

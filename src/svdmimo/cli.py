@@ -10,8 +10,8 @@ given with the other profile (`delta` applies to `modulo`, `I_over_P` to
 one value. A `ber` config sweeps the key it lists: `I_over_P`, `R`, or `R` with
 one curve per listed `delta`. Units are converted only here, dB powers (`P_dB`,
 `W_dB`) to linear and GHz, us, km/h to SI. Every output embeds the resolved
-config and seed. The library computes every number: `support` and `spectrum` write
-`bulk_support.support_report`, the `empirical` column `SpectrumResult.empirical`.
+config and seed. The library computes every number: `support` writes `support_report`,
+`spectrum` the `support_estimates` and the column `SpectrumResult.empirical`.
 """
 
 from __future__ import annotations
@@ -164,8 +164,8 @@ def _cmd_spectrum(args):
     comments = [f"kappa={density.kappa!r}", f"atom={density.atom_at_zero!r}",
                 f"scale={density.scale!r}", f"y_offset={density.y_offset!r}"]
     if max(sys_params.interference_powers, default=0.0) > 0:
-        comments += ["support: " + json.dumps(sup, sort_keys=True)
-                     for sup in bulk_support.support_report(sys_params)["estimates"]]
+        comments += ["support: " + json.dumps(est.to_dict(), sort_keys=True)
+                     for est in bulk_support.support_estimates(sys_params)]
     out = Path(args.out) / "spectrum.csv"
     _write_csv(out, _resolved(cfg, sys_params, seed), "x,density,empirical",
                zip(density.grid.tolist(), density.values.tolist(), result.empirical.tolist()),

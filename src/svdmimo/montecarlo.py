@@ -14,9 +14,10 @@ from functools import partial
 
 import numpy as np
 
-from .rmt_spectrum import FixedPointParams, SpectralDensity, density_from_stieltjes, empirical_spectrum
+from .rmt_spectrum import FixedPointParams, SpectralDensity, density_from_stieltjes
 from .subspace_receiver import (conventional_receiver, count_bit_errors, detect_subspace,
-                                estimate_projected_channel, project, signal_subspace)
+                                empirical_spectrum, estimate_projected_channel, project,
+                                signal_subspace)
 from .system_model import (InterferenceProfile, PilotConfig, SystemParams, assemble_received,
                            integer_field, make_pilots, real_field, sample_realization)
 

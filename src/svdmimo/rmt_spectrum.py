@@ -6,8 +6,8 @@ G(s) = int dP(x)/(x - s). Each power source (signal, each interferer, noise)
 contributes one rational self-energy term. Densities are recovered by the
 inversion formula p(x) = Im G(x + jy)/pi for small y > 0.
 
-Eigenvalue axes are expressed as eig(Y Y^H)/scale; `scale` = T*R places the
-signal bulk near kappa*P/alpha and is the axis of empirical_spectrum.
+Eigenvalue axes are expressed as eig(Y Y^H)/scale; `scale` = T*R, the axis of
+subspace_receiver.empirical_spectrum, places the signal bulk near kappa*P/alpha.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _gram_lower
 from .system_model import SystemParams, real_field
 
 # damped fixed-point iteration: step weight, residual tolerance, step budget
@@ -230,12 +229,12 @@ def _continuation(s, fp):
     ratio = 0.5
     while y > y_end:
         y_next = max(y * ratio, y_end)
-        if y_next == y:
-            return None
         Gn, n, res = _newton(complex(x, y_next), fp, G)
         steps += n
         if Gn.imag > 0 and res <= _TOL:
             y, G, residual, ratio = y_next, Gn, res, max(ratio * ratio, 0.5)
+        elif ratio == math.sqrt(ratio):  # 1 - 2^-53, the shortest step there is
+            return None
         else:
             ratio = math.sqrt(ratio)
     return G, steps, residual
@@ -299,16 +298,3 @@ def density_from_stieltjes(grid, fp: FixedPointParams, y_offset=None) -> Spectra
         values[i] = G.imag / math.pi * fp.scale
     return SpectralDensity(grid=grid, values=values, kappa=fp.kappa, scale=fp.scale,
                            y_offset=y_offset)
-
-
-def empirical_spectrum(Y, T) -> np.ndarray:
-    """All R eigenvalues of Y Y^H/(T*R), the axis of the support estimates,
-    non-negative, descending.
-
-    Computed on the smaller Gram side, formed as in signal_subspace; for
-    R > C the trailing R - C entries are exact zeros (rank bound).
-    """
-    Y = np.asarray(Y)
-    R, C = Y.shape
-    ev = np.clip(np.linalg.eigvalsh(_gram_lower(Y), UPLO="L"), 0.0, None)[::-1]
-    return np.concatenate([ev, np.zeros(max(R - C, 0))]) / (T * R)

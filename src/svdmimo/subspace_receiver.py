@@ -6,14 +6,15 @@ channel from the projected pilots by least squares, and equalizes the data. The
 conventional baseline estimates the full R x T channel by least squares from
 the pilot columns and applies maximum-ratio combining. Both return soft symbol
 estimates; count_bit_errors decides each bit once, by its sign (Gray QPSK).
+empirical_spectrum gives every eigenvalue of Y Y^H, from the same herk Gram side.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg.blas import zherk
 
-from .numerics import _gram_lower
 from .system_model import PilotConfig
 
 
@@ -116,6 +117,31 @@ def signal_subspace(Y, T_sel) -> np.ndarray:
     peak = S[np.argmax(np.abs(S), axis=0), np.arange(T_sel)]
     S *= peak.conj() / np.abs(peak)
     return S
+
+
+def _gram_lower(Y):
+    """Lower triangle of the conjugate of the smaller Gram matrix of Y:
+    conj(Y Y^H) if R <= C, else conj(Y^H Y); the upper triangle is not set.
+
+    One herk on Y^T, which reads Y through its transpose view, never through
+    a conjugate copy. The conjugate has the eigenvalues of the Gram matrix,
+    and the conjugates of its eigenvectors.
+    """
+    R, C = Y.shape
+    return zherk(1.0, Y.T, trans=2 if R <= C else 0, lower=1)
+
+
+def empirical_spectrum(Y, T) -> np.ndarray:
+    """All R eigenvalues of Y Y^H/(T*R), the axis of the support estimates,
+    non-negative, descending.
+
+    Computed on the smaller Gram side, formed as in signal_subspace; for
+    R > C the trailing R - C entries are exact zeros (rank bound).
+    """
+    Y = np.asarray(Y)
+    R, C = Y.shape
+    ev = np.clip(np.linalg.eigvalsh(_gram_lower(Y), UPLO="L"), 0.0, None)[::-1]
+    return np.concatenate([ev, np.zeros(max(R - C, 0))]) / (T * R)
 
 
 def _orthogonalise(Q, w):

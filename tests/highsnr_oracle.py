@@ -18,8 +18,8 @@ import math
 
 import numpy as np
 
-from svdmimo.bulk_support import BulkInterval, SupportEstimate, _merged_estimate, _unilateral
-from svdmimo.numerics import poly_roots
+from svdmimo.bulk_support import (BulkInterval, SupportEstimate, _merged_estimate, _unilateral,
+                                  poly_roots)
 
 from ratio_params import RatioParams
 

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -6,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svdmimo import bulk_support, rmt_spectrum
 from svdmimo.bulk_support import (BulkInterval, RegimeError, SupportEstimate, _gamma_I, _gamma_P,
                                   _unilateral, bilateral_supports_general,
                                   bilateral_supports_highsnr, quartic_extremes, s1_inverse,
                                   s1_supports, separability_boundary, separability_boundary_ratio,
                                   support_estimates, support_report, unilateral_separable,
                                   unilateral_supports)
-from svdmimo.rmt_spectrum import empirical_spectrum
+from svdmimo.subspace_receiver import empirical_spectrum
 from svdmimo.system_model import (InterferenceProfile, PilotConfig, SystemParams,
                                   assemble_received, sample_realization)
 
@@ -297,14 +300,16 @@ class TestSupportEstimates:
                                          bilateral_supports_general(dp))
 
     @pytest.mark.parametrize("estimator", [unilateral_supports, s1_supports,
-                                           bilateral_supports_highsnr, bilateral_supports_general])
+                                           bilateral_supports_highsnr, bilateral_supports_general,
+                                           unilateral_separable])
     @pytest.mark.parametrize("sys", [fig2_dp(W=1.0, I_over_P=0.0),
                                      SystemParams(R=300, T=3, C=1000, L=0, P=0.1, W=1.0)],
                              ids=["I_over_P_0", "L_0"])
     def test_needs_interference_power(self, estimator, sys):
         # unilateral gave a [0, 0] interference interval read as separable, s1
-        # a LinAlgError from numpy and the bilateral estimates NaN intervals;
-        # the estimate set and the report raise the same error
+        # a LinAlgError from numpy, the bilateral estimates NaN intervals and
+        # the threshold scan a verdict at L = 0; the estimate set and the
+        # report raise the same error
         for compute in (estimator, support_estimates, support_report):
             with pytest.raises(ValueError) as err:
                 compute(sys)
@@ -342,6 +347,13 @@ class TestS1:
         assert est.separable
         # signal interval brackets the unilateral center kappa P / alpha
         assert est.signal.lower < 10 / 3 * 0.1 / 0.01 < est.signal.upper
+
+    def test_extreme_ordering_violated(self):
+        # four real quartic roots, but s1(G2) > s1(G3): the bulks overlap
+        est = s1_supports(flat_dp(R=20, T=2, C=1000, L=4, I_over_P=0.8))
+        assert est.signal == est.interference == BulkInterval(0.0, 0.0)
+        assert est.flags == ("merged", "extreme ordering violated")
+        assert est.to_dict()["separable"] is False
 
     def test_equal_powers_degenerate(self):
         dp = dp_from_ratios(alpha=0.01, kappa=10 / 3, r=3.3333e-5, t=3.3333e-5, L=2)
@@ -599,3 +611,22 @@ class TestSupportEstimateInvariants:
     def test_to_dict_roundtrip_fields(self):
         d = bilateral_supports_highsnr(fig2_dp()).to_dict()
         assert set(d) == {"method", "signal", "interference", "separable", "flags"}
+
+
+def package_imports(module):
+    """The svdmimo modules that `module`'s source imports from."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("svdmimo")):
+            base = (node.module or "").removeprefix("svdmimo").lstrip(".")
+            names |= {base} if base else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name.removeprefix("svdmimo.") for alias in node.names
+                      if alias.name.startswith("svdmimo.")}
+    return names
+
+
+@pytest.mark.parametrize("module", [bulk_support, rmt_spectrum], ids=lambda m: m.__name__)
+def test_asymptotic_side_reads_only_system_model(module):
+    # the random-matrix analysis predicts the sample side but reads none of it
+    assert package_imports(module) == {"system_model"}

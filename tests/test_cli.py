@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from svdmimo import montecarlo
+from svdmimo import montecarlo, rmt_spectrum
 from svdmimo.bulk_support import support_report
 from svdmimo.cli import main
 from svdmimo.system_model import InterferenceProfile, SystemParams
@@ -512,6 +512,17 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError", err
         assert err["message"].startswith("every eigenvalue is 0"), err
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    def test_spectrum_solver_failure_exits_with_json(self, tmp_path, capsys, monkeypatch):
+        # no grid point can meet a negative solver tolerance
+        monkeypatch.setattr(rmt_spectrum, "_TOL", -1.0)
+        cfg = {"R": 20, "T": 2, "C": 30, "L": 1, "P_dB": -10, "W_dB": 0, "n_seeds": 2}
+        assert main(["spectrum", "--config", write_cfg(tmp_path, "sp.json", cfg),
+                     "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "StieltjesSolverError", err
+        assert err["message"].startswith("no Herglotz solution found at s="), err
         assert not (tmp_path / "spectrum.csv").exists()
 
     @pytest.mark.parametrize("command, key, value", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svdmimo.numerics import bisect, poly_roots
+from svdmimo.bulk_support import bisect, poly_roots
 
 
 def test_polynomial_trims_leading_zeros():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -6,10 +8,12 @@ from hypothesis import strategies as st
 
 import fixed_point_oracle as oracle
 from spectrum_oracle import bulk_intervals, cdf, mp_density
+from svdmimo import rmt_spectrum
 from svdmimo.montecarlo import spectrum_experiment
-from svdmimo.rmt_spectrum import (FixedPointParams, _cleared_and_deriv, _continuation,
-                                  _iterate, _self_energy, _solve_raw, density_from_stieltjes,
-                                  empirical_spectrum, stieltjes_solve)
+from svdmimo.rmt_spectrum import (FixedPointParams, StieltjesSolverError, _cleared_and_deriv,
+                                  _continuation, _iterate, _self_energy, _solve_raw,
+                                  density_from_stieltjes, stieltjes_solve)
+from svdmimo.subspace_receiver import empirical_spectrum
 from svdmimo.system_model import (InterferenceProfile, PilotConfig, SystemParams,
                                   assemble_received, sample_realization)
 
@@ -65,6 +69,33 @@ class TestStieltjesSolve:
         v = stieltjes_solve(2.0 + 0.1j, noise_only(1.0))
         assert v.residual <= 1e-10
         assert v.iterations >= 1
+
+    def test_unmet_tolerance_raises_with_residual(self, monkeypatch):
+        # no point meets a negative tolerance: the warm iterate misses it, and
+        # so does the first rung of the continuation
+        monkeypatch.setattr(rmt_spectrum, "_TOL", -1.0)
+        fp = noise_only(1.0)
+        with pytest.raises(StieltjesSolverError) as err:
+            stieltjes_solve(2.0 + 0.1j, fp)
+        assert f"no Herglotz solution found at s={fp.scale * (2.0 + 0.1j)}" in str(err.value)
+        assert math.isfinite(err.value.residual)
+
+    def test_continuation_stops_when_no_rung_is_accepted(self, monkeypatch):
+        # the first rung lands on the branch and every later Newton run misses
+        # the tolerance. Square roots take the step ratio to 1 - 2^-53, never
+        # to 1, and y * ratio stays below y, so the search must end there
+        newton, calls = rmt_spectrum._newton, []
+
+        def first_only(s, fp, G):
+            calls.append(s)
+            assert len(calls) <= 1000, "the continuation does not stop"
+            G, n, res = newton(s, fp, G)
+            return G, n, res if len(calls) == 1 else math.inf
+        monkeypatch.setattr(rmt_spectrum, "_newton", first_only)
+        assert _continuation(2.0 + 0.1j, noise_only(1.0)) is None
+        # each retry takes a shorter step down from the first rung
+        ys = [s.imag for s in calls]
+        assert ys[1:] == sorted(ys[1:]) and ys[-1] < ys[0]
 
 
 def _fig1_density_at(seed, index, x, want):
