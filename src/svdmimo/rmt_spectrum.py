@@ -30,7 +30,7 @@ _HANDOFF = 1e-8
 
 
 class StieltjesSolverError(RuntimeError):
-    """Fixed-point solver failed; carries the residual of the warm iterate."""
+    """Fixed-point solver failed; carries the residual of the stage that gave up."""
 
     def __init__(self, message, residual):
         super().__init__(f"{message} (residual={residual:.3e})")
@@ -211,7 +211,9 @@ def _newton(s, fp, G):
 
 def _continuation(s, fp):
     """G followed down the line x = Re s by Newton on each rung: (G, steps,
-    residual), or None when a rung fails however small its step.
+    residual); StieltjesSolverError, naming s, with the residual of the stage
+    that gave up: the first rung's iterate, or the last Newton run once a
+    rung fails however small its step.
 
     The first rung, y0 = 10 max(|s|, raw mean eigenvalue), lies far enough
     above the spectrum that _iterate from -1/s lands on the
@@ -225,7 +227,7 @@ def _continuation(s, fp):
     z = complex(x, y)
     G, steps, residual = _iterate(z, fp, -1.0 / z)
     if not (G.imag > 0 and residual <= _TOL):
-        return None
+        raise StieltjesSolverError(f"no Herglotz solution found at s={s}", residual)
     ratio = 0.5
     while y > y_end:
         y_next = max(y * ratio, y_end)
@@ -234,7 +236,7 @@ def _continuation(s, fp):
         if Gn.imag > 0 and res <= _TOL:
             y, G, residual, ratio = y_next, Gn, res, max(ratio * ratio, 0.5)
         elif ratio == math.sqrt(ratio):  # 1 - 2^-53, the shortest step there is
-            return None
+            raise StieltjesSolverError(f"no Herglotz solution found at s={s}", res)
         else:
             ratio = math.sqrt(ratio)
     return G, steps, residual
@@ -256,10 +258,8 @@ def _solve_raw(s, fp, init=None):
     G, it, residual = _iterate(s, fp, start)
     if G.imag > 0 and residual <= _TOL:
         return G, it, residual
-    out = _continuation(s, fp)
-    if out is None:
-        raise StieltjesSolverError(f"no Herglotz solution found at s={s}", residual)
-    return out[0], it + out[1], out[2]
+    G, steps, residual = _continuation(s, fp)
+    return G, it + steps, residual
 
 
 # ---------------------------------------------------------------------------

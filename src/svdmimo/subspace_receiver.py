@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.linalg.blas import zherk
 
-from .system_model import PilotConfig
+from .system_model import PilotConfig, integer_field
 
 
 # Largest min(R, C) that signal_subspace sends to the dense Gram-side
@@ -97,7 +97,8 @@ def signal_subspace(Y, T_sel) -> np.ndarray:
     Y = np.asarray(Y)
     R, C = Y.shape
     mn = min(R, C)
-    if not 1 <= T_sel <= mn:
+    T_sel = integer_field("T_sel", T_sel, 1)
+    if T_sel > mn:
         raise ValueError(f"T_sel must be in [1, min(R, C)] = [1, {mn}]")
     if mn > _GRAM_MAX_DIM and T_sel < mn - 1:
         if R <= C:
@@ -138,6 +139,7 @@ def empirical_spectrum(Y, T) -> np.ndarray:
     Computed on the smaller Gram side, formed as in signal_subspace; for
     R > C the trailing R - C entries are exact zeros (rank bound).
     """
+    T = integer_field("T", T, 1)
     Y = np.asarray(Y)
     R, C = Y.shape
     ev = np.clip(np.linalg.eigvalsh(_gram_lower(Y), UPLO="L"), 0.0, None)[::-1]
@@ -248,9 +250,12 @@ def conventional_receiver(Y, pilots: PilotConfig) -> np.ndarray:
 
 
 def count_bit_errors(estimates, reference):
-    """Exact bit-error count between symbol estimates and the sent QPSK symbols
-    (2 bits/symbol). Gray mapping makes each bit the sign of a real or an
-    imaginary part (>= 0 or < 0), so this is the one place bits are decided."""
+    """Exact bit-error count between symbol estimates and the sent QPSK symbols,
+    two arrays of one shape (2 bits/symbol). Gray mapping makes each bit the
+    sign of a real or an imaginary part (>= 0 or < 0), so this is the one
+    place bits are decided."""
     d, x = np.asarray(estimates), np.asarray(reference)
+    if d.shape != x.shape:
+        raise ValueError(f"estimates {d.shape} and reference {x.shape} differ in shape")
     return int(np.count_nonzero((d.real >= 0) != (x.real >= 0))
                + np.count_nonzero((d.imag >= 0) != (x.imag >= 0)))

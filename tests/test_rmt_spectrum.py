@@ -80,6 +80,18 @@ class TestStieltjesSolve:
         assert f"no Herglotz solution found at s={fp.scale * (2.0 + 0.1j)}" in str(err.value)
         assert math.isfinite(err.value.residual)
 
+    def test_error_carries_the_residual_of_the_stage_that_gave_up(self):
+        # all powers 4^-7 of the usual: the warm iterate meets the tolerance on
+        # the wrong branch (Im G < 0, map residual 0) and the continuation stops
+        # where every rung misses the tolerance; its residual is the one to report
+        sys = SystemParams(R=40, T=2, C=30, L=0, P=0.1 * 4**-7, W=0.1 * 4**-7)
+        fp = FixedPointParams.from_system(sys, scale=sys.T * sys.R)
+        s = (1.785769838720993e-06 + 1.1611039390489456e-07j) / fp.scale
+        with pytest.raises(StieltjesSolverError) as err:
+            stieltjes_solve(s, fp)
+        assert f"no Herglotz solution found at s={fp.scale * s}" in str(err.value)
+        assert math.isfinite(err.value.residual) and err.value.residual > rmt_spectrum._TOL
+
     def test_continuation_stops_when_no_rung_is_accepted(self, monkeypatch):
         # the first rung lands on the branch and every later Newton run misses
         # the tolerance. Square roots take the step ratio to 1 - 2^-53, never
@@ -92,7 +104,10 @@ class TestStieltjesSolve:
             G, n, res = newton(s, fp, G)
             return G, n, res if len(calls) == 1 else math.inf
         monkeypatch.setattr(rmt_spectrum, "_newton", first_only)
-        assert _continuation(2.0 + 0.1j, noise_only(1.0)) is None
+        with pytest.raises(StieltjesSolverError) as err:
+            _continuation(2.0 + 0.1j, noise_only(1.0))
+        # the error carries the residual of the last Newton rung, not the first
+        assert err.value.residual == math.inf
         # each retry takes a shorter step down from the first rung
         ys = [s.imag for s in calls]
         assert ys[1:] == sorted(ys[1:]) and ys[-1] < ys[0]
@@ -457,6 +472,11 @@ class TestEmpiricalSpectrum:
         rng = np.random.default_rng(3)
         ev = empirical_spectrum(rng.standard_normal((30, 30)), 1)
         assert np.all(np.diff(ev) <= 0)
+
+    def test_block_length_must_be_positive(self):
+        # T = 0 once divided by zero, returning inf with a RuntimeWarning
+        with pytest.raises(ValueError, match="^T must be >= 1: 0$"):
+            empirical_spectrum(np.ones((4, 6)), 0)
 
     def test_fig1_histogram_overlaps_asymptotic(self):
         # averaged empirical CDF vs asymptotic CDF, Kolmogorov distance small

@@ -163,6 +163,14 @@ class TestSignalSubspace:
         with pytest.raises(ValueError):
             signal_subspace(np.ones((4, 6)), 5)
 
+    # 2.5 once failed inside numpy (Gram side) or scipy (Lanczos), and True,
+    # an int subclass but no count, ran as T_sel = 1
+    @pytest.mark.parametrize("shape, T_sel", [((4, 6), 2.5), ((300, 1000), 2.5), ((4, 6), True)],
+                             ids=["gram-2.5", "lanczos-2.5", "gram-True"])
+    def test_non_integer_T_sel_rejected(self, shape, T_sel):
+        with pytest.raises(ValueError, match=f"^T_sel must be an integer: {T_sel}$"):
+            signal_subspace(np.ones(shape), T_sel)
+
 
 def fig5_block(I_over_P, rep):
     # one received block of the Fig.-5 sweep: 300 x 1000, T = 3, L = 2, P/W = -10 dB
@@ -474,3 +482,9 @@ class TestQpskHelpers:
         a = np.array([[1 + 1j, 1 - 1j]]) * np.sqrt(P / 2)
         b = np.array([[1 + 1j, -1 + 1j]]) * np.sqrt(P / 2)
         assert count_bit_errors(a, b) == 2  # second symbol differs in both bits
+
+    def test_count_bit_errors_rejects_mismatched_shapes(self):
+        # numpy would broadcast a 1 x 3 reference against 3 x 3 estimates
+        est, ref = np.full((3, 3), 1 + 1j), np.array([[1 - 1j, 1 + 1j, 1 + 1j]])
+        with pytest.raises(ValueError, match=r"^estimates \(3, 3\) and reference \(1, 3\)"):
+            count_bit_errors(est, ref)
