@@ -6,12 +6,14 @@ ValueError, and so does a key given twice, a missing _REQUIRED_KEYS key, a
 non-integer value of an _INTEGER_KEYS key, a value of a _REAL_KEYS key that is
 no finite number, a `profile` other than `flat` or `modulo`, a profile key
 given with the other profile (`delta` applies to `modulo`, `I_over_P` to
-`flat`), a dB power too large for a float or a list given to a key that takes
-one value. A `ber` config sweeps the key it lists: `I_over_P`, `R`, or `R` with
-one curve per listed `delta`. Units are converted only here, dB powers (`P_dB`,
-`W_dB`) to linear and GHz, us, km/h to SI. Every output embeds the resolved
-config and seed. The library computes every number: `support` writes `support_report`,
-`spectrum` the `support_estimates` and the column `SpectrumResult.empirical`.
+`flat`), a dB power or an `f0_GHz` whose linear or SI value overflows a float
+or a list given to a key that takes one value. A `ber` config sweeps the key it
+lists: `I_over_P`, `R`, or `R` with one curve per listed `delta`. Units are
+converted only here, dB powers (`P_dB`, `W_dB`) to linear and GHz, us, km/h to
+SI. Every output embeds the resolved config and seed; the `--out` directory is
+created when the file is written, so a command that fails leaves none. The
+library computes every number: `support` writes `support_report`, `spectrum`
+the `support_estimates` and the column `SpectrumResult.empirical`.
 """
 
 from __future__ import annotations
@@ -141,12 +143,21 @@ def _write_csv(path, meta, columns, rows, comments=()):
     lines += ["# " + comment for comment in comments]
     lines.append(columns)
     lines += [",".join(map(_fmt, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
+
+
+def _write(path, text):
+    """`text` into the file at `path`, creating its directory: a command that
+    fails before it writes leaves no directory behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 def _cmd_coherence(args):
     cfg = _load_config(args.config, _COHERENCE_KEYS)
     f0, tau, v = cfg["f0_GHz"], cfg["delay_spread_us"], cfg["speed_kmh"]
+    if math.isinf(f0 * 1e9):
+        raise ValueError(f"config key 'f0_GHz' is too large a frequency: {f0!r} GHz")
     radio = RadioParams(carrier_frequency=f0 * 1e9, delay_spread=tau * 1e-6,
                         mobile_speed=v / 3.6)
     print(f"{coherence_symbols(radio):.2f}")
@@ -179,7 +190,7 @@ def _cmd_support(args):
     doc = _resolved(cfg, sys_params, cfg.get("seed", 0))
     doc.update(bulk_support.support_report(sys_params))
     out = Path(args.out) / "support.json"
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
 
 
@@ -268,8 +279,6 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "out", None) is not None:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
         args.func(args)
     except Exception as err:  # noqa: BLE001 - machine-readable error contract
         print(json.dumps({"error": type(err).__name__, "message": str(err)}),

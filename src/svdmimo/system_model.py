@@ -33,9 +33,17 @@ class RadioParams:
 
 
 def coherence_symbols(radio: RadioParams) -> float:
-    """Coherence time in symbol intervals: 3/(4 sqrt(pi) f0 tau) * c/v."""
-    return (3.0 / (4.0 * math.sqrt(math.pi) * radio.carrier_frequency * radio.delay_spread)
-            * LIGHT_SPEED / radio.mobile_speed)
+    """Coherence time in symbol intervals: 3/(4 sqrt(pi) f0 tau) * c/v; ValueError
+    unless that is a finite number above 0 (f0 tau may underflow to 0, or the
+    quotient overflow to inf)."""
+    try:
+        symbols = (3.0 / (4.0 * math.sqrt(math.pi) * radio.carrier_frequency
+                          * radio.delay_spread) * LIGHT_SPEED / radio.mobile_speed)
+    except ZeroDivisionError:
+        symbols = math.inf
+    if not 0.0 < symbols < math.inf:
+        raise ValueError(f"coherence time is no finite number of symbols above 0: {radio}")
+    return symbols
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,23 @@ class TestCoherence:
         assert 97 <= float(capsys.readouterr().out.strip()) <= 101
         with pytest.raises(SystemExit):
             main(["coherence", "--f0-ghz", "2.6", "--delay-us", "5", "--speed-kmh", "350"])
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"f0_GHz": 2.6, "delay_spread_us": 5, "speed_kmh": 1e-320},
+         "coherence time is no finite number of symbols above 0"),
+        ({"f0_GHz": 1e-300, "delay_spread_us": 1e-300, "speed_kmh": 350},
+         "coherence time is no finite number of symbols above 0"),
+        ({"f0_GHz": 1e308, "delay_spread_us": 5, "speed_kmh": 350},
+         "config key 'f0_GHz' is too large a frequency: 1e+308 GHz"),
+    ], ids=["speed_underflows", "f0_tau_underflows", "f0_overflows"])
+    def test_prints_a_finite_count_or_fails(self, tmp_path, capsys, cfg, message):
+        # the first printed inf and exited 0, the second raised ZeroDivisionError
+        # and the third named carrier_frequency, not its config key
+        assert main(["coherence", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and err["message"].startswith(message), err
+        assert captured.out == ""
 
 
 class TestSeparability:
@@ -113,6 +131,17 @@ class TestSupport:
         uni = json.loads((tmp_path / "support.json").read_text())["estimates"][0]
         assert uni["method"] == "unilateral" and not uni["separable"]
         assert uni["flags"] == ["merged", "interference scale factors singular at P = I"]
+
+    def test_interference_above_power_runs_silently(self, tmp_path, capsys):
+        # I > P: any warning would fail the run, and stderr stays empty
+        cfg = write_cfg(tmp_path, "s.json",
+                        {"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0,
+                         "profile": "flat", "I_over_P": 1.2})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["support", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "support.json").exists()
 
     def test_unilateral_regime_error_reported(self, tmp_path):
         # alpha = 1/4: 1 - 2 sqrt(alpha (1 + 1/kappa)) < 0, so the unilateral
@@ -535,7 +564,7 @@ class TestErrors:
         assert main([command, "--config", write_cfg(tmp_path, "k.json", cfg),
                      "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError" and key in err["message"], err
+        assert err["error"] == "ValueError" and err["message"].startswith(f"{key} must "), err
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command, key, value", [
@@ -611,7 +640,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("command, key", [
         ("support", "P_dB"), ("spectrum", "W_dB"), ("ber", "R"), ("support", "L"),
-        ("coherence", "speed_kmh")])
+        ("coherence", "speed_kmh"), ("support", "W_dB")])
     def test_rejects_a_missing_required_key(self, tmp_path, capsys, command, key):
         # a missing P_dB failed with {"error": "KeyError", "message": "'P_dB'"}
         if command == "coherence":
@@ -659,3 +688,25 @@ class TestErrors:
             "error": "ValueError", "message": f"unknown profile kind {profile!r}: config key "
                                               "'profile' takes 'flat' or 'modulo'"}
         assert captured.out == "" and not (tmp_path / "support.json").exists()
+
+
+class TestOutDirectory:
+    def test_failed_run_creates_no_directory(self, tmp_path, capsys):
+        # `--out` was created before the command read its config, and stayed empty
+        cfg = {"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "I_over_P": 0.25}
+        assert main(["support", "--config", write_cfg(tmp_path, "s.json", cfg),
+                     "--out", str(tmp_path / "new" / "sub")]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "missing config keys ['W_dB']"}
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("command, name", [("support", "support.json"),
+                                               ("separability", "separability.csv")])
+    def test_successful_run_creates_its_directory(self, tmp_path, command, name):
+        # support.json and the CSV files each create the directory they write into
+        cfg = {"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0, "I_over_P": 0.25}
+        args = (["--config", write_cfg(tmp_path, "s.json", cfg)] if command == "support"
+                else ["--points", "2"])
+        out = tmp_path / "new" / "sub"
+        assert main([command, *args, "--out", str(out)]) == 0
+        assert [path.name for path in out.iterdir()] == [name]

@@ -113,16 +113,11 @@ class TestStieltjesSolve:
         assert ys[1:] == sorted(ys[1:]) and ys[-1] < ys[0]
 
 
-def _fig1_density_at(seed, index, x, want):
-    density = spectrum_experiment(fig1_system(), n_seeds=20, grid_points=600,
-                                  seed=seed).density
-    assert abs(density.grid[index] - x) < 1e-10
-    assert abs(density.values[index] - want) < 1e-9
-
-
-class TestFig1PolynomialStage:
-    """Fig.-1 grid points that the former cleared-polynomial stage of the
-    solver was written for; the continuation must give the same densities.
+class TestFig1Continuation:
+    """Fig.-1 grid points where the warm iterate misses the Herglotz branch:
+    the former cleared-polynomial stage of the solver was written for them, and
+    at some it returned a wrong upper-half-plane root; the continuation must
+    give the reference densities.
 
     References: mpmath at 40 digits, findroot on each rung of a continuation
     from far above the real axis, y shrunk by a factor of 0.97 per rung.
@@ -130,6 +125,10 @@ class TestFig1PolynomialStage:
 
     @pytest.mark.parametrize("seed, index, x, want", [
         # the warm iterate has Im G < 0
+        (13, 4, 0.0204845581, 0.535610334220761),
+        (2, 1, 0.0091900511, 0.06375502452964475),
+        (8, 2, 0.0123139242, 0.032669311693887586),
+        (30, 2, 0.0128914454, 0.031484145833964874),
         (15, 4, 0.0206343044, 0.678916673401397),
         (36, 4, 0.0206166420, 0.663843614231379),
         # two roots of the cleared equation lie in the upper half-plane: this
@@ -139,25 +138,10 @@ class TestFig1PolynomialStage:
         (6, 2, 0.0130972026, 0.0311727722791218),
     ])
     def test_density_matches_continuation(self, seed, index, x, want):
-        _fig1_density_at(seed, index, x, want)
-
-
-class TestFig1Continuation:
-    """Fig.-1 grid points where the warm iterate misses the Herglotz branch and
-    the cleared-polynomial stage returned a wrong upper-half-plane root.
-
-    References as for TestFig1PolynomialStage.
-    """
-
-    @pytest.mark.parametrize("seed, index, x, want", [
-        # the warm iterate has Im G < 0
-        (13, 4, 0.0204845581, 0.535610334220761),
-        (2, 1, 0.0091900511, 0.06375502452964475),
-        (8, 2, 0.0123139242, 0.032669311693887586),
-        (30, 2, 0.0128914454, 0.031484145833964874),
-    ])
-    def test_density_matches_continuation(self, seed, index, x, want):
-        _fig1_density_at(seed, index, x, want)
+        density = spectrum_experiment(fig1_system(), n_seeds=20, grid_points=600,
+                                      seed=seed).density
+        assert abs(density.grid[index] - x) < 1e-10
+        assert abs(density.values[index] - want) < 1e-9
 
     @pytest.mark.parametrize("T, seed", [(10, 0), (10, 130478608), (12, 0), (30, 0)])
     def test_every_grid_point_solved(self, T, seed):
@@ -439,64 +423,6 @@ class TestDensity:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
             density_from_stieltjes(np.array([1.0, 0.5]), noise_only(1.0))
-
-
-class TestEmpiricalSpectrum:
-    @pytest.mark.parametrize("R, C", [(30, 50), (40, 40), (50, 20)])
-    def test_axis_matches_full_gram(self, R, C):
-        # eig(Y Y^H)/(T*R) from the full R x R Gram matrix, whatever side the
-        # library forms; R > C leaves R - C exact zeros
-        T = 3
-        rng = np.random.default_rng(R + C)
-        Y = rng.standard_normal((R, C)) + 1j * rng.standard_normal((R, C))
-        ev = empirical_spectrum(Y, T)
-        want = np.sort(np.linalg.eigvalsh(Y @ Y.conj().T))[::-1] / (T * R)
-        assert ev.shape == (R,)
-        assert np.max(np.abs(ev - want)) <= 1e-12 * want[0]
-        assert np.count_nonzero(ev == 0.0) == max(R - C, 0)
-
-    def test_rank_bound_zeros(self):
-        rng = np.random.default_rng(1)
-        Y = rng.standard_normal((50, 20)) + 1j * rng.standard_normal((50, 20))
-        ev = empirical_spectrum(Y, 1)
-        assert len(ev) == 50
-        assert np.count_nonzero(ev == 0.0) >= 30
-
-    def test_trace_identity(self):
-        rng = np.random.default_rng(2)
-        Y = rng.standard_normal((40, 60)) + 1j * rng.standard_normal((40, 60))
-        ev = empirical_spectrum(Y, 1)
-        assert np.isclose(np.sum(ev), np.linalg.norm(Y) ** 2 / 40, rtol=1e-8)
-
-    def test_descending(self):
-        rng = np.random.default_rng(3)
-        ev = empirical_spectrum(rng.standard_normal((30, 30)), 1)
-        assert np.all(np.diff(ev) <= 0)
-
-    def test_block_length_must_be_positive(self):
-        # T = 0 once divided by zero, returning inf with a RuntimeWarning
-        with pytest.raises(ValueError, match="^T must be >= 1: 0$"):
-            empirical_spectrum(np.ones((4, 6)), 0)
-
-    def test_fig1_histogram_overlaps_asymptotic(self):
-        # averaged empirical CDF vs asymptotic CDF, Kolmogorov distance small
-        sys = fig1_system()
-        scale = sys.T * sys.R
-        fp = FixedPointParams.from_system(sys, scale=scale)
-        pooled = []
-        for i in range(10):
-            rz = sample_realization(sys, PilotConfig(), seed=[100, i])
-            ev = empirical_spectrum(assemble_received(rz), sys.T)
-            pooled.append(ev[ev > 1e-9])
-        pooled = np.sort(np.concatenate(pooled))
-        grid = np.linspace(0.25 * pooled[0], 1.1 * pooled[-1], 400)
-        density = density_from_stieltjes(grid, fp, y_offset=2e-5)
-        cum = cdf(density)
-        F = np.interp(pooled, grid, cum / cum[-1])
-        n = len(pooled)
-        ks = max(np.max(np.abs(np.arange(1, n + 1) / n - F)),
-                 np.max(np.abs(np.arange(0, n) / n - F)))
-        assert ks <= 0.08
 
 
 class TestMpDensity:

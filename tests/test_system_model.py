@@ -49,12 +49,21 @@ class TestCoherence:
         with pytest.raises(ValueError, match="^carrier_frequency must be a finite real number"):
             RadioParams(value, 5e-6, 10.0)
 
+    @pytest.mark.parametrize("radio", [
+        RadioParams(2.6e9, 5e-6, 1e-320 / 3.6), RadioParams(1e-291, 1e-306, 350 / 3.6)],
+        ids=["speed_underflows", "f0_tau_underflows"])
+    def test_no_finite_count_rejected(self, radio):
+        # a subnormal speed gave inf symbols; f0 tau underflowing to 0 raised
+        # ZeroDivisionError
+        with pytest.raises(ValueError, match="^coherence time is no finite number of symbols"):
+            coherence_symbols(radio)
+
 
 def flat_system(R=300, T=10, C=100, L=2, P=0.1, W=1.0, I=0.025):
     return SystemParams.from_profile(R, T, C, L, P, W, InterferenceProfile(kind="flat", I=I))
 
 
-class TestDerivedParams:
+class TestSystemParams:
     def test_kappa(self):
         assert flat_system(R=300, C=100).kappa == 100 / 300
 
@@ -549,7 +558,7 @@ class TestFrozenStream:
 
 
 @pytest.mark.filterwarnings("error")
-def test_interference_above_p_warns():
+def test_interference_above_p_accepted():
     # accepted without a warning: every output echoes P and the powers, and the
     # unilateral estimate flags P/I < 2
     sys = SystemParams.from_profile(10, 2, 8, 1, 0.1, 1.0,
