@@ -11,14 +11,10 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 import svdmimo
 from svdmimo import subspace_receiver
-from svdmimo.rmt_spectrum import FixedPointParams, density_from_stieltjes
 from svdmimo.subspace_receiver import (conventional_receiver, count_bit_errors, detect_subspace,
-                                       empirical_spectrum, estimate_projected_channel, project,
-                                       signal_subspace)
+                                       estimate_projected_channel, project, signal_subspace)
 from svdmimo.system_model import (InterferenceProfile, PilotConfig, SystemParams, _qpsk,
                                   assemble_received, make_pilots, sample_realization)
-
-from spectrum_oracle import cdf
 
 
 def cgauss(rng, shape, var=1.0):
@@ -254,65 +250,6 @@ class TestLanczos:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "[]"
-
-
-class TestEmpiricalSpectrum:
-    @pytest.mark.parametrize("R, C", [(30, 50), (40, 40), (50, 20)])
-    def test_axis_matches_full_gram(self, R, C):
-        # eig(Y Y^H)/(T*R) from the full R x R Gram matrix, whatever side the
-        # library forms; R > C leaves R - C exact zeros
-        T = 3
-        rng = np.random.default_rng(R + C)
-        Y = rng.standard_normal((R, C)) + 1j * rng.standard_normal((R, C))
-        ev = empirical_spectrum(Y, T)
-        want = np.sort(np.linalg.eigvalsh(Y @ Y.conj().T))[::-1] / (T * R)
-        assert ev.shape == (R,)
-        assert np.max(np.abs(ev - want)) <= 1e-12 * want[0]
-        assert np.count_nonzero(ev == 0.0) == max(R - C, 0)
-
-    def test_rank_bound_zeros(self):
-        rng = np.random.default_rng(1)
-        Y = rng.standard_normal((50, 20)) + 1j * rng.standard_normal((50, 20))
-        ev = empirical_spectrum(Y, 1)
-        assert len(ev) == 50
-        assert np.count_nonzero(ev == 0.0) >= 30
-
-    def test_trace_identity(self):
-        rng = np.random.default_rng(2)
-        Y = rng.standard_normal((40, 60)) + 1j * rng.standard_normal((40, 60))
-        ev = empirical_spectrum(Y, 1)
-        assert np.isclose(np.sum(ev), np.linalg.norm(Y) ** 2 / 40, rtol=1e-8)
-
-    def test_descending(self):
-        rng = np.random.default_rng(3)
-        ev = empirical_spectrum(rng.standard_normal((30, 30)), 1)
-        assert np.all(np.diff(ev) <= 0)
-
-    def test_block_length_must_be_positive(self):
-        # T = 0 once divided by zero, returning inf with a RuntimeWarning
-        with pytest.raises(ValueError, match="^T must be >= 1: 0$"):
-            empirical_spectrum(np.ones((4, 6)), 0)
-
-    def test_fig1_histogram_overlaps_asymptotic(self):
-        # averaged empirical CDF vs asymptotic CDF, Kolmogorov distance small
-        sys = SystemParams.from_profile(R=300, T=10, C=100, L=2, P=0.1, W=1.0,
-                                        profile=InterferenceProfile(kind="modulo", delta=4))
-        scale = sys.T * sys.R
-        fp = FixedPointParams.from_system(sys, scale=scale)
-        pooled = []
-        for i in range(10):
-            rz = sample_realization(sys, PilotConfig(), seed=[100, i])
-            ev = empirical_spectrum(assemble_received(rz), sys.T)
-            pooled.append(ev[ev > 1e-9])
-        pooled = np.sort(np.concatenate(pooled))
-        grid = np.linspace(0.25 * pooled[0], 1.1 * pooled[-1], 400)
-        density = density_from_stieltjes(grid, fp, y_offset=2e-5)
-        cum = cdf(density)
-        F = np.interp(pooled, grid, cum / cum[-1])
-        n = len(pooled)
-        ks = max(np.max(np.abs(np.arange(1, n + 1) / n - F)),
-                 np.max(np.abs(np.arange(0, n) / n - F)))
-        assert ks <= 0.08
 
 
 class TestProject:
