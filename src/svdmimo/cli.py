@@ -6,14 +6,15 @@ ValueError, and so does a key given twice, a missing _REQUIRED_KEYS key, a
 non-integer value of an _INTEGER_KEYS key, a value of a _REAL_KEYS key that is
 no finite number, a `profile` other than `flat` or `modulo`, a profile key
 given with the other profile (`delta` applies to `modulo`, `I_over_P` to
-`flat`), a dB power or an `f0_GHz` whose linear or SI value overflows a float
-or a list given to a key that takes one value. A `ber` config sweeps the key it
-lists: `I_over_P`, `R`, or `R` with one curve per listed `delta`. Units are
-converted only here, dB powers (`P_dB`, `W_dB`) to linear and GHz, us, km/h to
-SI. Every output embeds the resolved config and seed; the `--out` directory is
-created when the file is written, so a command that fails leaves none. The
-library computes every number: `support` writes `support_report`, `spectrum`
-the `support_estimates` and the column `SpectrumResult.empirical`.
+`flat`), a dB power whose linear value overflows a float, a `coherence` key
+whose SI value is no finite number above 0, or a list given to a key that
+takes one value. A `ber` config sweeps the key it lists: `I_over_P`, `R`, or
+`R` with one curve per listed `delta`. Units are converted only here, dB
+powers (`P_dB`, `W_dB`) to linear and GHz, us, km/h to SI. Every output
+embeds the resolved config and seed; the `--out` directory is created when
+the file is written, so a command that fails leaves none. The library
+computes every number: `support` writes `support_report`, `spectrum` the
+`support_estimates` and the column `SpectrumResult.empirical`.
 """
 
 from __future__ import annotations
@@ -155,11 +156,17 @@ def _write(path, text):
 
 def _cmd_coherence(args):
     cfg = _load_config(args.config, _COHERENCE_KEYS)
-    f0, tau, v = cfg["f0_GHz"], cfg["delay_spread_us"], cfg["speed_kmh"]
-    if math.isinf(f0 * 1e9):
-        raise ValueError(f"config key 'f0_GHz' is too large a frequency: {f0!r} GHz")
-    radio = RadioParams(carrier_frequency=f0 * 1e9, delay_spread=tau * 1e-6,
-                        mobile_speed=v / 3.6)
+    si = {"f0_GHz": cfg["f0_GHz"] * 1e9, "delay_spread_us": cfg["delay_spread_us"] * 1e-6,
+          "speed_kmh": cfg["speed_kmh"] / 3.6}
+    for key, quantity, unit in (("f0_GHz", "frequency", "GHz"),
+                                ("delay_spread_us", "delay spread", "us"),
+                                ("speed_kmh", "speed", "km/h")):
+        if not 0 < si[key] < math.inf:
+            size = "large" if si[key] > 0 else "small"
+            raise ValueError(f"config key {key!r} is too {size} a {quantity}: "
+                             f"{cfg[key]!r} {unit}")
+    radio = RadioParams(carrier_frequency=si["f0_GHz"], delay_spread=si["delay_spread_us"],
+                        mobile_speed=si["speed_kmh"])
     print(f"{coherence_symbols(radio):.2f}")
 
 

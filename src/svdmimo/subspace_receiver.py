@@ -55,42 +55,37 @@ def signal_subspace(Y, T_sel) -> np.ndarray:
     wins on small blocks and Lanczos on large ones. Median time per call
     (range over 6 blocks, best of 5 calls each), single-threaded OpenBLAS on
     a shared 2-vCPU Xeon VM with numpy 2.4 and scipy 1.17, and Gram
-    applications per block, with those of scipy's ARPACK ``eigsh`` (tol = 0,
-    the same start vector), which this path replaced, in parentheses; on
-    received blocks of the model (P = 0.1, W = 1; the C = 100 blocks with
-    the Fig.-4 modulo profile, delta = 2, L = 6; the C = 1000 blocks with
-    L = 2 cells at I = 0.05):
+    applications per block, on received blocks of the model (P = 0.1,
+    W = 1; the C = 100 blocks with the Fig.-4 modulo profile, delta = 2,
+    L = 6; the C = 1000 blocks with L = 2 cells at I = 0.05):
 
     ====================  ===================  ===================  ============
     block (R x C, T_sel)  Lanczos              Gram side            applications
     ====================  ===================  ===================  ============
-    50 x 100, 5           4.3 ms (2.8-4.9)     0.5 ms (0.4-0.7)     33-36 (47-59)
-    400 x 100, 5          3.9 ms (3.6-4.2)     1.7 ms (1.6-1.7)     31-34 (36-47)
-    200 x 1000, 3         9.4 ms (9.1-9.5)     9.1 ms (9.0-9.1)     20-21 (21)
-    225 x 1000, 3         10.6 ms (10.4-13.2)  11.6 ms (11.4-16.7)  21 (21-36)
-    300 x 1000, 3         12.4 ms (12.0-13.2)  19.9 ms (19.8-20.0)  20-21 (21)
+    50 x 100, 5           4.3 ms (2.8-4.9)     0.5 ms (0.4-0.7)     33-36
+    400 x 100, 5          3.9 ms (3.6-4.2)     1.7 ms (1.6-1.7)     31-34
+    200 x 1000, 3         9.4 ms (9.1-9.5)     9.1 ms (9.0-9.1)     20-21
+    225 x 1000, 3         10.6 ms (10.4-13.2)  11.6 ms (11.4-16.7)  21
+    300 x 1000, 3         12.4 ms (12.0-13.2)  19.9 ms (19.8-20.0)  20-21
     ====================  ===================  ===================  ============
 
     On the Fig.-5 blocks (300 x 1000, T_sel = 3, L = 2 cells at I/P times
     P), measured the same way:
 
-    ======  ===================  ===================  ============
-    I/P     Lanczos              ARPACK               applications
-    ======  ===================  ===================  ============
-    0.1     10.8 ms (10.7-11.1)  12.1 ms (11.7-13.4)  17 (21)
-    0.3     13.7 ms (12.1-14.0)  13.8 ms (12.2-14.1)  19-20 (21)
-    0.5     12.4 ms (12.0-13.2)  11.6 ms (11.4-11.8)  20-21 (21)
-    0.95    13.9 ms (13.1-14.5)  19.4 ms (19.1-20.7)  22-23 (36-38)
-    ======  ===================  ===================  ============
+    ======  ===================  ============
+    I/P     Lanczos              applications
+    ======  ===================  ============
+    0.1     10.8 ms (10.7-11.1)  17
+    0.3     13.7 ms (12.1-14.0)  19-20
+    0.5     12.4 ms (12.0-13.2)  20-21
+    0.95    13.9 ms (13.1-14.5)  22-23
+    ======  ===================  ============
 
-    A Lanczos step costs a little more than an ARPACK one, so the two take
-    the same time where they apply the operator equally often, and Lanczos
-    wins where ARPACK restarts. With a smaller eigengap both need more
-    steps and the crossover moves up: at T_sel = 5 on 200 x 1000 blocks
-    Lanczos takes 16.9 ms (28-29 applications, ARPACK 21.5 ms and 47) and
-    the Gram side 13.0 ms, and on noise-only 300 x 1000 blocks Lanczos takes
-    61 ms (88-94, ARPACK 81 ms and 137-184) and the Gram side 20 ms. The
-    crossover (_GRAM_MAX_DIM) is 200: at 200 x 1000 the two paths overlap
+    With a smaller eigengap Lanczos needs more steps and the crossover moves
+    up: at T_sel = 5 on 200 x 1000 blocks Lanczos takes 16.9 ms (28-29
+    applications) and the Gram side 13.0 ms, and on noise-only 300 x 1000
+    blocks Lanczos takes 61 ms (88-94 applications) and the Gram side 20 ms.
+    The crossover (_GRAM_MAX_DIM) is 200: at 200 x 1000 the two paths overlap
     with T_sel = 3 and the Gram side wins with T_sel = 5. Fig.-4 blocks
     (C = 100) take the Gram side, Fig.-5 blocks (300 x 1000) Lanczos.
     """

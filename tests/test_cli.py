@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +13,48 @@ from svdmimo.cli import main
 from svdmimo.system_model import InterferenceProfile, SystemParams
 
 
-def write_cfg(tmp_path, name, cfg):
-    path = tmp_path / name
-    path.write_text(json.dumps(cfg))
-    return str(path)
+def cli_args(tmp_path, command, cfg=None, out=None, **flags):
+    """`main`'s argument list for `command`. Every command but `separability`
+    reads `cfg` as its `--config`: a path is passed as it is, any other value
+    is written as JSON into `tmp_path`. Every command but `coherence` writes
+    into `--out`, `tmp_path` unless given. Each flag `name=value` adds
+    `--name value`, underscores read as dashes."""
+    args = [command]
+    if command != "separability":
+        if not isinstance(cfg, Path):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(cfg))
+            cfg = path
+        args += ["--config", str(cfg)]
+    if command != "coherence":
+        args += ["--out", str(out or tmp_path)]
+    for name, value in flags.items():
+        args += ["--" + name.replace("_", "-"), str(value)]
+    return args
+
+
+def cli_error(capsys, args):
+    """The parsed error of `main(args)`, which must fail by the whole contract:
+    exit status 1, nothing on stdout, one line on stderr holding a JSON object
+    whose only keys are `error` and `message`, and nothing new under `--out`,
+    not even the directory itself."""
+    out = Path(args[args.index("--out") + 1]) if "--out" in args else None
+    before = listing(out)
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), captured.err
+    err = json.loads(captured.err)
+    assert isinstance(err, dict) and set(err) == {"error", "message"}, err
+    assert listing(out) == before
+    return err
+
+
+def listing(directory):
+    """Every path under `directory`, or None when there is no such directory."""
+    if directory is None or not directory.exists():
+        return None
+    return sorted(directory.rglob("*"))
 
 
 def sha256(path):
@@ -24,8 +63,7 @@ def sha256(path):
 
 def spectrum_lines(tmp_path, cfg, grid_points=100):
     """The lines of the spectrum.csv that `cfg` gives."""
-    assert main(["spectrum", "--config", write_cfg(tmp_path, "sp.json", cfg),
-                 "--out", str(tmp_path), "--grid-points", str(grid_points)]) == 0
+    assert main(cli_args(tmp_path, "spectrum", cfg, grid_points=grid_points)) == 0
     return (tmp_path / "spectrum.csv").read_text().splitlines()
 
 
@@ -38,9 +76,8 @@ def support_lines(lines):
 class TestCoherence:
     def test_config_file(self, tmp_path, capsys):
         # the paper's bullet-train point; the config is the one way to give it
-        cfg = write_cfg(tmp_path, "c.json",
-                        {"f0_GHz": 2.6, "delay_spread_us": 5, "speed_kmh": 350})
-        assert main(["coherence", "--config", cfg]) == 0
+        cfg = {"f0_GHz": 2.6, "delay_spread_us": 5, "speed_kmh": 350}
+        assert main(cli_args(tmp_path, "coherence", cfg)) == 0
         assert 97 <= float(capsys.readouterr().out.strip()) <= 101
         with pytest.raises(SystemExit):
             main(["coherence", "--f0-ghz", "2.6", "--delay-us", "5", "--speed-kmh", "350"])
@@ -52,21 +89,25 @@ class TestCoherence:
          "coherence time is no finite number of symbols above 0"),
         ({"f0_GHz": 1e308, "delay_spread_us": 5, "speed_kmh": 350},
          "config key 'f0_GHz' is too large a frequency: 1e+308 GHz"),
-    ], ids=["speed_underflows", "f0_tau_underflows", "f0_overflows"])
+        ({"f0_GHz": 2.6, "delay_spread_us": 5, "speed_kmh": 5e-324},
+         "config key 'speed_kmh' is too small a speed: 5e-324 km/h"),
+        ({"f0_GHz": 2.6, "delay_spread_us": 5e-320, "speed_kmh": 350},
+         "config key 'delay_spread_us' is too small a delay spread: 5e-320 us"),
+        ({"f0_GHz": 2.6, "delay_spread_us": 5, "speed_kmh": -350},
+         "config key 'speed_kmh' is too small a speed: -350 km/h"),
+    ], ids=["speed_underflows", "f0_tau_underflows", "f0_overflows", "speed_to_0",
+            "delay_spread_to_0", "negative_speed"])
     def test_prints_a_finite_count_or_fails(self, tmp_path, capsys, cfg, message):
-        # the first printed inf and exited 0, the second raised ZeroDivisionError
-        # and the third named carrier_frequency, not its config key
-        assert main(["coherence", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
-        captured = capsys.readouterr()
-        err = json.loads(captured.err)
+        # the first printed inf and exited 0, the second raised ZeroDivisionError,
+        # and the others named carrier_frequency, mobile_speed and delay_spread,
+        # not their config keys
+        err = cli_error(capsys, cli_args(tmp_path, "coherence", cfg))
         assert err["error"] == "ValueError" and err["message"].startswith(message), err
-        assert captured.out == ""
 
 
 class TestSeparability:
     def test_three_monotone_curves(self, tmp_path, capsys):
-        assert main(["separability", "--L", "2,4,7", "--points", "60",
-                     "--out", str(tmp_path)]) == 0
+        assert main(cli_args(tmp_path, "separability", L="2,4,7", points=60)) == 0
         lines = (tmp_path / "separability.csv").read_text().splitlines()
         assert lines[1] == "L,beta,max_alpha_over_kappa"
         rows = [line.split(",") for line in lines[2:]]
@@ -77,31 +118,27 @@ class TestSeparability:
 
     def test_frozen_csv_digest(self, tmp_path, capsys):
         # every byte of the header and of the rows' .17g numbers
-        assert main(["separability", "--L", "2,4,7", "--out", str(tmp_path)]) == 0
+        assert main(cli_args(tmp_path, "separability", L="2,4,7")) == 0
         assert sha256(tmp_path / "separability.csv") == (
             "8d96a806e21896b9147987ab424a8e9529470e8ea4cda5c43dc3fb4f44ae2b1a")
 
     @pytest.mark.parametrize("args, flag", [
-        (["--points", "0"], "--points"), (["--points", "1"], "--points"),
-        (["--L", "0"], "--L"), (["--L", "-1"], "--L"), (["--L", "2,0,7"], "--L"),
-        (["--L", "2,x"], "--L"),
+        ({"points": "0"}, "--points"), ({"points": "1"}, "--points"),
+        ({"L": "0"}, "--L"), ({"L": "-1"}, "--L"), ({"L": "2,0,7"}, "--L"),
+        ({"L": "2,x"}, "--L"),
     ])
     def test_rejects_points_below_two_and_L_below_one(self, tmp_path, capsys, args, flag):
         # a CSV with no rows or a curve without interfering cells is no boundary
-        assert main(["separability", "--out", str(tmp_path)] + args) == 1
-        captured = capsys.readouterr()
-        err = json.loads(captured.err)
+        err = cli_error(capsys, cli_args(tmp_path, "separability", **args))
         assert err["error"] == "ValueError" and err["message"].startswith(flag + " "), err
-        assert captured.out == "" and not (tmp_path / "separability.csv").exists()
 
 
 class TestSupport:
     def test_json_all_methods(self, tmp_path):
         # `n_seeds` is accepted: `support` shares its config file with `spectrum`
-        cfg = write_cfg(tmp_path, "s.json",
-                        {"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0,
-                         "profile": "flat", "I_over_P": 0.25, "n_seeds": 20, "seed": 1})
-        assert main(["support", "--config", cfg, "--out", str(tmp_path)]) == 0
+        cfg = {"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0,
+               "profile": "flat", "I_over_P": 0.25, "n_seeds": 20, "seed": 1}
+        assert main(cli_args(tmp_path, "support", cfg)) == 0
         doc = json.loads((tmp_path / "support.json").read_text())
         methods = {e["method"] for e in doc["estimates"]}
         assert methods == {"unilateral", "bilateral_highSNR_1", "bilateral_highSNR_2",
@@ -113,10 +150,9 @@ class TestSupport:
 
     def test_cross_method_consistency_fig2(self, tmp_path):
         # unilateral (scaled) and bilateral intervals agree within tolerance
-        cfg = write_cfg(tmp_path, "s.json",
-                        {"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0,
-                         "profile": "flat", "I_over_P": 0.25})
-        main(["support", "--config", cfg, "--out", str(tmp_path)])
+        cfg = {"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0,
+               "profile": "flat", "I_over_P": 0.25}
+        main(cli_args(tmp_path, "support", cfg))
         doc = json.loads((tmp_path / "support.json").read_text())
         cons = doc["cross_method_consistency"]
         assert not cons["flagged"]
@@ -124,31 +160,28 @@ class TestSupport:
         assert 0.8 < cons["signal_upper_ratio"] < 1.2
 
     def test_equal_powers_merged_unilateral(self, tmp_path):
-        cfg = write_cfg(tmp_path, "s.json",
-                        {"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0,
-                         "profile": "flat", "I_over_P": 1.0})
-        assert main(["support", "--config", cfg, "--out", str(tmp_path)]) == 0
+        cfg = {"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0,
+               "profile": "flat", "I_over_P": 1.0}
+        assert main(cli_args(tmp_path, "support", cfg)) == 0
         uni = json.loads((tmp_path / "support.json").read_text())["estimates"][0]
         assert uni["method"] == "unilateral" and not uni["separable"]
         assert uni["flags"] == ["merged", "interference scale factors singular at P = I"]
 
     def test_interference_above_power_runs_silently(self, tmp_path, capsys):
         # I > P: any warning would fail the run, and stderr stays empty
-        cfg = write_cfg(tmp_path, "s.json",
-                        {"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0,
-                         "profile": "flat", "I_over_P": 1.2})
+        cfg = {"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0,
+               "profile": "flat", "I_over_P": 1.2}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["support", "--config", cfg, "--out", str(tmp_path)]) == 0
+            assert main(cli_args(tmp_path, "support", cfg)) == 0
         assert capsys.readouterr().err == ""
         assert (tmp_path / "support.json").exists()
 
     def test_unilateral_regime_error_reported(self, tmp_path):
         # alpha = 1/4: 1 - 2 sqrt(alpha (1 + 1/kappa)) < 0, so the unilateral
         # rule gives no threshold; the rest of the document is still written
-        cfg = write_cfg(tmp_path, "s.json", {"R": 12, "T": 3, "C": 1000, "L": 2, "P_dB": -10,
-                                             "W_dB": 0, "I_over_P": 0.3})
-        assert main(["support", "--config", cfg, "--out", str(tmp_path)]) == 0
+        cfg = {"R": 12, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0, "I_over_P": 0.3}
+        assert main(cli_args(tmp_path, "support", cfg)) == 0
         doc = json.loads((tmp_path / "support.json").read_text())
         thresholds = doc["thresholds"]
         assert set(thresholds) == {"unilateral_error", "bilateral_boundary_I_over_P"}
@@ -169,9 +202,8 @@ class TestSupport:
     def test_frozen_json_digest(self, tmp_path, cfg, digest):
         # every byte of support.json: estimates, thresholds and the echoed system;
         # all but the echo is the library's support report of that system
-        assert main(["support", "--config", write_cfg(tmp_path, "s.json", cfg),
-                     "--out", str(tmp_path)]) == 0
-        assert hashlib.sha256((tmp_path / "support.json").read_bytes()).hexdigest() == digest
+        assert main(cli_args(tmp_path, "support", cfg)) == 0
+        assert sha256(tmp_path / "support.json") == digest
         doc = json.loads((tmp_path / "support.json").read_text())
         echo = {key: doc.pop(key) for key in ("config", "resolved", "seed")}
         assert support_report(SystemParams(**echo["resolved"])) == doc
@@ -179,19 +211,15 @@ class TestSupport:
     def test_echoes_a_negative_seed(self, tmp_path):
         # `support` draws nothing, so any integer seed is only echoed
         cfg = {"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0, "seed": -1}
-        assert main(["support", "--config", write_cfg(tmp_path, "s.json", cfg),
-                     "--out", str(tmp_path)]) == 0
+        assert main(cli_args(tmp_path, "support", cfg)) == 0
         assert json.loads((tmp_path / "support.json").read_text())["seed"] == -1
 
 
 class TestSpectrum:
     def test_writes_csv(self, tmp_path):
-        cfg = write_cfg(tmp_path, "sp.json",
-                        {"R": 80, "T": 3, "C": 60, "L": 1, "P_dB": -10, "W_dB": 0,
-                         "profile": "flat", "I_over_P": 0.25, "n_seeds": 3, "seed": 2})
-        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path),
-                     "--grid-points", "120"]) == 0
-        lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+        cfg = {"R": 80, "T": 3, "C": 60, "L": 1, "P_dB": -10, "W_dB": 0,
+               "profile": "flat", "I_over_P": 0.25, "n_seeds": 3, "seed": 2}
+        lines = spectrum_lines(tmp_path, cfg, grid_points=120)
         assert lines[0].startswith("# config: ")
         idx = lines.index("x,density,empirical")
         # every `# key=value` header holds a plain number, the default y_offset too
@@ -206,26 +234,20 @@ class TestSpectrum:
     @pytest.mark.parametrize("points", ["1", "0", "-3"])
     def test_rejects_grid_points_below_two(self, tmp_path, capsys, points):
         # 1 and 0 failed with the density grid's message, -3 with numpy's
-        cfg = write_cfg(tmp_path, "sp.json", {"R": 80, "T": 3, "C": 60, "L": 1, "P_dB": -10,
-                                              "W_dB": 0, "I_over_P": 0.25, "n_seeds": 1})
-        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path),
-                     "--grid-points", points]) == 1
-        captured = capsys.readouterr()
-        err = json.loads(captured.err)
+        cfg = {"R": 80, "T": 3, "C": 60, "L": 1, "P_dB": -10, "W_dB": 0, "I_over_P": 0.25,
+               "n_seeds": 1}
+        err = cli_error(capsys, cli_args(tmp_path, "spectrum", cfg, grid_points=points))
         assert err == {"error": "ValueError", "message": f"--grid-points must be >= 2: {points}"}
-        assert captured.out == "" and not (tmp_path / "spectrum.csv").exists()
 
     def test_frozen_csv_digest(self, tmp_path):
         # reruns keep every byte, header and columns, whatever the BLAS
         # thread count: the eigenvalues come from the herk Gram matrix of
         # signal_subspace, and the grid spans their extremes
-        cfg = write_cfg(tmp_path, "sp.json",
-                        {"R": 80, "T": 3, "C": 60, "L": 1, "P_dB": -10, "W_dB": 0,
-                         "profile": "flat", "I_over_P": 0.25, "n_seeds": 3, "seed": 2})
-        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path),
-                     "--grid-points", "120"]) == 0
-        digest = hashlib.sha256((tmp_path / "spectrum.csv").read_bytes()).hexdigest()
-        assert digest == "a72b739d3aa3a3ce1a82ebdc9238a23f3715c3b3f8cdc8bfbe2b308ef8263c57"
+        cfg = {"R": 80, "T": 3, "C": 60, "L": 1, "P_dB": -10, "W_dB": 0,
+               "profile": "flat", "I_over_P": 0.25, "n_seeds": 3, "seed": 2}
+        spectrum_lines(tmp_path, cfg, grid_points=120)
+        assert sha256(tmp_path / "spectrum.csv") == (
+            "a72b739d3aa3a3ce1a82ebdc9238a23f3715c3b3f8cdc8bfbe2b308ef8263c57")
 
     def test_empirical_column_is_the_library_overlay(self, tmp_path):
         cfg = {"R": 80, "T": 3, "C": 60, "L": 1, "P_dB": -10, "W_dB": 0,
@@ -241,8 +263,7 @@ class TestSpectrum:
         # both commands report the same four estimates, at equal powers too
         cfg = {"R": 80, "T": 3, "C": 60, "L": 1, "P_dB": -10, "W_dB": 0,
                "profile": "flat", "I_over_P": 1.0, "n_seeds": 1, "seed": 2}
-        assert main(["support", "--config", write_cfg(tmp_path, "s.json", cfg),
-                     "--out", str(tmp_path)]) == 0
+        assert main(cli_args(tmp_path, "support", cfg)) == 0
         estimates = json.loads((tmp_path / "support.json").read_text())["estimates"]
         assert len(estimates) == 4
         assert support_lines(spectrum_lines(tmp_path, cfg, grid_points=60)) == estimates
@@ -277,11 +298,9 @@ class TestSpectrum:
 
 class TestBer:
     def test_small_sweep(self, tmp_path):
-        cfg = write_cfg(tmp_path, "b.json",
-                        {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
-                         "profile": "flat", "I_over_P": [0.2],
-                         "taus": [1], "min_symbols": 400, "seed": 4})
-        assert main(["ber", "--config", cfg, "--out", str(tmp_path)]) == 0
+        cfg = {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0, "profile": "flat",
+               "I_over_P": [0.2], "taus": [1], "min_symbols": 400, "seed": 4}
+        assert main(cli_args(tmp_path, "ber", cfg)) == 0
         lines = (tmp_path / "ber.csv").read_text().splitlines()
         assert len(lines) == 4  # header comment, column row, two receivers
         assert '"seed": 4' in lines[0]
@@ -289,8 +308,7 @@ class TestBer:
     def test_csv_header_and_rows(self, tmp_path):
         cfg = {"R": 60, "T": 3, "C": 40, "L": 2, "P_dB": -10, "W_dB": 0,
                "I_over_P": [0.2], "min_symbols": 300, "seed": 11}
-        assert main(["ber", "--config", write_cfg(tmp_path, "b.json", cfg),
-                     "--out", str(tmp_path)]) == 0
+        assert main(cli_args(tmp_path, "ber", cfg)) == 0
         text = (tmp_path / "ber.csv").read_text().splitlines()
         sys = SystemParams.from_profile(R=60, T=3, C=40, L=2, P=0.1, W=1.0,
                                         profile=InterferenceProfile(kind="flat", I=0.02))
@@ -312,38 +330,32 @@ class TestBer:
     def test_frozen_csv_digest(self, tmp_path, cfg, digest):
         # every byte, whatever the BLAS thread count: the echoed config, the
         # empty and the integer delta cells, and the .17g BERs and intervals
-        assert main(["ber", "--config", write_cfg(tmp_path, "b.json", cfg),
-                     "--out", str(tmp_path)]) == 0
+        assert main(cli_args(tmp_path, "ber", cfg)) == 0
         assert sha256(tmp_path / "ber.csv") == digest
 
     def test_reruns_bit_identical(self, tmp_path):
-        cfg = write_cfg(tmp_path, "b.json",
-                        {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
-                         "profile": "flat", "I_over_P": [0.2],
-                         "min_symbols": 400, "seed": 4})
-        main(["ber", "--config", cfg, "--out", str(tmp_path)])
+        args = cli_args(tmp_path, "ber", {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10,
+                                          "W_dB": 0, "profile": "flat", "I_over_P": [0.2],
+                                          "min_symbols": 400, "seed": 4})
+        main(args)
         first = (tmp_path / "ber.csv").read_bytes()
-        main(["ber", "--config", cfg, "--out", str(tmp_path)])
+        main(args)
         assert (tmp_path / "ber.csv").read_bytes() == first
 
     def test_r_sweep_base_system_at_first_delta(self, tmp_path):
         # the echoed system is the modulo profile of the first listed delta
-        cfg = write_cfg(tmp_path, "b.json",
-                        {"R": [20], "T": 2, "C": 30, "L": 1, "P_dB": -10, "W_dB": 0,
-                         "profile": "modulo", "delta": [4, 2],
-                         "min_symbols": 50, "seed": 1})
-        assert main(["ber", "--config", cfg, "--out", str(tmp_path)]) == 0
+        cfg = {"R": [20], "T": 2, "C": 30, "L": 1, "P_dB": -10, "W_dB": 0,
+               "profile": "modulo", "delta": [4, 2], "min_symbols": 50, "seed": 1}
+        assert main(cli_args(tmp_path, "ber", cfg)) == 0
         header = (tmp_path / "ber.csv").read_text().splitlines()[0]
         system = json.loads(header.removeprefix("# config: "))["system"]
         assert system["interference_powers"] == pytest.approx([0.1 / 8, 0.0])
 
     def test_ip_sweep_echoes_first_point_system(self, tmp_path):
         # the echoed system is the flat profile at the first listed I/P, not the default
-        cfg = write_cfg(tmp_path, "b.json",
-                        {"R": 20, "T": 2, "C": 30, "L": 1, "P_dB": -10, "W_dB": 0,
-                         "I_over_P": [0.6, 0.2],
-                         "min_symbols": 50, "seed": 1})
-        assert main(["ber", "--config", cfg, "--out", str(tmp_path)]) == 0
+        cfg = {"R": 20, "T": 2, "C": 30, "L": 1, "P_dB": -10, "W_dB": 0,
+               "I_over_P": [0.6, 0.2], "min_symbols": 50, "seed": 1}
+        assert main(cli_args(tmp_path, "ber", cfg)) == 0
         header = (tmp_path / "ber.csv").read_text().splitlines()[0]
         system = json.loads(header.removeprefix("# config: "))["system"]
         assert system["interference_powers"] == pytest.approx([0.06, 0.06])
@@ -351,11 +363,9 @@ class TestBer:
     def test_r_sweep_echoes_first_listed_R(self, tmp_path):
         # the echoed system is the first point's, R included; a scalar delta
         # is the base profile of the one curve, whose rows leave delta empty
-        cfg = write_cfg(tmp_path, "b.json",
-                        {"R": [30, 20], "T": 2, "C": 30, "L": 1, "P_dB": -10, "W_dB": 0,
-                         "profile": "modulo", "delta": 4,
-                         "min_symbols": 50, "seed": 1})
-        assert main(["ber", "--config", cfg, "--out", str(tmp_path)]) == 0
+        cfg = {"R": [30, 20], "T": 2, "C": 30, "L": 1, "P_dB": -10, "W_dB": 0,
+               "profile": "modulo", "delta": 4, "min_symbols": 50, "seed": 1}
+        assert main(cli_args(tmp_path, "ber", cfg)) == 0
         lines = (tmp_path / "ber.csv").read_text().splitlines()
         header = json.loads(lines[0].removeprefix("# config: "))
         assert header["system"]["R"] == 30
@@ -372,13 +382,8 @@ class TestErrors:
     def test_rejects_a_config_that_is_no_json_object(self, tmp_path, capsys, cfg, kind):
         # 5 and null raised a TypeError, a string was read as its characters
         # and a list as its entries, naming no problem with the document
-        assert main(["support", "--config", write_cfg(tmp_path, "o.json", cfg),
-                     "--out", str(tmp_path)]) == 1
-        captured = capsys.readouterr()
-        err = json.loads(captured.err)
-        assert err == {"error": "ValueError",
-                       "message": f"config must be a JSON object, not {kind}"}
-        assert captured.out == "" and not (tmp_path / "support.json").exists()
+        assert cli_error(capsys, cli_args(tmp_path, "support", cfg)) == {
+            "error": "ValueError", "message": f"config must be a JSON object, not {kind}"}
 
     @pytest.mark.parametrize("command, extra", [
         ("support", ""), ("ber", ', "I_over_P": [0.2], "min_symbols": 50'),
@@ -388,44 +393,32 @@ class TestErrors:
         path = tmp_path / "dup.json"
         path.write_text('{"R": 12, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0'
                         + extra + ', "R": 300}')
-        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
-        captured = capsys.readouterr()
-        assert json.loads(captured.err) == {"error": "ValueError",
-                                            "message": "config key 'R' is given more than once"}
-        assert captured.out == "" and not list(tmp_path.glob("*.csv"))
-        assert not (tmp_path / "support.json").exists()
+        assert cli_error(capsys, cli_args(tmp_path, command, path)) == {
+            "error": "ValueError", "message": "config key 'R' is given more than once"}
 
     @pytest.mark.parametrize("command", ["ber", "spectrum"])
     def test_rejects_a_negative_seed(self, tmp_path, capsys, command):
         # numpy rejected it while drawing, naming no key
         cfg = {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0, "seed": -1,
                "I_over_P": [0.2] if command == "ber" else 0.2}
-        assert main([command, "--config", write_cfg(tmp_path, "n.json", cfg),
-                     "--out", str(tmp_path)]) == 1
-        captured = capsys.readouterr()
-        assert json.loads(captured.err) == {"error": "ValueError",
-                                            "message": "seed must be >= 0: -1"}
-        assert captured.out == "" and not list(tmp_path.glob("*.csv"))
+        assert cli_error(capsys, cli_args(tmp_path, command, cfg)) == {
+            "error": "ValueError", "message": "seed must be >= 0: -1"}
 
     def test_missing_config_exits_nonzero_with_json(self, tmp_path, capsys):
-        code = main(["spectrum", "--config", str(tmp_path / "nope.json"),
-                     "--out", str(tmp_path)])
-        assert code == 1
-        err = json.loads(capsys.readouterr().err)
-        assert "error" in err and "message" in err
+        err = cli_error(capsys, cli_args(tmp_path, "spectrum", tmp_path / "nope.json"))
+        assert err["error"] == "FileNotFoundError", err
 
     def test_bad_values_exit_nonzero(self, tmp_path, capsys):
         ok = {"R": 50, "I_over_P": [0.2]}
-        for bad, args in (({"R": 0, "I_over_P": [0.2]}, []),
-                          ({"R": [40, 60.7]}, []),
-                          (ok, ["--threads", "0"]),
-                          (dict(ok, min_symbols=-5), []),
-                          (dict(ok, tau_blocks=2), [])):
-            cfg = write_cfg(tmp_path, "bad.json",
-                            dict({"T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
-                                  "profile": "flat"}, **bad))
-            assert main(["ber", "--config", cfg, "--out", str(tmp_path)] + args) == 1
-            assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        for bad, flags in (({"R": 0, "I_over_P": [0.2]}, {}),
+                           ({"R": [40, 60.7]}, {}),
+                           (ok, {"threads": 0}),
+                           (dict(ok, min_symbols=-5), {}),
+                           (dict(ok, tau_blocks=2), {})):
+            cfg = dict({"T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0, "profile": "flat"},
+                       **bad)
+            err = cli_error(capsys, cli_args(tmp_path, "ber", cfg, **flags))
+            assert err["error"] == "ValueError", err
 
     def test_bad_support_configs_exit_nonzero(self, tmp_path, capsys):
         fig2 = {"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0, "profile": "flat"}
@@ -438,9 +431,7 @@ class TestErrors:
                              (dict(fig2, delta=4), "'delta' does not apply to profile 'flat'"),
                              (dict(fig2, profile="modulo", delta=4, I_over_P=0.5),
                               "'I_over_P' does not apply to profile 'modulo'")):
-            cfg = write_cfg(tmp_path, "bad.json", bad)
-            assert main(["support", "--config", cfg, "--out", str(tmp_path)]) == 1
-            err = json.loads(capsys.readouterr().err)
+            err = cli_error(capsys, cli_args(tmp_path, "support", bad))
             assert err["error"] == "ValueError" and message in err["message"], err
 
     @pytest.mark.parametrize("bad, key", [
@@ -454,27 +445,20 @@ class TestErrors:
     def test_ber_rejects_keys_its_sweep_replaces(self, tmp_path, capsys, bad, key):
         cfg = dict({"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
                     "min_symbols": 400}, **bad)
-        assert main(["ber", "--config", write_cfg(tmp_path, "b.json", cfg),
-                     "--out", str(tmp_path)]) == 1
-        err = json.loads(capsys.readouterr().err)
+        err = cli_error(capsys, cli_args(tmp_path, "ber", cfg))
         assert err["error"] == "ValueError", err
         assert f"config key {key!r} does not apply to profile" in err["message"], err
-        assert not (tmp_path / "ber.csv").exists()
 
     def test_ber_rejects_empty_deltas(self, tmp_path, capsys):
         cfg = {"R": [50], "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
                "profile": "modulo", "delta": []}
-        assert main(["ber", "--config", write_cfg(tmp_path, "b.json", cfg),
-                     "--out", str(tmp_path)]) == 1
-        err = json.loads(capsys.readouterr().err)
+        err = cli_error(capsys, cli_args(tmp_path, "ber", cfg))
         assert err["error"] == "ValueError" and "'delta'" in err["message"], err
 
     def test_ber_rejects_empty_values(self, tmp_path, capsys):
         cfg = {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
                "I_over_P": []}
-        assert main(["ber", "--config", write_cfg(tmp_path, "b.json", cfg),
-                     "--out", str(tmp_path)]) == 1
-        err = json.loads(capsys.readouterr().err)
+        err = cli_error(capsys, cli_args(tmp_path, "ber", cfg))
         assert err["error"] == "ValueError" and "sweep value" in err["message"], err
 
     @pytest.mark.parametrize("listed, keys", [
@@ -486,25 +470,17 @@ class TestErrors:
     def test_ber_needs_one_nonempty_sweep(self, tmp_path, capsys, listed, keys):
         cfg = dict({"T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0, "min_symbols": 400},
                    **listed)
-        assert main(["ber", "--config", write_cfg(tmp_path, "b.json", cfg),
-                     "--out", str(tmp_path)]) == 1
-        err = json.loads(capsys.readouterr().err)
+        err = cli_error(capsys, cli_args(tmp_path, "ber", cfg))
         assert err["error"] == "ValueError", err
         assert err["message"].startswith(f"config keys {keys} are not one sweep"), err
-        assert not (tmp_path / "ber.csv").exists()
 
     @pytest.mark.parametrize("command", ["ber", "spectrum", "support"])
     def test_rejects_a_list_on_a_one_value_key(self, tmp_path, capsys, command):
         cfg = {"R": 50, "T": 3, "C": 40, "L": [1, 2], "P_dB": -10, "W_dB": 0,
                "profile": "flat", "I_over_P": [0.2] if command == "ber" else 0.2}
-        assert main([command, "--config", write_cfg(tmp_path, "l.json", cfg),
-                     "--out", str(tmp_path)]) == 1
-        captured = capsys.readouterr()
-        err = json.loads(captured.err)
+        err = cli_error(capsys, cli_args(tmp_path, command, cfg))
         assert err["error"] == "ValueError", err
         assert "config keys ['L'] take one value, not a list" in err["message"], err
-        assert captured.out == ""
-        assert not any((tmp_path / f).exists() for f in ("ber.csv", "spectrum.csv", "support.json"))
 
     def test_ber_rejects_pilots_filling_the_block_before_any_block(self, tmp_path, capsys,
                                                                    monkeypatch):
@@ -513,11 +489,8 @@ class TestErrors:
         monkeypatch.setattr(montecarlo, "_run_realization", no_block)
         cfg = {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
                "I_over_P": [0.2], "taus": [1, 20]}
-        assert main(["ber", "--config", write_cfg(tmp_path, "b.json", cfg),
-                     "--out", str(tmp_path)]) == 1
-        err = json.loads(capsys.readouterr().err)
+        err = cli_error(capsys, cli_args(tmp_path, "ber", cfg))
         assert err["error"] == "ValueError" and "no data columns" in err["message"], err
-        assert not (tmp_path / "ber.csv").exists()
 
     def test_ber_rejects_R_below_T_before_any_block(self, tmp_path, capsys, monkeypatch):
         # ran every R = 400 block, then failed naming T_sel, not R
@@ -526,33 +499,24 @@ class TestErrors:
         monkeypatch.setattr(montecarlo, "_run_realization", no_block)
         cfg = {"R": [400, 2], "T": 3, "C": 1000, "L": 1, "P_dB": -10, "W_dB": 0,
                "I_over_P": 0.2, "min_symbols": 30_000}
-        assert main(["ber", "--config", write_cfg(tmp_path, "b.json", cfg),
-                     "--out", str(tmp_path)]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "ValueError", "message": "R must be >= T = 3: 2"}, err
-        assert not (tmp_path / "ber.csv").exists()
+        assert cli_error(capsys, cli_args(tmp_path, "ber", cfg)) == {
+            "error": "ValueError", "message": "R must be >= T = 3: 2"}
 
     def test_spectrum_without_power_exits_with_json(self, tmp_path, capsys):
         # -4000 dB underflows to 0 W: every eigenvalue is 0, and the empty
         # spectrum raised a bare IndexError
         cfg = {"R": 20, "T": 2, "C": 30, "L": 0, "P_dB": -4000, "W_dB": -4000, "n_seeds": 2}
-        assert main(["spectrum", "--config", write_cfg(tmp_path, "sp.json", cfg),
-                     "--out", str(tmp_path)]) == 1
-        err = json.loads(capsys.readouterr().err)
+        err = cli_error(capsys, cli_args(tmp_path, "spectrum", cfg))
         assert err["error"] == "ValueError", err
         assert err["message"].startswith("every eigenvalue is 0"), err
-        assert not (tmp_path / "spectrum.csv").exists()
 
     def test_spectrum_solver_failure_exits_with_json(self, tmp_path, capsys, monkeypatch):
         # no grid point can meet a negative solver tolerance
         monkeypatch.setattr(rmt_spectrum, "_TOL", -1.0)
         cfg = {"R": 20, "T": 2, "C": 30, "L": 1, "P_dB": -10, "W_dB": 0, "n_seeds": 2}
-        assert main(["spectrum", "--config", write_cfg(tmp_path, "sp.json", cfg),
-                     "--out", str(tmp_path)]) == 1
-        err = json.loads(capsys.readouterr().err)
+        err = cli_error(capsys, cli_args(tmp_path, "spectrum", cfg))
         assert err["error"] == "StieltjesSolverError", err
         assert err["message"].startswith("no Herglotz solution found at s="), err
-        assert not (tmp_path / "spectrum.csv").exists()
 
     @pytest.mark.parametrize("command, key, value", [
         ("ber", "taus", []), ("ber", "taus", [0]), ("spectrum", "n_seeds", 0)])
@@ -561,11 +525,8 @@ class TestErrors:
                key: value}
         if command == "ber":
             cfg.update(I_over_P=[0.2], min_symbols=400)
-        assert main([command, "--config", write_cfg(tmp_path, "k.json", cfg),
-                     "--out", str(tmp_path)]) == 1
-        err = json.loads(capsys.readouterr().err)
+        err = cli_error(capsys, cli_args(tmp_path, command, cfg))
         assert err["error"] == "ValueError" and err["message"].startswith(f"{key} must "), err
-        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command, key, value", [
         *((cmd, key, value) for cmd in ("support", "spectrum")
@@ -583,13 +544,9 @@ class TestErrors:
                "seed": 7, key: value}
         if command == "ber":
             cfg.update(I_over_P=[0.2], min_symbols=400)
-        assert main([command, "--config", write_cfg(tmp_path, "k.json", cfg),
-                     "--out", str(tmp_path)]) == 1
-        captured = capsys.readouterr()
-        err = json.loads(captured.err)
+        err = cli_error(capsys, cli_args(tmp_path, command, cfg))
         assert err["error"] == "ValueError", err
         assert f"unknown config keys [{key!r}]" in err["message"], err
-        assert captured.out == "" and not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command, key, value", [
         ("ber", "taus", 2), ("ber", "taus", [1.5]), ("ber", "taus", [True]),
@@ -602,14 +559,9 @@ class TestErrors:
         # with a fractional R) ran for a system that cannot exist
         cfg = {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0, "profile": "flat",
                "I_over_P": [0.2] if command == "ber" else 0.2, key: value}
-        assert main([command, "--config", write_cfg(tmp_path, "k.json", cfg),
-                     "--out", str(tmp_path)]) == 1
-        captured = capsys.readouterr()
-        err = json.loads(captured.err)
+        err = cli_error(capsys, cli_args(tmp_path, command, cfg))
         assert err["error"] == "ValueError", err
         assert err["message"].startswith(f"config key {key!r} takes"), err
-        assert captured.out == ""
-        assert not any((tmp_path / f).exists() for f in ("ber.csv", "spectrum.csv", "support.json"))
 
     @pytest.mark.parametrize("command, key, value", [
         ("support", "P_dB", True), ("support", "P_dB", "-10"), ("spectrum", "W_dB", float("inf")),
@@ -630,13 +582,9 @@ class TestErrors:
             if key == "delta":
                 cfg = dict({k: v for k, v in cfg.items() if k != "I_over_P"}, profile="modulo",
                            R=[50] if command == "ber" else 50)
-        args = [command, "--config", write_cfg(tmp_path, "r.json", cfg)]
-        assert main(args + ([] if command == "coherence" else ["--out", str(tmp_path)])) == 1
-        captured = capsys.readouterr()
-        err = json.loads(captured.err)
+        err = cli_error(capsys, cli_args(tmp_path, command, cfg))
         assert err["error"] == "ValueError", err
         assert err["message"].startswith(f"config key {key!r} takes finite numbers"), err
-        assert captured.out == "" and not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command, key", [
         ("support", "P_dB"), ("spectrum", "W_dB"), ("ber", "R"), ("support", "L"),
@@ -649,54 +597,37 @@ class TestErrors:
             cfg = {"R": 50, "T": 3, "C": 40, "L": 1, "P_dB": -10, "W_dB": 0,
                    "I_over_P": [0.2] if command == "ber" else 0.2}
         del cfg[key]
-        args = [command, "--config", write_cfg(tmp_path, "m.json", cfg)]
-        assert main(args + ([] if command == "coherence" else ["--out", str(tmp_path)])) == 1
-        captured = capsys.readouterr()
-        err = json.loads(captured.err)
-        assert err == {"error": "ValueError", "message": f"missing config keys [{key!r}]"}
-        assert captured.out == ""
+        assert cli_error(capsys, cli_args(tmp_path, command, cfg)) == {
+            "error": "ValueError", "message": f"missing config keys [{key!r}]"}
 
     def test_coherence_rejects_unknown_key(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "c.json", {"f0_GHz": 2.6, "delay_spread_us": 5,
-                                             "speed_kmh": 350, "speed_mph": 100})
-        assert main(["coherence", "--config", cfg]) == 1
-        captured = capsys.readouterr()
-        err = json.loads(captured.err)
+        cfg = {"f0_GHz": 2.6, "delay_spread_us": 5, "speed_kmh": 350, "speed_mph": 100}
+        err = cli_error(capsys, cli_args(tmp_path, "coherence", cfg))
         assert err["error"] == "ValueError" and "['speed_mph']" in err["message"], err
-        assert captured.out == ""
 
     @pytest.mark.parametrize("key", ["P_dB", "W_dB"])
     def test_rejects_a_dB_power_that_overflows(self, tmp_path, capsys, key):
         # 10^(4000/10) raised an OverflowError naming no key
         cfg = dict({"R": 40, "T": 2, "C": 30, "L": 1, "P_dB": 0, "W_dB": 0}, **{key: 4000})
-        assert main(["support", "--config", write_cfg(tmp_path, "p.json", cfg),
-                     "--out", str(tmp_path)]) == 1
-        captured = capsys.readouterr()
-        assert json.loads(captured.err) == {
+        assert cli_error(capsys, cli_args(tmp_path, "support", cfg)) == {
             "error": "ValueError", "message": f"config key {key!r} is too large a power: 4000 dB"}
-        assert captured.out == "" and not (tmp_path / "support.json").exists()
 
     @pytest.mark.parametrize("profile", [{}, 5, None, "nope"],
                              ids=["object", "number", "null", "unknown"])
     def test_rejects_a_profile_that_is_no_kind(self, tmp_path, capsys, profile):
         # {} raised "unhashable type: 'dict'"; 5, null and "nope" named no key
         cfg = {"R": 40, "T": 2, "C": 30, "L": 1, "P_dB": -10, "W_dB": 0, "profile": profile}
-        assert main(["support", "--config", write_cfg(tmp_path, "p.json", cfg),
-                     "--out", str(tmp_path)]) == 1
-        captured = capsys.readouterr()
-        assert json.loads(captured.err) == {
+        assert cli_error(capsys, cli_args(tmp_path, "support", cfg)) == {
             "error": "ValueError", "message": f"unknown profile kind {profile!r}: config key "
                                               "'profile' takes 'flat' or 'modulo'"}
-        assert captured.out == "" and not (tmp_path / "support.json").exists()
 
 
 class TestOutDirectory:
     def test_failed_run_creates_no_directory(self, tmp_path, capsys):
         # `--out` was created before the command read its config, and stayed empty
         cfg = {"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "I_over_P": 0.25}
-        assert main(["support", "--config", write_cfg(tmp_path, "s.json", cfg),
-                     "--out", str(tmp_path / "new" / "sub")]) == 1
-        assert json.loads(capsys.readouterr().err) == {
+        args = cli_args(tmp_path, "support", cfg, out=tmp_path / "new" / "sub")
+        assert cli_error(capsys, args) == {
             "error": "ValueError", "message": "missing config keys ['W_dB']"}
         assert not (tmp_path / "new").exists()
 
@@ -705,8 +636,7 @@ class TestOutDirectory:
     def test_successful_run_creates_its_directory(self, tmp_path, command, name):
         # support.json and the CSV files each create the directory they write into
         cfg = {"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0, "I_over_P": 0.25}
-        args = (["--config", write_cfg(tmp_path, "s.json", cfg)] if command == "support"
-                else ["--points", "2"])
         out = tmp_path / "new" / "sub"
-        assert main([command, *args, "--out", str(out)]) == 0
+        flags = {"points": 2} if command == "separability" else {}
+        assert main(cli_args(tmp_path, command, cfg, out=out, **flags)) == 0
         assert [path.name for path in out.iterdir()] == [name]
