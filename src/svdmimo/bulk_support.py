@@ -349,32 +349,20 @@ def _varsigma(G, sys, zeta, own, other, n_own, n_other):
     return s0 - (k / 2) * (G * b + k * own * (other - own)) / (G ** 2 * E)
 
 
-# den of _gamma_I - den of _gamma_P = zeta (r-t)^2 (2t(k+a(2L-1)) + 2r(a(L-2)-k) + zeta(t^2-r^2))
-def _gamma_P(sys, zeta):
+def _gamma(sys, zeta, own, other, n_own, n_other):
+    """Zeros Gamma of one bulk's discriminant in the roles of _varsigma; None at rad2 < 0."""
     a, k, r, t, L = sys.alpha, sys.kappa, sys.r, sys.t, sys.L
-    rad2 = a * k * (t - r) ** 2 - a ** 2 * r * (t + (L - 1) * r)
+    d = t - r
+    rad2 = n_own * a * (k * d ** 2 - a * own * (n_own * other + (n_other - n_own) * own))
     if rad2 < 0:
         return None
     rad = math.sqrt(rad2)
-    den = ((r * (t - r) * zeta + (a - k) * t + (a * L + k) * r) ** 2
-           + 4 * r * zeta * ((a + k) * r ** 2 - (a + 2 * k) * t * r + k * t ** 2)
-           + 4 * a * k * L * r * (t - r))
-    bracket = zeta * r * (t - r) + k * (t - r) + a * (t + (L - 2) * r)
-    return (-k * r * (t - r) * (bracket + 2 * rad) / den,
-            -k * r * (t - r) * (bracket - 2 * rad) / den)
-
-
-def _gamma_I(sys, zeta):
-    a, k, r, t, L = sys.alpha, sys.kappa, sys.r, sys.t, sys.L
-    rad2 = a * k * L * (t - r) ** 2 + a ** 2 * L * t * ((L - 1) * t - L * r)
-    if rad2 < 0:
-        return None
-    rad = math.sqrt(rad2)
-    den = ((a * t + L * a * r - t * k + r * k + t * (t - r) * zeta) ** 2
-           + 4 * (t - r) * (t * ((k + a * L - a) * t - (a * L + k) * r) * zeta + a * k * L * r))
-    bracket = k * (t - r) + a * (2 * L - 1) * t - a * L * r + t * (t - r) * zeta
-    return (-k * t * (t - r) * (bracket + 2 * rad) / den,
-            -k * t * (t - r) * (bracket - 2 * rad) / den)
+    den = ((zeta * own * d - k * d + a * (t + L * r)) ** 2
+           + 4 * own * zeta * d * (k * d + a * ((n_own - 1) * t - n_own * r))
+           + 4 * a * k * L * r * d)
+    bracket = zeta * own * d + k * d + a * (n_own * d + (L - 1) * own)
+    return (-k * own * d * (bracket + 2 * rad) / den,
+            -k * own * d * (bracket - 2 * rad) / den)
 
 
 def _bilateral(sys, zeta, method):
@@ -386,12 +374,12 @@ def _bilateral(sys, zeta, method):
     with the disjointness of the intervals, and a lower endpoint below 0."""
     _check_interference(sys)
     TR = sys.T * sys.R
-    gp, gi = _gamma_P(sys, zeta), _gamma_I(sys, zeta)
+    roles = ((sys.r, sys.t, 1, sys.L), (sys.t, sys.r, sys.L, 1))  # signal, interference
+    gp, gi = (_gamma(sys, zeta, *role) for role in roles)
     if gp is None or gi is None:
         return _merged_estimate(method, ("negative radicand",))
-    r, t, L = sys.r, sys.t, sys.L
-    sig = BulkInterval(*sorted(_varsigma(g, sys, zeta, r, t, 1, L) / TR for g in gp))
-    intf = BulkInterval(*sorted(_varsigma(g, sys, zeta, t, r, L, 1) / TR for g in gi))
+    sig, intf = (BulkInterval(*sorted(_varsigma(g, sys, zeta, *role) / TR for g in gamma))
+                 for gamma, role in zip((gp, gi), roles))
     disagree = (gi[1] < gp[0]) != intf.disjoint_below(sig)
     flags = ("gamma ordering and interval disjointness disagree",) if disagree else ()
     return _estimate(sig, intf, method, flags)

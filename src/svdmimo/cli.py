@@ -14,7 +14,8 @@ powers (`P_dB`, `W_dB`) to linear and GHz, us, km/h to SI. Every output
 embeds the resolved config and seed; the `--out` directory is created when
 the file is written, so a command that fails leaves none. The library
 computes every number: `support` writes `support_report`, `spectrum` the
-`support_estimates` and the column `SpectrumResult.empirical`.
+`support_estimates` and the column `SpectrumResult.empirical`. No JSON document
+or line and no CSV cell holds NaN or an infinity: the writer raises ValueError.
 """
 
 from __future__ import annotations
@@ -128,10 +129,20 @@ def _resolved(cfg, sys_params, seed):
     }
 
 
+def _json(obj, **kwargs):
+    """json.dumps that refuses NaN and the infinities, which JSON has no numbers for."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError as err:
+        raise ValueError(f"refused to write a non-finite number: {err}") from None
+
+
 def _fmt(x):
     if x is None:
         return ""
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"refused to write a non-finite number: {x!r}")
         return format(x, ".17g")
     return str(x)
 
@@ -140,7 +151,7 @@ def _write_csv(path, meta, columns, rows, comments=()):
     """A CSV at `path`: `meta` as a `# config:` JSON line, one `# ` line per
     comment, the column line, then one line per row, floats at .17g and None
     empty."""
-    lines = ["# config: " + json.dumps(meta, sort_keys=True)]
+    lines = ["# config: " + _json(meta, sort_keys=True)]
     lines += ["# " + comment for comment in comments]
     lines.append(columns)
     lines += [",".join(map(_fmt, row)) for row in rows]
@@ -182,7 +193,7 @@ def _cmd_spectrum(args):
     comments = [f"kappa={density.kappa!r}", f"atom={density.atom_at_zero!r}",
                 f"scale={density.scale!r}", f"y_offset={density.y_offset!r}"]
     if max(sys_params.interference_powers, default=0.0) > 0:
-        comments += ["support: " + json.dumps(est.to_dict(), sort_keys=True)
+        comments += ["support: " + _json(est.to_dict(), sort_keys=True)
                      for est in bulk_support.support_estimates(sys_params)]
     out = Path(args.out) / "spectrum.csv"
     _write_csv(out, _resolved(cfg, sys_params, seed), "x,density,empirical",
@@ -197,7 +208,7 @@ def _cmd_support(args):
     doc = _resolved(cfg, sys_params, cfg.get("seed", 0))
     doc.update(bulk_support.support_report(sys_params))
     out = Path(args.out) / "support.json"
-    _write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(out, _json(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
 
 

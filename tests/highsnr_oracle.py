@@ -1,13 +1,17 @@
 """Printed high-SNR (W = 0) formulas, kept as test oracles.
 
 The library computes the high-SNR enclosures as the zeta = 0 case of the
-general-SNR ones. This module keeps three separately printed derivations that
-tests compare the library against:
+general-SNR ones. This module keeps the derivations that tests compare the
+library against:
 
 * the high-SNR per-bulk expansions (highsnr_supports);
 * the second-order intervals from the zeros of rho0 (rho0_zero_supports);
 * the explicit zero-load spike of Appendix B, which checks the interference
   repulsion factor (appendixB_scale_verification);
+* the zeros Gamma of the signal and interference discriminants as two
+  hand-expanded bodies (gamma_P, gamma_I), a reference for the library's one
+  _gamma in the roles of _varsigma; their square root is mpmath's, so they
+  evaluate at the working precision of mpf arguments;
 * the printed validity condition of the bilateral expansions
   (bilateral_validity). For L >= 1 and 0 < r <= t it holds exactly when the
   radicand of the library's signal-bulk zeros is >= 0; where it fails, both
@@ -16,6 +20,7 @@ tests compare the library against:
 
 import math
 
+import mpmath
 import numpy as np
 
 from svdmimo.bulk_support import (BulkInterval, SupportEstimate, _merged_estimate, _unilateral,
@@ -64,6 +69,33 @@ def gI2(dp, L):
     g_l = -k * t * (t - r) * (k * (t - r) + a * ((2 * L - 1) * t - L * r) + 2 * rad) / den
     g_u = -k * t * (t - r) * (k * (t - r) + a * ((2 * L - 1) * t - L * r) - 2 * rad) / den
     return g_l, g_u
+
+
+def gamma_P(sys, zeta):
+    a, k, r, t, L = sys.alpha, sys.kappa, sys.r, sys.t, sys.L
+    rad2 = a * k * (t - r) ** 2 - a ** 2 * r * (t + (L - 1) * r)
+    if rad2 < 0:
+        return None
+    rad = mpmath.sqrt(rad2)
+    den = ((r * (t - r) * zeta + (a - k) * t + (a * L + k) * r) ** 2
+           + 4 * r * zeta * ((a + k) * r ** 2 - (a + 2 * k) * t * r + k * t ** 2)
+           + 4 * a * k * L * r * (t - r))
+    bracket = zeta * r * (t - r) + k * (t - r) + a * (t + (L - 2) * r)
+    return (-k * r * (t - r) * (bracket + 2 * rad) / den,
+            -k * r * (t - r) * (bracket - 2 * rad) / den)
+
+
+def gamma_I(sys, zeta):
+    a, k, r, t, L = sys.alpha, sys.kappa, sys.r, sys.t, sys.L
+    rad2 = a * k * L * (t - r) ** 2 + a ** 2 * L * t * ((L - 1) * t - L * r)
+    if rad2 < 0:
+        return None
+    rad = mpmath.sqrt(rad2)
+    den = ((a * t + L * a * r - t * k + r * k + t * (t - r) * zeta) ** 2
+           + 4 * (t - r) * (t * ((k + a * L - a) * t - (a * L + k) * r) * zeta + a * k * L * r))
+    bracket = k * (t - r) + a * (2 * L - 1) * t - a * L * r + t * (t - r) * zeta
+    return (-k * t * (t - r) * (bracket + 2 * rad) / den,
+            -k * t * (t - r) * (bracket - 2 * rad) / den)
 
 
 def highsnr_supports(dp, L):

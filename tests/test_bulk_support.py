@@ -2,16 +2,18 @@ import ast
 import dataclasses
 import inspect
 import math
+import types
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svdmimo import bulk_support, rmt_spectrum
-from svdmimo.bulk_support import (BulkInterval, RegimeError, SupportEstimate, _gamma_I, _gamma_P,
-                                  _unilateral, bilateral_supports_general,
-                                  bilateral_supports_highsnr, bisect, poly_roots,
+from svdmimo.bulk_support import (BulkInterval, RegimeError, SupportEstimate, _gamma, _unilateral,
+                                  bilateral_supports_general, bilateral_supports_highsnr, bisect,
+                                  poly_roots,
                                   quartic_extremes, s1_inverse, s1_supports,
                                   separability_boundary, separability_boundary_ratio,
                                   support_estimates, support_report, unilateral_separable,
@@ -20,8 +22,8 @@ from svdmimo.subspace_receiver import empirical_spectrum
 from svdmimo.system_model import (InterferenceProfile, PilotConfig, SystemParams,
                                   assemble_received, sample_realization)
 
-from highsnr_oracle import (appendixB_scale_verification, bilateral_validity, highsnr_supports,
-                            rho0_zero_supports, s0_explicit)
+from highsnr_oracle import (appendixB_scale_verification, bilateral_validity, gamma_I, gamma_P,
+                            highsnr_supports, rho0_zero_supports, s0_explicit)
 from ratio_params import RatioParams
 from spectrum_oracle import contains
 
@@ -466,8 +468,8 @@ class TestBilateralValidity:
     def test_validity_is_nonnegative_radicand(self):
         # the library reports the condition as data: on the ratios that a
         # SystemParams gives (L >= 1, 0 < r <= t) it holds exactly when the
-        # radicand of _gamma_P is >= 0, and both second-order estimates are
-        # merged with `negative radicand` where it fails
+        # signal-bulk radicand of _gamma is >= 0, and both second-order
+        # estimates are merged with `negative radicand` where it fails
         rng = np.random.default_rng(11)
         invalid = 0
         for i in range(2000):
@@ -479,7 +481,8 @@ class TestBilateralValidity:
             dp = dp_from_ratios(alpha=alpha, kappa=kappa, r=r, t=t, L=L,
                                 zeta=10 ** rng.uniform(-1, 3))
             valid = bilateral_validity(dp)
-            assert valid == (_gamma_P(dp, 0.0) is not None), (alpha, kappa, r, t, L)
+            signal_gamma = _gamma(dp, 0.0, dp.r, dp.t, 1, L)
+            assert valid == (signal_gamma is not None), (alpha, kappa, r, t, L)
             if not valid:
                 invalid += 1
                 for est in (bilateral_supports_highsnr(dp), bilateral_supports_general(dp)):
@@ -547,9 +550,39 @@ class TestBilateralGeneral:
                 alpha = (0.5 if expect else 1.5) * boundary * kappa
                 t = 1.3333e-4
                 dp = dp_from_ratios(alpha=alpha, kappa=kappa, r=beta * t, t=t, L=L)
-                gp, gi = _gamma_P(dp, W_zeta), _gamma_I(dp, W_zeta)
+                gp = _gamma(dp, W_zeta, dp.r, dp.t, 1, L)
+                gi = _gamma(dp, W_zeta, dp.t, dp.r, L, 1)
                 got = gp is not None and gi is not None and gi[1] < gp[0]
                 assert got is expect, (W_zeta, beta, expect, got)
+
+    def test_gamma_matches_mpmath_reference(self):
+        # both roles of _gamma against the two hand-expanded bodies evaluated
+        # at 60 digits on the same float ratios: None exactly where the
+        # reference radicand is negative, and elsewhere both zeros within
+        # 1e-14 relative (those bodies in floats reach 3.7e-14 here)
+        rng = np.random.default_rng(0)
+        checked = negative = 0
+        for _ in range(300):
+            R, T, C, L = (int(rng.integers(lo, hi + 1)) for lo, hi in
+                          ((20, 600), (1, 8), (20, 2000), (1, 6)))
+            P, W = 10 ** rng.uniform(-3, 3, 2)
+            profile = InterferenceProfile(kind="flat", I=rng.uniform(0.05, 0.95) * P)
+            sys = SystemParams.from_profile(R=R, T=T, C=C, L=L, P=P, W=W, profile=profile)
+            with mpmath.workdps(60):
+                exact = types.SimpleNamespace(L=L, **{name: mpmath.mpf(getattr(sys, name))
+                                                      for name in ("alpha", "kappa", "r", "t")})
+                for zeta in (0.0, sys.zeta):
+                    for role, reference in (((sys.r, sys.t, 1, L), gamma_P),
+                                            ((sys.t, sys.r, L, 1), gamma_I)):
+                        got, ref = _gamma(sys, zeta, *role), reference(exact, mpmath.mpf(zeta))
+                        assert (got is None) == (ref is None), (sys, zeta, role)
+                        if ref is None:
+                            negative += 1
+                            continue
+                        checked += 1
+                        for g, e in zip(got, ref):
+                            assert abs(g - e) <= 1e-14 * abs(e), (sys, zeta, role, g, e)
+        assert checked > 1000 and negative > 0
 
 
 class TestAppendixB:

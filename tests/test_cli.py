@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svdmimo import montecarlo, rmt_spectrum
+from svdmimo import cli, montecarlo, rmt_spectrum
 from svdmimo.bulk_support import support_report
 from svdmimo.cli import main
 from svdmimo.system_model import InterferenceProfile, SystemParams
@@ -193,11 +194,11 @@ class TestSupport:
     @pytest.mark.parametrize("cfg, digest", [
         ({"R": 300, "T": 3, "C": 1000, "L": 2, "P_dB": -10, "W_dB": 0,
           "profile": "flat", "I_over_P": 0.25},
-         "a5b9c710bb0240c899243ef203df7139407e5b87773fc24819eecbb7b4c32126"),
+         "b36d34617866ccb1d2e0ee7729b55551e9863ec1f81f790e18e221a6ecb38495"),
         # unequal interference powers: t is taken at the largest of them
         ({"R": 100, "T": 5, "C": 100, "L": 6, "P_dB": -10, "W_dB": 0,
           "profile": "modulo", "delta": 2},
-         "696af55369141f94c44458b87fb07c9d05adb2f531bfff296c257b8b720dc6f6"),
+         "1b27c1eceda949b546f4f378d87f49fe1f435725add9719eca7ccef98316e39d"),
     ], ids=["fig2_flat", "fig4_modulo"])
     def test_frozen_json_digest(self, tmp_path, cfg, digest):
         # every byte of support.json: estimates, thresholds and the echoed system;
@@ -247,7 +248,7 @@ class TestSpectrum:
                "profile": "flat", "I_over_P": 0.25, "n_seeds": 3, "seed": 2}
         spectrum_lines(tmp_path, cfg, grid_points=120)
         assert sha256(tmp_path / "spectrum.csv") == (
-            "a72b739d3aa3a3ce1a82ebdc9238a23f3715c3b3f8cdc8bfbe2b308ef8263c57")
+            "b1adfbfa8b3ac84f1c1f6741e2d269c2f81caaf4209024f11a3ae3411b9bdea4")
 
     def test_empirical_column_is_the_library_overlay(self, tmp_path):
         cfg = {"R": 80, "T": 3, "C": 60, "L": 1, "P_dB": -10, "W_dB": 0,
@@ -433,6 +434,23 @@ class TestErrors:
                               "'I_over_P' does not apply to profile 'modulo'")):
             err = cli_error(capsys, cli_args(tmp_path, "support", bad))
             assert err["error"] == "ValueError" and message in err["message"], err
+
+    def test_support_refuses_a_non_finite_endpoint(self, tmp_path, capsys):
+        # the first-order estimate meets a pole of s1_inverse here; its signal
+        # lower endpoint is -inf, which support.json once held as -Infinity
+        cfg = {"R": 231, "T": 7, "C": 2536, "L": 4, "P_dB": 821.8836657490929,
+               "W_dB": -1051.1961171948174, "profile": "flat",
+               "I_over_P": 0.0060807064873423375}
+        err = cli_error(capsys, cli_args(tmp_path, "support", cfg))
+        assert err["error"] == "ValueError", err
+        assert err["message"].startswith("refused to write a non-finite number"), err
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_writers_refuse_non_finite_numbers(self, x):
+        # a CSV cell, and every JSON document or line the commands write
+        for write, value in ((cli._fmt, x), (cli._json, {"x": [x]})):
+            with pytest.raises(ValueError, match="^refused to write a non-finite number"):
+                write(value)
 
     @pytest.mark.parametrize("bad, key", [
         # each listed key runs at its first entry, so profile exclusivity
